@@ -9,9 +9,11 @@ Subcommands:
     kirby                         emit a Kirby diagram (cover or surgery mode)
     run <scenario-file>           parse and execute a scenario
 
-Common flags: --seed (default 0), --tol, --samples, --out.  All output goes
-to stdout unless --out is given.  Exit status is nonzero iff a verification
-fails or a scenario does not parse.
+Common flags: --seed (default 0), --tol (default: each verify suite's own
+tolerance), --samples, --out.  All output goes to stdout unless --out is
+given.  Exit status: 0 when every asserted check passed, 1 when a
+verification printed FAIL, 2 on bad input or an unreadable/unwritable file,
+with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from . import verify as verify_mod
 from .errors import ContactCalcError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
-from .scenario import ScenarioError, parse_scenario, run_scenario
+from .scenario import DEFAULT_SAMPLES, Verify, parse_scenario, run_scenario, run_suite
 from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
                       contact_surgery, disk_cotangent_page, fibered_manifold,
                       surgery_compose, word)
@@ -30,8 +32,9 @@ from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-5, help="tolerance")
-    p.add_argument("--samples", type=int, default=25, help="sample count")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance (default: each verify suite's own)")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample count")
     p.add_argument("--out", type=str, default=None, help="write output to file")
 
 
@@ -97,21 +100,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContactCalcError as exc:
+    except (ContactCalcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        if args.suite == "forms":
-            rep = verify_mod.verify_forms(args.seed, samples=args.samples)
-        else:
-            rep = verify_mod.verify_twist(args.n, args.seed, args.tol,
-                                          args.samples)
+        rep = run_suite(Verify(args.suite, n=args.n), args.seed, args.tol,
+                        args.samples)
         _emit(verify_mod.render_report(rep), args.out)
         return 1 if verify_mod.report_failed(rep) else 0
 

@@ -197,12 +197,3 @@ def restrict_form(form: OneFormField, chart: Chart) -> OneFormField:
             f"({form.chart.dim} vs {chart.dim})")
     return OneFormField(f"{form.form_id}|{chart.name}", chart, form.evaluator)
 
-
-CATALOG = {
-    "lambda_std": lambda_std,
-    "lambda_can": lambda_can,
-    "weinstein": weinstein,
-    "handle_form": handle_form,
-    "dz_plus": dz_plus,
-    "theta_invariant": theta_invariant,
-}

@@ -17,16 +17,24 @@ Grammar (one statement per line; '#' starts a comment; blank lines skipped):
     verify forms [samples=<int>]
     verify twist [n=<int>] [samples=<int>]
 
+``parse_scenario`` reads each statement once.  Declarations fill the
+scenario's pages, words and open books; each command becomes a frozen record
+(``Sum``, ``Surgery``, ``Cover``, ``Fibered``, ``Kirby``, ``Verify``).  Argument
+counts, keys, names, and integer and boolean values are all checked at parse
+time, so a malformed statement is reported before any statement runs or
+writes a file.  ``run_scenario`` executes the records in order.
+
 Errors carry a source position and one of three codes: E_SYNTAX (malformed
-statement), E_UNDECLARED (name used before declaration), E_ARITY (wrong
-argument count/keys for a known statement).
+statement, or a command the library refused while running), E_UNDECLARED
+(name used before declaration), E_ARITY (wrong argument count/keys for a
+known statement).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import verify as verify_mod
 from .errors import ContactCalcError
@@ -38,6 +46,10 @@ from .surgery import (MonodromyWord, OpenBook, PageSpec, branched_cover,
 E_SYNTAX = "E_SYNTAX"
 E_UNDECLARED = "E_UNDECLARED"
 E_ARITY = "E_ARITY"
+
+# Sample count of the verify suites when neither the statement nor the
+# caller sets one; the CLI's --samples default.
+DEFAULT_SAMPLES = 25
 
 
 class ScenarioError(ContactCalcError):
@@ -56,19 +68,68 @@ class Token:
 
 
 @dataclass(frozen=True)
-class Statement:
-    kind: str
-    tokens: tuple[Token, ...]
-
-    @property
-    def line(self) -> int:
-        return self.tokens[0].line
-
-
-@dataclass(frozen=True)
 class WordDecl:
     word: MonodromyWord
     letter_tokens: tuple[Token, ...]
+
+
+@dataclass(frozen=True)
+class Command:
+    """A parsed command; ``line``/``col`` locate its first token."""
+
+    line: int = field(default=0, kw_only=True)
+    col: int = field(default=0, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Sum(Command):
+    left: str
+    right: str
+    target: str
+
+
+@dataclass(frozen=True)
+class Surgery(Command):
+    manifold: str
+    sphere: str
+    k: int
+    target: str
+    param: str = "std"
+
+
+@dataclass(frozen=True)
+class Cover(Command):
+    manifold: str
+    q: int
+    target: str
+    over: str = "binding"
+
+
+@dataclass(frozen=True)
+class Fibered(Command):
+    page: str
+    phi: str
+    psi: str
+    target: str
+
+
+@dataclass(frozen=True)
+class Kirby(Command):
+    mode: str                   # "cover" or "surgery"
+    page: Optional[str] = None  # cover mode
+    q: Optional[int] = None     # cover mode
+    k: Optional[int] = None     # surgery mode
+    base: Optional[str] = None
+    out: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Verify(Command):
+    mode: str                   # "equal", "forms" or "twist"
+    left: Optional[str] = None  # equal mode
+    right: Optional[str] = None
+    n: int = 2                  # twist mode
+    samples: Optional[int] = None
 
 
 @dataclass
@@ -76,10 +137,9 @@ class Scenario:
     pages: dict[str, PageSpec] = field(default_factory=dict)
     words: dict[str, WordDecl] = field(default_factory=dict)
     openbooks: dict[str, OpenBook] = field(default_factory=dict)
-    commands: list[Statement] = field(default_factory=list)
+    commands: list[Command] = field(default_factory=list)
 
 
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_*()-]*$")
 _LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
@@ -96,28 +156,37 @@ def _kv(tok: Token) -> Optional[tuple[str, str]]:
     return None
 
 
-def _parse_kvs(toks: list[Token], allowed: set[str], required: set[str],
-               stmt: str) -> dict[str, tuple[str, Token]]:
-    out: dict[str, tuple[str, Token]] = {}
+# A value converter takes (value text, its token, what it is) and returns the
+# converted value or raises a positioned E_SYNTAX.
+_Converter = Callable[[str, Token, str], object]
+
+
+def _parse_kvs(toks: list[Token], keys: dict[str, _Converter], required: set[str],
+               stmt: str, head: Token) -> dict[str, object]:
+    out: dict[str, object] = {}
     for tok in toks:
         pair = _kv(tok)
         if pair is None:
             raise ScenarioError(E_SYNTAX, tok.line, tok.col,
                                 f"expected key=value in {stmt}, got {tok.text!r}")
         key, val = pair
-        if key not in allowed:
+        if key not in keys:
             raise ScenarioError(E_ARITY, tok.line, tok.col,
                                 f"unknown key {key!r} for {stmt}")
         if key in out:
             raise ScenarioError(E_ARITY, tok.line, tok.col,
                                 f"duplicate key {key!r} for {stmt}")
-        out[key] = (val, tok)
+        out[key] = keys[key](val, tok, key)
     missing = required - out.keys()
     if missing:
-        t = toks[0] if toks else Token(stmt, 0, 0)
+        t = toks[0] if toks else head
         raise ScenarioError(E_ARITY, t.line, t.col,
                             f"{stmt} missing keys: {', '.join(sorted(missing))}")
     return out
+
+
+def _str(val: str, tok: Token, what: str) -> str:
+    return val
 
 
 def _int(val: str, tok: Token, what: str) -> int:
@@ -135,41 +204,44 @@ def _bool(val: str, tok: Token, what: str) -> bool:
                         f"{what} must be true or false, got {val!r}")
 
 
-def _bracket_list(val: str, tok: Token, what: str) -> list[str]:
+def _bracket_list(val: str, tok: Token, what: str) -> tuple[str, ...]:
     if not (val.startswith("[") and val.endswith("]")):
         raise ScenarioError(E_SYNTAX, tok.line, tok.col,
                             f"{what} must be a [...] list, got {val!r}")
-    inner = val[1:-1]
-    return [piece for piece in inner.split(",") if piece] if inner else []
+    return tuple(piece for piece in val[1:-1].split(",") if piece)
+
+
+def _handles(val: str, tok: Token, what: str) -> tuple[tuple[int, int], ...]:
+    handles = []
+    for piece in _bracket_list(val, tok, what):
+        k, sep, c = piece.partition(":")
+        if not sep:
+            raise ScenarioError(E_SYNTAX, tok.line, tok.col,
+                                f"handle entry {piece!r} must be index:count")
+        handles.append((_int(k, tok, "handle index"), _int(c, tok, "handle count")))
+    return tuple(handles)
+
+
+def _even_dim(val: str, tok: Token, what: str) -> int:
+    dim = _int(val, tok, what)
+    if dim < 2 or dim % 2 != 0:
+        raise ScenarioError(E_SYNTAX, tok.line, tok.col,
+                            f"page dim must be a positive even integer, got {dim}")
+    return dim
 
 
 def _parse_page(toks: list[Token]) -> tuple[str, PageSpec]:
+    t = toks[0]
     if len(toks) < 2 or _kv(toks[1]) is not None:
-        t = toks[0]
         raise ScenarioError(E_SYNTAX, t.line, t.col, "page needs a name")
     name = toks[1].text
-    kvs = _parse_kvs(toks[2:], {"dim", "handles", "stein", "spheres"},
-                     {"dim", "handles", "stein"}, "page")
-    dim = _int(*kvs["dim"], "dim")
-    if dim < 2 or dim % 2 != 0:
-        raise ScenarioError(E_SYNTAX, kvs["dim"][1].line, kvs["dim"][1].col,
-                            f"page dim must be a positive even integer, got {dim}")
-    handles = []
-    for piece in _bracket_list(*kvs["handles"], "handles"):
-        if ":" not in piece:
-            raise ScenarioError(E_SYNTAX, kvs["handles"][1].line,
-                                kvs["handles"][1].col,
-                                f"handle entry {piece!r} must be index:count")
-        k, _, c = piece.partition(":")
-        handles.append((_int(k, kvs["handles"][1], "handle index"),
-                        _int(c, kvs["handles"][1], "handle count")))
-    stein = _bool(*kvs["stein"], "stein")
-    spheres = tuple(_bracket_list(*kvs["spheres"], "spheres")) \
-        if "spheres" in kvs else ()
+    kvs = _parse_kvs(toks[2:], {"dim": _even_dim, "handles": _handles,
+                                "stein": _bool, "spheres": _bracket_list},
+                     {"dim", "handles", "stein"}, "page", t)
     try:
-        page = PageSpec(name, dim // 2, tuple(handles), stein, spheres)
+        page = PageSpec(name, kvs["dim"] // 2, kvs["handles"], kvs["stein"],
+                        kvs.get("spheres", ()))
     except ContactCalcError as exc:
-        t = toks[0]
         raise ScenarioError(E_SYNTAX, t.line, t.col, str(exc)) from None
     return name, page
 
@@ -220,11 +292,75 @@ def _parse_openbook(s: Scenario, toks: list[Token]) -> tuple[str, OpenBook]:
     return name, OpenBook(page, decl.word)
 
 
-_COMMANDS = {"sum", "surgery", "cover", "fibered", "kirby", "verify"}
+# (statement, mode) -> record type, the kind of each positional name, the
+# keys with their value converters, the required keys, and whether the
+# statement ends in '-> <name>'.  A "manifold" is an open book or the target
+# of an earlier command.
+_SCHEMAS: dict[tuple[str, Optional[str]], tuple] = {
+    ("sum", None): (Sum, ("open book", "open book"), {}, set(), True),
+    ("surgery", None): (Surgery, ("manifold",),
+                        {"sphere": _str, "k": _int, "param": _str}, {"sphere", "k"}, True),
+    ("cover", None): (Cover, ("manifold",), {"q": _int, "over": _str}, {"q"}, True),
+    ("fibered", None): (Fibered, ("page", "word", "word"), {}, set(), True),
+    ("kirby", "cover"): (Kirby, ("page",),
+                         {"q": _int, "base": _str, "out": _str}, {"q"}, False),
+    ("kirby", "surgery"): (Kirby, (), {"k": _int, "out": _str}, {"k"}, False),
+    ("verify", "equal"): (Verify, ("manifold", "manifold"), {}, set(), False),
+    ("verify", "forms"): (Verify, (), {"n": _int, "samples": _int}, set(), False),
+    ("verify", "twist"): (Verify, (), {"n": _int, "samples": _int}, set(), False),
+}
+_MODES = {"kirby": "cover|surgery", "verify": "equal|forms|twist"}
+
+
+def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Command:
+    """The record for one command statement.  ``declared`` holds the open
+    books and command targets so far; this command's target joins it."""
+    names = {"open book": s.openbooks, "manifold": declared,
+             "page": s.pages, "word": s.words}
+    head = toks[0]
+    target = None
+    for i, tok in enumerate(toks):
+        if tok.text == "->":
+            if i != len(toks) - 2:
+                raise ScenarioError(E_SYNTAX, tok.line, tok.col,
+                                    f"{head.text}: '->' must be followed by one name")
+            toks, target = toks[:i], toks[-1].text
+            break
+    pos = [t for t in toks[1:] if _kv(t) is None]
+    mode = None
+    if head.text in _MODES:
+        if not pos:
+            raise ScenarioError(E_ARITY, head.line, head.col,
+                                f"{head.text} needs a mode: {_MODES[head.text]}")
+        mode_tok = pos.pop(0)
+        mode = mode_tok.text
+        if (head.text, mode) not in _SCHEMAS:
+            raise ScenarioError(E_SYNTAX, mode_tok.line, mode_tok.col,
+                                f"unknown {head.text} mode {mode!r}")
+    stmt = head.text if mode is None else f"{head.text} {mode}"
+    record, kinds, keys, required, makes = _SCHEMAS[head.text, mode]
+    if len(pos) != len(kinds):
+        raise ScenarioError(E_ARITY, head.line, head.col, f"{stmt} takes "
+                            + (" ".join(f"<{k}>" for k in kinds) or "no names"))
+    for tok, kind in zip(pos, kinds):
+        if tok.text not in names[kind]:
+            raise ScenarioError(E_UNDECLARED, tok.line, tok.col,
+                                f"{kind} {tok.text!r} not declared")
+    kvs = _parse_kvs([t for t in toks[1:] if _kv(t) is not None],
+                     keys, required, stmt, head)
+    if makes != (target is not None):
+        raise ScenarioError(E_ARITY, head.line, head.col, f"{stmt} "
+                            + ("needs '-> <name>'" if makes else "takes no '-> <name>'"))
+    if makes:
+        kvs["target"] = target
+        declared.add(target)
+    args = [t.text for t in pos] if mode is None else [mode] + [t.text for t in pos]
+    return record(*args, **kvs, line=head.line, col=head.col)
 
 
 def parse_scenario(text: str) -> Scenario:
     s = Scenario()
+    declared: set[str] = set()   # open books and command targets so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw, lineno)
         if not toks:
@@ -239,156 +375,42 @@ def parse_scenario(text: str) -> Scenario:
         elif head.text == "openbook":
             name, ob = _parse_openbook(s, toks)
             s.openbooks[name] = ob
-        elif head.text in _COMMANDS:
-            stmt = Statement(head.text, tuple(toks))
-            _validate_command(s, stmt)
-            s.commands.append(stmt)
+            declared.add(name)
+        elif head.text in ("sum", "surgery", "cover", "fibered", "kirby", "verify"):
+            s.commands.append(_parse_command(toks, s, declared))
         else:
             raise ScenarioError(E_SYNTAX, head.line, head.col,
                                 f"unknown statement {head.text!r}")
     return s
 
 
-def _split_arrow(toks: tuple[Token, ...], stmt: str) -> tuple[list[Token], Optional[str]]:
-    texts = [t.text for t in toks]
-    if "->" in texts:
-        i = texts.index("->")
-        if i != len(toks) - 2:
-            t = toks[i]
-            raise ScenarioError(E_SYNTAX, t.line, t.col,
-                                f"{stmt}: '->' must be followed by one name")
-        return list(toks[1:i]), toks[-1].text
-    return list(toks[1:]), None
-
-
-def _positional(args: list[Token]) -> list[Token]:
-    return [t for t in args if _kv(t) is None]
-
-
-def _validate_command(s: Scenario, stmt: Statement):
-    """Static checks at parse time: declared names and argument shapes."""
-    head = stmt.tokens[0]
-    args, target = _split_arrow(stmt.tokens, stmt.kind)
-    declared = set(s.openbooks) | {t for t in _targets_so_far(s)}
-    if stmt.kind == "sum":
-        pos = _positional(args)
-        if len(pos) != 2:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "sum needs exactly two open books")
-        for t in pos:
-            if t.text not in s.openbooks:
-                raise ScenarioError(E_UNDECLARED, t.line, t.col,
-                                    f"open book {t.text!r} not declared")
-        if target is None:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "sum needs '-> <name>'")
-    elif stmt.kind == "surgery":
-        pos = _positional(args)
-        if len(pos) != 1:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "surgery needs one manifold argument")
-        if pos[0].text not in declared:
-            raise ScenarioError(E_UNDECLARED, pos[0].line, pos[0].col,
-                                f"manifold {pos[0].text!r} not declared")
-        _parse_kvs([t for t in args if _kv(t) is not None],
-                   {"sphere", "k", "param"}, {"sphere", "k"}, "surgery")
-        if target is None:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "surgery needs '-> <name>'")
-    elif stmt.kind == "cover":
-        pos = _positional(args)
-        if len(pos) != 1:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "cover needs one manifold argument")
-        if pos[0].text not in declared:
-            raise ScenarioError(E_UNDECLARED, pos[0].line, pos[0].col,
-                                f"manifold {pos[0].text!r} not declared")
-        _parse_kvs([t for t in args if _kv(t) is not None],
-                   {"q", "over"}, {"q"}, "cover")
-        if target is None:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "cover needs '-> <name>'")
-    elif stmt.kind == "fibered":
-        pos = _positional(args)
-        if len(pos) != 3:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "fibered needs <page> <word> <word>")
-        if pos[0].text not in s.pages:
-            raise ScenarioError(E_UNDECLARED, pos[0].line, pos[0].col,
-                                f"page {pos[0].text!r} not declared")
-        for t in pos[1:]:
-            if t.text not in s.words:
-                raise ScenarioError(E_UNDECLARED, t.line, t.col,
-                                    f"word {t.text!r} not declared")
-        if target is None:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "fibered needs '-> <name>'")
-    elif stmt.kind == "kirby":
-        pos = _positional(args)
-        if not pos or pos[0].text not in ("cover", "surgery"):
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "kirby needs mode 'cover' or 'surgery'")
-        if pos[0].text == "cover":
-            if len(pos) != 2:
-                raise ScenarioError(E_ARITY, head.line, head.col,
-                                    "kirby cover needs a page name")
-            if pos[1].text not in s.pages:
-                raise ScenarioError(E_UNDECLARED, pos[1].line, pos[1].col,
-                                    f"page {pos[1].text!r} not declared")
-            _parse_kvs([t for t in args if _kv(t) is not None],
-                       {"q", "base", "out"}, {"q"}, "kirby cover")
-        else:
-            if len(pos) != 1:
-                raise ScenarioError(E_ARITY, head.line, head.col,
-                                    "kirby surgery takes only key=value args")
-            _parse_kvs([t for t in args if _kv(t) is not None],
-                       {"k", "out"}, {"k"}, "kirby surgery")
-    elif stmt.kind == "verify":
-        pos = _positional(args)
-        if not pos:
-            raise ScenarioError(E_ARITY, head.line, head.col,
-                                "verify needs a mode: equal|forms|twist")
-        mode = pos[0].text
-        if mode == "equal":
-            if len(pos) != 3:
-                raise ScenarioError(E_ARITY, head.line, head.col,
-                                    "verify equal needs two manifold names")
-            for t in pos[1:]:
-                if t.text not in declared:
-                    raise ScenarioError(E_UNDECLARED, t.line, t.col,
-                                        f"manifold {t.text!r} not declared")
-        elif mode in ("forms", "twist"):
-            _parse_kvs([t for t in args if _kv(t) is not None],
-                       {"n", "samples"}, set(), f"verify {mode}")
-        else:
-            raise ScenarioError(E_SYNTAX, pos[0].line, pos[0].col,
-                                f"unknown verify mode {mode!r}")
-
-
-def _targets_so_far(s: Scenario) -> list[str]:
-    out = []
-    for stmt in s.commands:
-        _, target = _split_arrow(stmt.tokens, stmt.kind)
-        if target is not None:
-            out.append(target)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
-def run_scenario(s: Scenario, seed: int = 0, tol: float = 1e-5,
-                 samples: int = 25,
+def run_suite(cmd: Verify, seed: int = 0, tol: Optional[float] = None,
+              samples: int = DEFAULT_SAMPLES) -> list[verify_mod.ReportLine]:
+    """The report of a ``verify forms`` or ``verify twist`` record; the CLI's
+    verify subcommand runs through here too.  ``samples`` applies when the
+    record sets none; ``tol=None`` keeps the suite's own tolerance."""
+    if cmd.samples is not None:
+        samples = cmd.samples
+    if cmd.mode == "forms":
+        return verify_mod.verify_forms(seed, tol, samples)
+    return verify_mod.verify_twist(cmd.n, seed, tol, samples)
+
+
+def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
+                 samples: int = DEFAULT_SAMPLES,
                  out_dir: Optional[str] = None) -> tuple[str, int, list[str]]:
     """Execute the scenario; returns (report text, exit status, files written).
 
     The report is line-oriented ``metric<TAB>value<TAB>tolerance<TAB>status``
     with status PASS/FAIL for verify commands and OK for constructions; it is
-    byte-stable for fixed inputs and seed.
+    byte-stable for fixed inputs and seed.  ``tol=None`` keeps each verify
+    suite's own tolerance.
     """
-    env: dict[str, object] = {
-        name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
+    env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
     lines: list[str] = []
     files: list[str] = []
     failed = False
@@ -396,82 +418,58 @@ def run_scenario(s: Scenario, seed: int = 0, tol: float = 1e-5,
     def ok(metric: str, value: str):
         lines.append(f"{metric}\t{value}\t-\tOK")
 
-    for stmt in s.commands:
-        args, target = _split_arrow(stmt.tokens, stmt.kind)
-        pos = _positional(args)
-        kvs = {}
-        for t in args:
-            pair = _kv(t)
-            if pair is not None:
-                kvs[pair[0]] = pair[1]
+    for cmd in s.commands:
         try:
-            if stmt.kind == "sum":
-                d1 = env[pos[0].text]
-                d2 = env[pos[1].text]
-                res = liouville_sum_openbooks(d1.open_book, d2.open_book)
-                env[target] = res
-                ok(f"sum:{target}", str(res.word))
-            elif stmt.kind == "surgery":
-                m = env[pos[0].text]
-                res = contact_surgery(m, kvs["sphere"], int(kvs["k"]),
-                                      kvs.get("param", "std"))
-                env[target] = res
-                ok(f"surgery:{target}", str(res.word))
-            elif stmt.kind == "cover":
-                m = env[pos[0].text]
-                res = branched_cover(m, kvs.get("over", "binding"), int(kvs["q"]))
-                env[target] = res
-                ok(f"cover:{target}", str(res.word))
-            elif stmt.kind == "fibered":
-                page = s.pages[pos[0].text]
-                res = fibered_manifold(page, s.words[pos[1].text].word,
-                                       s.words[pos[2].text].word)
-                env[target] = res
-                ok(f"fibered:{target}", str(res.presentation))
-            elif stmt.kind == "kirby":
-                if pos[0].text == "cover":
-                    page = s.pages[pos[1].text]
-                    base = (kvs["base"],) if "base" in kvs else ()
-                    diagram = branched_cover_diagram(page, base, int(kvs["q"]))
-                else:
-                    diagram = surgery_cobordism_diagram(int(kvs["k"]))
-                text = serialize_diagram(diagram)
-                if "out" in kvs:
-                    path = kvs["out"] if out_dir is None \
-                        else f"{out_dir.rstrip('/')}/{kvs['out']}"
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                    files.append(path)
-                    ok("kirby:file", path)
-                else:
-                    ok("kirby:dotted", str(len(diagram.dotted)))
-                    ok("kirby:two_handles", str(len(diagram.two_handles)))
-            elif stmt.kind == "verify":
-                mode = pos[0].text
-                if mode == "equal":
-                    a = env[pos[1].text]
-                    b = env[pos[2].text]
-                    equal = a.word_equals(b)
+            match cmd:
+                case Sum():
+                    res = liouville_sum_openbooks(s.openbooks[cmd.left],
+                                                  s.openbooks[cmd.right])
+                    env[cmd.target] = res
+                    ok(f"sum:{cmd.target}", str(res.word))
+                case Surgery():
+                    res = contact_surgery(env[cmd.manifold], cmd.sphere, cmd.k,
+                                          cmd.param)
+                    env[cmd.target] = res
+                    ok(f"surgery:{cmd.target}", str(res.word))
+                case Cover():
+                    res = branched_cover(env[cmd.manifold], cmd.over, cmd.q)
+                    env[cmd.target] = res
+                    ok(f"cover:{cmd.target}", str(res.word))
+                case Fibered():
+                    res = fibered_manifold(s.pages[cmd.page], s.words[cmd.phi].word,
+                                           s.words[cmd.psi].word)
+                    env[cmd.target] = res
+                    ok(f"fibered:{cmd.target}", str(res.presentation))
+                case Kirby():
+                    if cmd.mode == "cover":
+                        base = (cmd.base,) if cmd.base is not None else ()
+                        diagram = branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
+                    else:
+                        diagram = surgery_cobordism_diagram(cmd.k)
+                    text = serialize_diagram(diagram)
+                    if cmd.out is not None:
+                        path = cmd.out if out_dir is None \
+                            else f"{out_dir.rstrip('/')}/{cmd.out}"
+                        with open(path, "w", encoding="utf-8") as fh:
+                            fh.write(text)
+                        files.append(path)
+                        ok("kirby:file", path)
+                    else:
+                        ok("kirby:dotted", str(len(diagram.dotted)))
+                        ok("kirby:two_handles", str(len(diagram.two_handles)))
+                case Verify(mode="equal"):
+                    equal = env[cmd.left].word_equals(env[cmd.right])
                     failed = failed or not equal
                     lines.append(
-                        f"verify:equal:{pos[1].text}:{pos[2].text}"
+                        f"verify:equal:{cmd.left}:{cmd.right}"
                         f"\t{'equal' if equal else 'distinct'}\t-"
                         f"\t{'PASS' if equal else 'FAIL'}")
-                else:
-                    if mode == "forms":
-                        rep = verify_mod.verify_forms(
-                            seed, samples=int(kvs.get("samples", samples)))
-                    else:
-                        rep = verify_mod.verify_twist(
-                            int(kvs.get("n", 2)), seed, tol,
-                            int(kvs.get("samples", samples)))
+                case Verify():
+                    rep = run_suite(cmd, seed, tol, samples)
                     failed = failed or verify_mod.report_failed(rep)
                     lines.extend(line.render() for line in rep)
-        except ScenarioError:
-            raise
-        except (ContactCalcError, KeyError, ValueError) as exc:
-            head = stmt.tokens[0]
-            raise ScenarioError(E_SYNTAX, head.line, head.col,
-                                f"{stmt.kind} failed: {exc}") from exc
+        except ContactCalcError as exc:
+            raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,
+                                f"{type(cmd).__name__.lower()} failed: {exc}") from exc
 
     return "".join(line + "\n" for line in lines), (1 if failed else 0), files

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import conditions, fields, forms, twist
 from .charts import ChartPoint
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,21 @@ def _random_points(rng: np.random.Generator, chart, samples: int,
             for _ in range(samples)]
 
 
-def verify_forms(seed: int = 0, tol: float = 1e-8, samples: int = 25) -> list[ReportLine]:
+def _check_counts(seed: int, samples: int):
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+
+
+def verify_forms(seed: int = 0, tol: float | None = None,
+                 samples: int = 25) -> list[ReportLine]:
     """Model forms: Liouville/Reeb/Hamiltonian fields against closed forms,
-    contact positivity, and the finite-difference exterior derivative."""
+    contact positivity, and the finite-difference exterior derivative.
+    ``tol=None`` means 1e-8."""
+    _check_counts(seed, samples)
+    if tol is None:
+        tol = 1e-8
     rng = np.random.default_rng(seed)
     out = []
     n = 2
@@ -103,10 +116,16 @@ def verify_forms(seed: int = 0, tol: float = 1e-8, samples: int = 25) -> list[Re
     return out
 
 
-def verify_twist(n: int = 2, seed: int = 0, tol: float = 1e-5,
+def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
                  samples: int = 50) -> list[ReportLine]:
     """Dehn-twist checks: pullback invariance, endpoint identities,
-    two-path consistency, and the boundary-displacement probe."""
+    two-path consistency, and the boundary-displacement probe.
+    ``tol=None`` means 1e-5."""
+    _check_counts(seed, samples)
+    if n < 1:
+        raise DomainError(f"twist sphere dimension n must be >= 1, got {n}")
+    if tol is None:
+        tol = 1e-5
     rng = np.random.default_rng(seed)
     prof = twist.make_profile(0.4)
     out = []

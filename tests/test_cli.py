@@ -74,3 +74,53 @@ def test_run_corrupted_scenario(tmp_path, capsys):
 def test_surgery_error_exit(capsys):
     assert main(["surgery", "--n", "1", "--k", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _one_error_line(err: str):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "forms", "--tol", "1e-30", "--samples", "5"],
+    ["run", "SCENARIO", "--tol", "1e-30"],
+])
+def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
+    scn = tmp_path / "forms.scn"
+    scn.write_text("verify forms samples=5\n")
+    argv = [str(scn) if a == "SCENARIO" else a for a in argv]
+    assert main(argv) == 1
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    liouville = rows[0]
+    assert liouville[0] == "liouville_lambda_std_vs_radial/2"
+    assert liouville[2:] == ["1.0e-30", "FAIL"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "twist", "--n", "0"],
+    ["verify", "twist", "--n", "-1"],
+    ["verify", "forms", "--samples", "0"],
+    ["verify", "forms", "--samples", "-1"],
+    ["verify", "twist", "--samples", "0"],
+    ["verify", "twist", "--samples", "-1"],
+    ["verify", "forms", "--seed", "-1"],
+])
+def test_bad_counts_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("case", ["missing_scenario", "out_dir_missing",
+                                  "kirby_out_dir_missing", "binary_scenario"])
+def test_file_errors_exit_2(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kirby.scn").write_text("kirby surgery k=-1 out=nodir/d.kirby\n")
+    (tmp_path / "binary.scn").write_bytes(b"\xff\xfe\x00page")
+    argv = {"missing_scenario": ["run", str(tmp_path / "missing.scn")],
+            "out_dir_missing": ["compose", "2", "--out", str(tmp_path / "nodir" / "x")],
+            "kirby_out_dir_missing": ["run", "kirby.scn"],
+            "binary_scenario": ["run", "binary.scn"]}[case]
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err)

@@ -1,5 +1,6 @@
 import pytest
 
+from contactcalc.cli import main
 from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED,
                                   ScenarioError, parse_scenario, run_scenario)
 
@@ -124,6 +125,50 @@ def test_error_arity_sum():
 def test_error_missing_arrow():
     e = _err(DECLS + "sum ob1 ob2\n")
     assert e.code == E_ARITY
+
+
+@pytest.mark.parametrize("stmt,code,col", [
+    ("sum ob1 ob2 x=1 -> m", E_ARITY, 13),            # sum takes no keys
+    ("verify equal ob1 ob2 -> m", E_ARITY, 1),        # verify makes nothing
+    ("surgery ob1 -> m", E_ARITY, 1),                 # no keys: points at head
+    ("kirby", E_ARITY, 1),
+    ("kirby bogus", E_SYNTAX, 7),
+    ("verify bogus", E_SYNTAX, 8),
+    ("cover ob1 q=2 -> a b", E_SYNTAX, 15),
+    ("cover ob1 q=2 q=3 -> m", E_ARITY, 15),
+    ("fibered genus1 ta ghost -> f", E_UNDECLARED, 19),
+])
+def test_command_errors(stmt, code, col):
+    e = _err(DECLS + stmt + "\n")
+    assert (e.code, e.line, e.col) == (code, 8, col)
+
+
+def test_bad_integer_fails_at_parse_before_any_write(tmp_path, monkeypatch, capsys):
+    text = DECLS + ("kirby surgery k=-1 out=d.kirby\n"
+                    "surgery ob1 sphere=a k=abc -> m\n")
+    e = _err(text)
+    assert (e.code, e.line, e.col) == (E_SYNTAX, 9, 22)  # the k=abc token
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.scn").write_text(text)
+    assert main(["run", "bad.scn"]) == 2
+    assert "line 9, col 22: [E_SYNTAX]" in capsys.readouterr().err
+    assert not (tmp_path / "d.kirby").exists()
+
+
+@pytest.mark.parametrize("stmt", ["verify twist n=0", "verify twist n=-1",
+                                  "verify forms samples=0", "verify twist samples=-1"])
+def test_bad_counts_are_positioned(stmt):
+    s = parse_scenario("\n" + stmt + "\n")
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(s)
+    assert (exc.value.code, exc.value.line, exc.value.col) == (E_SYNTAX, 2, 1)
+
+
+def test_sum_reads_declared_open_books():
+    # A target reusing an open-book name does not change what `sum` reads.
+    text = DECLS + "fibered genus1 ta tb2 -> ob1\nsum ob1 ob2 -> m\n"
+    report, status, _ = run_scenario(parse_scenario(text))
+    assert status == 0 and "sum:m\ta b^2\t-\tOK" in report
 
 
 def test_targets_usable_downstream():
