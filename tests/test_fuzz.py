@@ -6,7 +6,6 @@ import contextlib
 import io
 import pathlib
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from contactcalc.cli import main
