@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .octonion import cross7_matrix
@@ -145,8 +144,9 @@ def generator_exp(gen: SkewGenerator, theta: float) -> np.ndarray:
 
 
 def mixed_exp(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential for general skew combinations (scaling-and-squaring)."""
-    return scipy.linalg.expm(matrix)
+    """e^M = V diag(e^(-iw)) V^H for real skew M, where iM = V diag(w) V^H."""
+    w, v = np.linalg.eigh(1j * matrix)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
 def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:

@@ -1,5 +1,11 @@
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contactcalc.charts import darboux_chart, euclidean_chart, \
     unit_norm_constraint, with_constraints
@@ -20,11 +26,71 @@ def test_top_form_coefficient_darboux():
     assert top_form_coefficient(a, m2) == pytest.approx(1.0)
 
 
-def test_top_form_rejects_even_and_large():
+def test_top_form_rejects_even():
     with pytest.raises(DomainError):
         top_form_coefficient(np.zeros(4), np.zeros((4, 4)))
-    with pytest.raises(DomainError):
-        top_form_coefficient(np.zeros(11), np.zeros((11, 11)))
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_table(m: int):
+    """All permutations of range(m) with their signs."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    inversions = sum((perms[:, i] > perms[:, j]).astype(np.intp)
+                     for i in range(m) for j in range(i + 1, m))
+    return perms, np.where(inversions % 2 == 0, 1.0, -1.0)
+
+
+def _expansion_terms(a: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The signed terms of the permutation expansion of alpha ^ omega^n over
+    the coordinate basis, scaled by 1 / (2^n n!); their sum is the oracle."""
+    m = a.size
+    n = (m - 1) // 2
+    perms, signs = _perm_table(m)
+    terms = signs * a[perms[:, 0]]
+    for j in range(n):
+        terms = terms * m2[perms[:, 1 + 2 * j], perms[:, 2 + 2 * j]]
+    return terms / (2.0 ** n * math.factorial(n))
+
+
+# Entries on a 1e-6 grid in [-1, 1]: exact zeros and near-cancelling sums
+# occur, products never underflow.
+ENTRY = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10 ** 6)
+
+
+@st.composite
+def covector_and_skew(draw):
+    m = draw(st.sampled_from([3, 5, 7, 9]))
+    a = draw(hnp.arrays(float, m, elements=ENTRY))
+    b = draw(hnp.arrays(float, (m, m), elements=ENTRY))
+    return a, b - b.T
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(covector_and_skew())
+def test_top_form_matches_permutation_expansion(case):
+    # The error is relative to the sum of |terms|, the expansion's own scale,
+    # so that a coefficient cancelling to near zero is still held to 1e-12.
+    a, m2 = case
+    terms = _expansion_terms(a, m2)
+    assert abs(top_form_coefficient(a, m2) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+    assert top_form_coefficient(np.zeros_like(a), m2) == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_contact_margin_closed_form_above_dim_9(rng, n):
+    # dim 2n+1 = 11, 13: dz + lambda_std on R^(2n+1) has margin 1, and
+    # lambda_std restricted to the unit sphere S^(2n+1) has margin 1/2.
+    alpha = dz_plus(lambda_std(n))
+    for _ in range(3):
+        p = alpha.chart.point(rng.uniform(-1, 1, 2 * n + 1))
+        assert contact_margin(alpha, p) == pytest.approx(1.0, abs=1e-8)
+    sph = with_constraints(darboux_chart(n + 1),
+                           [unit_norm_constraint(range(2 * n + 2))], "S")
+    lam = restrict_form(lambda_std(n + 1), sph)
+    for _ in range(3):
+        x = rng.normal(size=2 * n + 2)
+        assert contact_margin(lam, sph.point(x / np.linalg.norm(x))) == \
+            pytest.approx(0.5, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -84,6 +84,34 @@ def test_generator_exp_matches_expm(rng):
                        twist.mixed_exp(theta * gen.matrix), atol=1e-12)
 
 
+def _taylor_expm(m: np.ndarray) -> np.ndarray:
+    """e^m by scaling and squaring: a 30-term Taylor series of m / 2^s with
+    ||m / 2^s||_1 <= 1/2, then s squarings."""
+    s = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(m, 1) + 1e-300))))
+    x = m / 2.0 ** s
+    term = np.eye(m.shape[0])
+    out = term.copy()
+    for k in range(1, 30):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_mixed_exp_matches_taylor_oracle(rng, n):
+    # The isotopy generators 2 f(|v|) ((1-t) j_u + t v_u), as isotopy_phi builds them.
+    prof = twist.make_profile(0.4)
+    for _ in range(20):
+        q = twist.random_point(rng, n, 0.9)
+        t = float(rng.uniform())
+        j = twist.almost_complex_generator(q.u, n).matrix
+        a = twist.plane_generator(q.u, q.v).matrix
+        m = 2.0 * float(prof.f(np.linalg.norm(q.v))) * ((1.0 - t) * j + t * a)
+        assert np.max(np.abs(twist.mixed_exp(m) - _taylor_expm(m))) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 6])
 def test_isotopy_endpoints(rng, n):
     prof = twist.make_profile(0.4)
