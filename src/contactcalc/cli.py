@@ -9,11 +9,11 @@ Subcommands:
     kirby                         emit a Kirby diagram (cover or surgery mode)
     run <scenario-file>           parse and execute a scenario
 
-Common flags: --seed (default 0), --tol (default: each verify suite's own
-tolerance), --samples, --out.  All output goes to stdout unless --out is
-given.  Exit status: 0 when every asserted check passed, 1 when a
-verification printed FAIL, 2 on bad input or an unreadable/unwritable file,
-with one ``error:`` line on stderr.
+``verify`` and ``run`` take --seed (default 0), --tol (default: each verify
+suite's own tolerance) and --samples; every subcommand takes --out.  All
+output goes to stdout unless --out is given.  Exit status: 0 when every
+asserted check passed, 1 when a verification printed FAIL, 2 on bad input or
+an unreadable/unwritable file, with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from . import verify as verify_mod
-from .errors import ContactCalcError
+from .errors import ContactCalcError, DomainError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
 from .scenario import DEFAULT_SAMPLES, Verify, parse_scenario, run_scenario, run_suite
 from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
@@ -30,11 +30,15 @@ from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
                       surgery_compose, word)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance (default: each verify suite's own)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample count")
+def _add_common(p: argparse.ArgumentParser, verifies: bool = False):
+    """--out everywhere; --seed, --tol and --samples only on the subcommands
+    that run verify suites, which are the only ones that read them."""
+    if verifies:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance (default: each verify suite's own)")
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                       help="sample count")
     p.add_argument("--out", type=str, default=None, help="write output to file")
 
 
@@ -46,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=["forms", "twist"])
-    pv.add_argument("--n", type=int, default=2, help="sphere dimension (twist)")
-    _add_common(pv)
+    pv.add_argument("--n", type=int, default=None,
+                    help="sphere dimension (twist only, default 2)")
+    _add_common(pv, verifies=True)
 
     pc = sub.add_parser("compose", help="compose surgery coefficients / twist powers")
     pc.add_argument("exponents", type=int, nargs="+",
@@ -84,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="execute a scenario file")
     pr.add_argument("scenario", type=str)
-    _add_common(pr)
+    _add_common(pr, verifies=True)
     return ap
 
 
@@ -107,8 +112,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        rep = run_suite(Verify(args.suite, n=args.n), args.seed, args.tol,
-                        args.samples)
+        if args.suite == "forms" and args.n is not None:
+            raise DomainError("verify forms takes no --n")
+        cmd = Verify(args.suite) if args.n is None else Verify(args.suite, n=args.n)
+        rep = run_suite(cmd, args.seed, args.tol, args.samples)
         _emit(verify_mod.render_report(rep), args.out)
         return 1 if verify_mod.report_failed(rep) else 0
 

@@ -185,9 +185,13 @@ def _letter_from_text(tok: str) -> Letter:
     if parts[0] == "curve" and len(parts) == 3:
         label_copy, sign = parts[1], parts[2]
         label, _, copy_index = label_copy.rpartition("_")
-        if not label or sign not in ("+", "-"):
+        try:
+            index = int(copy_index)
+        except ValueError:
+            index = None
+        if not label or index is None or sign not in ("+", "-"):
             raise DomainError(f"bad curve letter {tok!r}")
-        return curve(label, int(copy_index), 1 if sign == "+" else -1)
+        return curve(label, index, 1 if sign == "+" else -1)
     if parts[0] == "dotted" and len(parts) == 2:
         return traversal(parts[1])
     raise DomainError(f"bad attaching-word letter {tok!r}")

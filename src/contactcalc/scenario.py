@@ -306,7 +306,7 @@ _SCHEMAS: dict[tuple[str, Optional[str]], tuple] = {
                          {"q": _int, "base": _str, "out": _str}, {"q"}, False),
     ("kirby", "surgery"): (Kirby, (), {"k": _int, "out": _str}, {"k"}, False),
     ("verify", "equal"): (Verify, ("manifold", "manifold"), {}, set(), False),
-    ("verify", "forms"): (Verify, (), {"n": _int, "samples": _int}, set(), False),
+    ("verify", "forms"): (Verify, (), {"samples": _int}, set(), False),
     ("verify", "twist"): (Verify, (), {"n": _int, "samples": _int}, set(), False),
 }
 _MODES = {"kirby": "cover|surgery", "verify": "equal|forms|twist"}

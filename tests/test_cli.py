@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +107,7 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["verify", "twist", "--samples", "0"],
     ["verify", "twist", "--samples", "-1"],
     ["verify", "forms", "--seed", "-1"],
+    ["verify", "forms", "--n", "7"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -124,3 +128,38 @@ def test_file_errors_exit_2(case, tmp_path, monkeypatch, capsys):
             "binary_scenario": ["run", "binary.scn"]}[case]
     assert main(argv) == 2
     _one_error_line(capsys.readouterr().err)
+
+
+def test_verify_twist_defaults_to_n2(capsys):
+    assert main(["verify", "twist", "--samples", "5"]) == 0
+    assert "isotopy_phi1_vs_tau_squared_n2\t" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol", "--samples"])
+@pytest.mark.parametrize("argv", [["compose", "2"], ["surgery", "--k", "-1"],
+                                  ["cover", "--q", "2"], ["fibered"],
+                                  ["kirby", "surgery"]])
+def test_suite_options_only_on_verify_and_run(argv, flag, capsys):
+    # These subcommands run no verify suite, so a value would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_runs_without_scipy():
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from contactcalc import cli\n"
+            "status = cli.main(['verify', 'twist', '--n', '6', '--samples', '5'])\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+            "assert not loaded, loaded\n"
+            "sys.exit(status)\n")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "FAIL" not in res.stdout

@@ -20,8 +20,10 @@ VALUE = st.one_of(INT, INT, INT, st.sampled_from(["x", "", "0.5", "a"]))
 TOL = st.sampled_from(["1e-30", "1e-5", "1", "x"])
 OUT = st.one_of(*[st.text("abxyz_019", min_size=1, max_size=6)] * 3, st.just("nodir/x"))
 
-# Subcommand -> its own optional flags; the required --k and --q are always given.
-FLAGS = {"verify": ["--n"], "run": [], "kirby": ["--q", "--k", "--base"],
+# Subcommand -> its own optional flags besides --out; the required --k and --q
+# are always given.
+SUITE = ["--seed", "--tol", "--samples"]
+FLAGS = {"verify": ["--n", *SUITE], "run": SUITE, "kirby": ["--q", "--k", "--base"],
          "surgery": ["--n", "--sphere", "--param"], "cover": ["--n", "--power"],
          "fibered": ["--n", "--phi", "--psi"], "compose": [], "bogus": []}
 REQUIRED = {"surgery": "--k", "cover": "--q"}
@@ -65,7 +67,7 @@ def argvs(draw):
         argv.append("s.scn")
     if cmd in REQUIRED:
         argv += [REQUIRED[cmd], draw(VALUE)]
-    flags = FLAGS[cmd] + ["--seed", "--tol", "--samples", "--out"]
+    flags = FLAGS[cmd] + ["--out"]
     for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
         argv += [flag, draw({"--out": OUT, "--tol": TOL}.get(flag, VALUE))]
     return argv

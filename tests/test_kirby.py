@@ -116,3 +116,5 @@ def test_parse_rejects_malformed():
         parse_diagram("KIRBY 1\nstray line\n")
     with pytest.raises(DomainError):
         parse_diagram("KIRBY 1\nBASE\nDOTTED\nonly_two\tfields\n2HANDLES\nNOTES\n")
+    with pytest.raises(DomainError):
+        parse_diagram("KIRBY 1\nBASE\nDOTTED\n2HANDLES\nh1\t-1\tcurve:a_x:+\nNOTES\n")

@@ -134,6 +134,7 @@ def test_error_missing_arrow():
     ("kirby", E_ARITY, 1),
     ("kirby bogus", E_SYNTAX, 7),
     ("verify bogus", E_SYNTAX, 8),
+    ("verify forms n=3", E_ARITY, 14),                # forms has no n
     ("cover ob1 q=2 -> a b", E_SYNTAX, 15),
     ("cover ob1 q=2 q=3 -> m", E_ARITY, 15),
     ("fibered genus1 ta ghost -> f", E_UNDECLARED, 19),
