@@ -156,9 +156,11 @@ class ChartPoint:
             raise DomainError(
                 f"point has {c.shape} coords, chart {self.chart.name} "
                 f"expects {self.chart.dim}")
+        if not np.isfinite(c).all():
+            raise DomainError(f"non-finite coords on {self.chart.name}")
         for g in self.chart.constraints:
             r = abs(g.value(c))
-            if r > self.chart.tol:
+            if not r <= self.chart.tol:
                 raise DomainError(
                     f"constraint {g.name} violated by {r:.3e} on {self.chart.name}")
 
@@ -178,6 +180,13 @@ def constraint_gradients(p: ChartPoint) -> np.ndarray:
     return np.stack([g.grad(p.coords) for g in p.chart.constraints], axis=1)
 
 
+def orthonormal_complement(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the orthogonal complement of the row
+    span of ``rows``, by a full SVD; singular values <= 1e-12 count as 0."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    return vt[int(np.sum(s > 1e-12)):].T
+
+
 def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:
     """Orthonormal basis (columns) of the tangent space at p.
 
@@ -190,10 +199,7 @@ def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:
     G = constraint_gradients(p)
     if G.shape[1] == 0:
         return np.eye(m)
-    # Orthonormal complement of span(G) via a full SVD of G^T.
-    _, s, vt = np.linalg.svd(G.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    frame = vt[rank:].T
+    frame = orthonormal_complement(G.T)
     if oriented:
         if G.shape[1] != 1:
             raise DomainError("oriented frame needs exactly one constraint")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .charts import ChartPoint, tangent_frame
 from .errors import DegenerateSystemError, IllConditionedError
-from .forms import DEFAULT_STEP, OneFormField, exterior_derivative, eval_one_form
+from .forms import DEFAULT_STEP, OneFormField, central_difference, d_matrix, \
+    eval_one_form
 
 COND_MAX = 1e10
 
@@ -34,7 +35,7 @@ def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 def two_form_matrix(source, p: ChartPoint, step: float = DEFAULT_STEP) -> np.ndarray:
     """Matrix M[i,j] = omega(e_i, e_j) from a 1-form primitive or a callable."""
     if isinstance(source, OneFormField):
-        return exterior_derivative(source, p, step).entries
+        return d_matrix(source, p.coords, step)
     return np.asarray(source(p.coords), dtype=float)
 
 
@@ -50,14 +51,8 @@ def liouville_vector_field(form: OneFormField, p: ChartPoint,
 def hamiltonian_vector_field(fn: Callable[[np.ndarray], float], omega_source,
                              p: ChartPoint, step: float = DEFAULT_STEP) -> np.ndarray:
     """X_f with df(.) = omega(X_f, .); omega from a primitive 1-form or callable."""
+    df = central_difference(fn, p.coords, np.eye(p.chart.dim), step)
     m = two_form_matrix(omega_source, p, step)
-    x = p.coords
-    df = np.empty(x.size)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        df[i] = (fn(xp) - fn(xm)) / (2.0 * step)
     return _checked_solve(m.T, df, "hamiltonian_vector_field")
 
 

@@ -3,6 +3,14 @@
 Catalog forms are exact closed-form evaluators; the only numerical error in
 this module comes from differentiation (central differences, default step
 1e-5, O(step^2) accurate on the smooth catalog formulas).
+
+``central_difference`` is the package's single differencing stencil and the
+one place a step is validated.  ``d_matrix`` differentiates forms with it,
+``fields.hamiltonian_vector_field`` differentiates the Hamiltonian,
+``conditions`` takes flow Jacobians and the t-derivatives of flow pullbacks
+(the Lie derivatives of the dilation checks), and
+``twist.pullback_two_form`` takes the differential of a map along a tangent
+frame.
 """
 
 from __future__ import annotations
@@ -59,22 +67,27 @@ def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
     return out
 
 
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                       directions: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Derivatives of ``fn`` at x along the columns d_i of ``directions``:
+    entry [..., i] is (fn(x + step d_i) - fn(x - step d_i)) / (2 step), so a
+    vector-valued fn gives the matrix whose column i is that difference."""
+    if not 0.0 < step < np.inf:
+        raise DomainError(f"bad differencing step {step}")
+    offsets = step * directions.T
+    k = offsets.shape[0]
+    values = np.array([fn(y) for y in np.concatenate([x + offsets, x - offsets])],
+                      dtype=float)
+    diff = (values[:k] - values[k:]) / (2.0 * step)
+    return diff.transpose((*range(1, diff.ndim), 0))
+
+
 def d_matrix(form: OneFormField, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Entries of d(form) at raw coords x: d_i a_j - d_j a_i, central differences."""
-    if not (step > 0.0) or not np.isfinite(step):
-        raise DomainError(f"bad differencing step {step}")
-    m = x.size
-    jac = np.empty((m, m))  # jac[i, j] = d a_j / d x_i
-    for i in range(m):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        fp = np.asarray(form.evaluator(xp), dtype=float)
-        fm = np.asarray(form.evaluator(xm), dtype=float)
-        jac[i] = (fp - fm) / (2.0 * step)
+    jac = central_difference(form.evaluator, x, np.eye(x.size), step)  # d a_i / d x_j
     if not np.all(np.isfinite(jac)):
         raise DomainError(f"non-finite derivative of {form.form_id}")
-    return jac - jac.T
+    return jac.T - jac
 
 
 def exterior_derivative(form: OneFormField, p: ChartPoint,

@@ -9,12 +9,15 @@ supported in the fibers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .charts import orthonormal_complement
 from .errors import DomainError
+from .forms import central_difference
 from .octonion import cross7_matrix
 from .rounding import smoothstep
 
@@ -36,9 +39,12 @@ class CotangentPoint:
         object.__setattr__(self, "v", v)
         if u.shape != v.shape or u.ndim != 1:
             raise DomainError("u and v must be vectors of equal length")
-        if abs(np.linalg.norm(u) - 1.0) > POINT_TOL:
-            raise DomainError(f"||u|| = {np.linalg.norm(u)} is not 1")
-        if abs(float(np.dot(u, v))) > POINT_TOL * max(1.0, np.linalg.norm(v)):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if not abs(nu - 1.0) <= POINT_TOL:
+            raise DomainError(f"||u|| = {nu} is not 1")
+        if not math.isfinite(nv):
+            raise DomainError(f"||v|| = {nv} is not finite")
+        if not abs(float(np.dot(u, v))) <= POINT_TOL * max(1.0, nv):
             raise DomainError(f"<u,v> = {np.dot(u, v)} is not 0")
 
     @property
@@ -210,21 +216,12 @@ def isotopy_psi(t: float, p: CotangentPoint, prof: TwistProfile) -> CotangentPoi
 # Numerical pullback of -d(lambda_can)
 # ---------------------------------------------------------------------------
 
-def minus_dlambda_can(a: np.ndarray, b: np.ndarray) -> float:
-    """-d(lambda_can) = sum du_i ^ dv_i on ambient tangent vectors
-    (du_a . dv_b - du_b . dv_a for vectors split as (du, dv))."""
-    m = a.size // 2
-    return float(np.dot(a[:m], b[m:]) - np.dot(b[:m], a[m:]))
-
-
 def tstar_tangent_frame(p: CotangentPoint) -> np.ndarray:
     """Orthonormal frame (columns) of T_(u,v) T*S^n inside R^{2(n+1)}."""
     m = p.u.size
     g1 = np.concatenate([2.0 * p.u, np.zeros(m)])
     g2 = np.concatenate([p.v, p.u])
-    _, s, vt = np.linalg.svd(np.stack([g1, g2]), full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:].T
+    return orthonormal_complement(np.stack([g1, g2]))
 
 
 @dataclass(frozen=True)
@@ -246,27 +243,18 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
     curves in the constraint-tangent directions.
     """
     frame = tstar_tangent_frame(p)
-    x = p.ambient()
     m = p.u.size
 
     def image(y: np.ndarray) -> np.ndarray:
         return map_fn(retract(y[:m], y[m:])).ambient()
 
-    diff = np.empty((2 * m, frame.shape[1]))
-    for i in range(frame.shape[1]):
-        w = frame[:, i]
-        diff[:, i] = (image(x + step * w) - image(x - step * w)) / (2.0 * step)
+    def minus_dlambda(w: np.ndarray) -> np.ndarray:
+        # sum du_i ^ dv_i on the columns (du, dv) of w: du^T dv - dv^T du
+        pairing = w[:m].T @ w[m:]
+        return pairing - pairing.T
 
-    k = frame.shape[1]
-    pulled = np.zeros((k, k))
-    reference = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            pulled[i, j] = minus_dlambda_can(diff[:, i], diff[:, j])
-            reference[i, j] = minus_dlambda_can(frame[:, i], frame[:, j])
-            pulled[j, i] = -pulled[i, j]
-            reference[j, i] = -reference[i, j]
-    return PullbackResult(frame, pulled, reference)
+    diff = central_difference(image, p.ambient(), frame, step)
+    return PullbackResult(frame, minus_dlambda(diff), minus_dlambda(frame))
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,13 @@ def _random_points(rng: np.random.Generator, chart, samples: int,
             for _ in range(samples)]
 
 
-def _check_counts(seed: int, samples: int):
+def _check_counts(seed: int, samples: int, tol: float | None):
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if tol is not None and not tol >= 0.0:
+        raise DomainError(f"tolerance must be a number >= 0, got {tol}")
 
 
 def verify_forms(seed: int = 0, tol: float | None = None,
@@ -60,7 +62,7 @@ def verify_forms(seed: int = 0, tol: float | None = None,
     """Model forms: Liouville/Reeb/Hamiltonian fields against closed forms,
     contact positivity, and the finite-difference exterior derivative.
     ``tol=None`` means 1e-8."""
-    _check_counts(seed, samples)
+    _check_counts(seed, samples, tol)
     if tol is None:
         tol = 1e-8
     rng = np.random.default_rng(seed)
@@ -121,7 +123,7 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     """Dehn-twist checks: pullback invariance, endpoint identities,
     two-path consistency, and the boundary-displacement probe.
     ``tol=None`` means 1e-5."""
-    _check_counts(seed, samples)
+    _check_counts(seed, samples, tol)
     if n < 1:
         raise DomainError(f"twist sphere dimension n must be >= 1, got {n}")
     if tol is None:

@@ -29,6 +29,9 @@ def test_point_validation():
     sph.point([1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         sph.point([1.0, 1.0, 0.0])
+    for chart, coords in [(sph, [np.nan, 0.0, 0.0]), (ch, [0.0, -np.inf])]:
+        with pytest.raises(DomainError):
+            chart.point(coords)
 
 
 def test_require_same_chart():

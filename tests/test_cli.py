@@ -108,12 +108,28 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["verify", "twist", "--samples", "-1"],
     ["verify", "forms", "--seed", "-1"],
     ["verify", "forms", "--n", "7"],
+    ["verify", "forms", "--tol", "nan"],
+    ["verify", "twist", "--tol", "-1"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     _one_error_line(captured.err)
+
+
+def test_run_rejects_nan_tol(tmp_path, capsys):
+    scn = tmp_path / "forms.scn"
+    scn.write_text("verify forms samples=5\n")
+    assert main(["run", str(scn), "--tol", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
+
+
+def test_infinite_tol_is_legal(capsys):
+    assert main(["verify", "forms", "--samples", "3", "--tol", "inf"]) == 0
+    assert "\tinf\tPASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["missing_scenario", "out_dir_missing",

@@ -217,3 +217,37 @@ def test_two_form_dilation_handle(rng):
     ch = handle_form(lambda_std(1)).chart
     pts = [ch.point(rng.uniform(-1, 1, 4)) for _ in range(5)]
     assert check_two_form_dilation(z_field, omega, pts).passed
+
+
+def _radial_dilation_case(rng):
+    lam = lambda_std(2)
+    pts = [lam.chart.point(rng.uniform(-1, 1, 4)) for _ in range(3)]
+    return lam, pts
+
+
+@pytest.mark.parametrize("bad", [{"h": 0.0}, {"step": 0.0}, {"step": float("nan")}])
+@pytest.mark.parametrize("check", [check_contact_dilation, check_two_form_dilation])
+def test_dilation_rejects_bad_h_and_step(rng, check, bad):
+    lam, pts = _radial_dilation_case(rng)
+    with pytest.raises(DomainError, match="bad differencing step"):
+        check(lambda x: 0.5 * x, lam, pts, **bad)
+
+
+def test_dilation_nan_residual_fails(rng):
+    # The field is NaN near the second sample point only; the worst residual
+    # must be NaN (not the first point's finite residual) and the check FAIL.
+    lam, pts = _radial_dilation_case(rng)
+    omega = np.zeros((4, 4))
+    omega[0, 2], omega[2, 0], omega[1, 3], omega[3, 1] = 1.0, -1.0, 1.0, -1.0
+
+    def v(x):
+        if np.max(np.abs(x - pts[1].coords)) < 1e-2:
+            return np.full(4, np.nan)
+        return 0.5 * x
+
+    assert check_contact_dilation(lambda x: 0.5 * x, lam, pts).passed
+    assert check_two_form_dilation(lambda x: 0.5 * x, lambda y: omega, pts).passed
+    for rep in (check_contact_dilation(v, lam, pts),
+                check_two_form_dilation(v, lambda y: omega, pts)):
+        assert not rep.passed
+        assert math.isnan(rep.margin)

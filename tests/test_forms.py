@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from contactcalc import conditions, fields, twist
 from contactcalc.charts import darboux_chart, sphere_chart, with_constraints, \
     unit_norm_constraint
 from contactcalc.errors import ChartMismatchError, DomainError
-from contactcalc.forms import (SkewMatrixAtPoint, dz_plus, exterior_derivative,
-                               handle_form, lambda_can, lambda_std,
-                               restrict_form, symplectization, theta_invariant,
-                               weinstein, weinstein_hamiltonian)
+from contactcalc.forms import (SkewMatrixAtPoint, central_difference, d_matrix,
+                               dz_plus, exterior_derivative, handle_form,
+                               lambda_can, lambda_std, restrict_form,
+                               symplectization, theta_invariant, weinstein,
+                               weinstein_hamiltonian)
 
 
 def test_lambda_std_values():
@@ -109,3 +111,52 @@ def test_skew_matrix_validation():
         SkewMatrixAtPoint(p, np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         SkewMatrixAtPoint(p, np.zeros((3, 3)))
+
+
+def test_central_difference_exact_on_quadratic(rng):
+    # f(x) = (x^T A x, b . x): the central difference of a quadratic is exact,
+    # so column i is (2 A x . d_i, b . d_i) up to round-off
+    a = rng.normal(size=(3, 3))
+    a = a + a.T
+    b = rng.normal(size=3)
+    x = rng.normal(size=3)
+    directions = rng.normal(size=(3, 2))
+    got = central_difference(lambda y: np.array([y @ a @ y, b @ y]), x,
+                             directions, 1e-3)
+    expected = np.stack([2.0 * (a @ x) @ directions, b @ directions])
+    assert got.shape == (2, 2)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_central_difference_scalar_fn_shape():
+    got = central_difference(lambda y: float(y[0] * y[1]), np.array([2.0, 3.0, 5.0]),
+                             np.eye(3), 1e-4)
+    assert got.shape == (3,)
+    assert np.allclose(got, [3.0, 2.0, 0.0], atol=1e-10)
+
+
+def _step_entry_points():
+    lam = lambda_std(1)
+    p = lam.chart.point([0.3, -0.2])
+    omega = lambda y: d_matrix(lam, np.zeros(2))
+    q = twist.CotangentPoint([1.0, 0.0], [0.0, 0.3])
+    radial = lambda y: 0.5 * y
+    return {
+        "d_matrix": lambda step: d_matrix(lam, p.coords, step),
+        "hamiltonian_vector_field": lambda step: fields.hamiltonian_vector_field(
+            weinstein_hamiltonian(1, 1), omega, p, step),
+        "pullback_two_form": lambda step: twist.pullback_two_form(lambda z: z, q, step),
+        "lie_derivative_one_form": lambda step: conditions.lie_derivative_one_form(
+            radial, lam, p, step=step),
+        "check_contact_dilation": lambda step: conditions.check_contact_dilation(
+            radial, lam, [p], step=step),
+        "check_two_form_dilation": lambda step: conditions.check_two_form_dilation(
+            radial, omega, [p], step=step),
+    }
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", sorted(_step_entry_points()))
+def test_bad_step_rejected_at_every_entry_point(entry, step):
+    with pytest.raises(DomainError, match="bad differencing step"):
+        _step_entry_points()[entry](step)

@@ -10,6 +10,14 @@ def test_cotangent_point_validation():
         twist.CotangentPoint(np.array([2.0, 0.0]), np.zeros(2))
     with pytest.raises(DomainError):
         twist.CotangentPoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    # non-finite coordinates fail closed, including v = inf * u, which the
+    # pairing test alone passes (inf <= tol * inf)
+    for u, v in [([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                 ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0]),
+                 ([0.0, 1.0, 0.0], [0.0, np.inf, 0.0]),
+                 ([1.0, 0.0, 0.0], [0.0, np.nan, 0.0])]:
+        with pytest.raises(DomainError):
+            twist.CotangentPoint(u, v)
 
 
 def test_retract_projects(rng):
