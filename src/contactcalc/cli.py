@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import verify as verify_mod
 from .errors import ContactCalcError, DomainError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
+from .reports import render_report, report_failed
 from .scenario import DEFAULT_SAMPLES, Verify, parse_scenario, run_scenario, run_suite
 from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
                       contact_surgery, disk_cotangent_page, fibered_manifold,
@@ -116,8 +116,8 @@ def _dispatch(args) -> int:
             raise DomainError("verify forms takes no --n")
         cmd = Verify(args.suite) if args.n is None else Verify(args.suite, n=args.n)
         rep = run_suite(cmd, args.seed, args.tol, args.samples)
-        _emit(verify_mod.render_report(rep), args.out)
-        return 1 if verify_mod.report_failed(rep) else 0
+        _emit(render_report(rep), args.out)
+        return 1 if report_failed(rep) else 0
 
     if args.command == "compose":
         total = surgery_compose(list(args.exponents))

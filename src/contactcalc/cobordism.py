@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .conditions import ConditionReport
 from .errors import DomainError
+from .reports import ConditionReport
 
 
 @dataclass(frozen=True)

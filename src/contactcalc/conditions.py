@@ -8,7 +8,6 @@ tangent-frame) basis is the Pfaffian of the bordered skew matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,25 +17,7 @@ from .errors import DomainError
 from .fields import flow, two_form_matrix
 from .forms import DEFAULT_STEP, OneFormField, central_difference, d_matrix, \
     eval_one_form
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of a sampled condition check.
-
-    ``margin`` is the smallest signed quantity tested (positive is good);
-    ``passed`` iff margin > -tolerance on every sample.
-    """
-
-    passed: bool
-    margin: float
-    tolerance: float
-    samples: int
-
-    def __str__(self):
-        word = "PASS" if self.passed else "FAIL"
-        return (f"{word} margin={self.margin:.6e} tol={self.tolerance:.1e} "
-                f"samples={self.samples}")
+from .reports import ConditionReport
 
 
 def _report(margin: float, tolerance: float, samples: int) -> ConditionReport:
@@ -90,11 +71,12 @@ def contact_margin(alpha: OneFormField, p: ChartPoint,
 def check_contact_condition(alpha: OneFormField, points: Sequence[ChartPoint],
                             step: float = DEFAULT_STEP, tolerance: float = 0.0,
                             orientation: int = 1) -> ConditionReport:
-    """Positivity of alpha ^ (d alpha)^n at every sample point."""
+    """Positivity of alpha ^ (d alpha)^n at every sample point; the margin is
+    NaN, and so FAIL, if any sample's coefficient is NaN."""
     if not points:
         raise DomainError("empty sample set")
-    margin = min(contact_margin(alpha, p, step, orientation) for p in points)
-    return _report(margin, tolerance, len(points))
+    margin = np.min([contact_margin(alpha, p, step, orientation) for p in points])
+    return _report(float(margin), tolerance, len(points))
 
 
 def _lie_derivative(v, x: np.ndarray, pullback: Callable, h: float,

@@ -1,0 +1,67 @@
+"""Report records shared by the numerical checks and their numpy-free callers.
+
+``ConditionReport`` is the outcome of a sampled condition check (numerical in
+``conditions``, combinatorial in ``cobordism``); ``ReportLine`` is one line of
+a verify suite's report.  This module imports no numpy, so the symbolic
+commands and the scenario runner can render and judge reports, and check a
+suite's arguments, without loading the numerical kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Outcome of a sampled condition check.
+
+    ``margin`` is the smallest signed quantity tested (positive is good);
+    ``passed`` iff margin > -tolerance on every sample.
+    """
+
+    passed: bool
+    margin: float
+    tolerance: float
+    samples: int
+
+    def __str__(self):
+        word = "PASS" if self.passed else "FAIL"
+        return (f"{word} margin={self.margin:.6e} tol={self.tolerance:.1e} "
+                f"samples={self.samples}")
+
+
+@dataclass(frozen=True)
+class ReportLine:
+    metric: str
+    value: float
+    tolerance: float
+    passed: bool
+    asserted: bool = True  # False: measurement only, always rendered PASS
+
+    def render(self) -> str:
+        status = "PASS" if (self.passed or not self.asserted) else "FAIL"
+        tol = "inf" if not math.isfinite(self.tolerance) else f"{self.tolerance:.1e}"
+        return f"{self.metric}\t{self.value:.6e}\t{tol}\t{status}"
+
+
+def render_report(lines: list[ReportLine]) -> str:
+    return "".join(line.render() + "\n" for line in lines)
+
+
+def report_failed(lines: list[ReportLine]) -> bool:
+    return any(line.asserted and not line.passed for line in lines)
+
+
+def check_suite_args(seed: int, samples: int, tol: float | None):
+    """Reject a negative seed, a sample count below 1, or a tolerance that is
+    NaN or negative; ``tol=None`` stands for a suite's own tolerance."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    if tol is not None and not tol >= 0.0:
+        raise DomainError(f"tolerance must be a number >= 0, got {tol}")

@@ -36,9 +36,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import verify as verify_mod
 from .errors import ContactCalcError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
+from .reports import ReportLine, check_suite_args, report_failed
 from .surgery import (MonodromyWord, OpenBook, PageSpec, branched_cover,
                       contact_surgery, fibered_manifold, liouville_sum_openbooks,
                       open_book_descriptor, reduce_word)
@@ -389,15 +389,19 @@ def parse_scenario(text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def run_suite(cmd: Verify, seed: int = 0, tol: Optional[float] = None,
-              samples: int = DEFAULT_SAMPLES) -> list[verify_mod.ReportLine]:
+              samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
     """The report of a ``verify forms`` or ``verify twist`` record; the CLI's
     verify subcommand runs through here too.  ``samples`` applies when the
     record sets none; ``tol=None`` keeps the suite's own tolerance."""
+    # Imported here, not at the top: the suites are the only part of a
+    # scenario that needs numpy, and the symbolic commands should not load it.
+    from . import verify
+
     if cmd.samples is not None:
         samples = cmd.samples
     if cmd.mode == "forms":
-        return verify_mod.verify_forms(seed, tol, samples)
-    return verify_mod.verify_twist(cmd.n, seed, tol, samples)
+        return verify.verify_forms(seed, tol, samples)
+    return verify.verify_twist(cmd.n, seed, tol, samples)
 
 
 def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
@@ -408,8 +412,11 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
     The report is line-oriented ``metric<TAB>value<TAB>tolerance<TAB>status``
     with status PASS/FAIL for verify commands and OK for constructions; it is
     byte-stable for fixed inputs and seed.  ``tol=None`` keeps each verify
-    suite's own tolerance.
+    suite's own tolerance.  A negative seed, a sample count below 1 or a NaN
+    or negative ``tol`` raises ``DomainError`` before any statement runs,
+    whether or not the scenario runs a suite.
     """
+    check_suite_args(seed, samples, tol)
     env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
     lines: list[str] = []
     files: list[str] = []
@@ -466,7 +473,7 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                         f"\t{'PASS' if equal else 'FAIL'}")
                 case Verify():
                     rep = run_suite(cmd, seed, tol, samples)
-                    failed = failed or verify_mod.report_failed(rep)
+                    failed = failed or report_failed(rep)
                     lines.extend(line.render() for line in rep)
         except ContactCalcError as exc:
             raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,

@@ -1,7 +1,4 @@
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -110,6 +107,11 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["verify", "forms", "--n", "7"],
     ["verify", "forms", "--tol", "nan"],
     ["verify", "twist", "--tol", "-1"],
+    # run checks --seed, --tol and --samples even when no line runs a suite
+    ["run", str(DEMO), "--tol", "nan"],
+    ["run", str(DEMO), "--tol", "-1"],
+    ["run", str(DEMO), "--seed", "-1"],
+    ["run", str(DEMO), "--samples", "0"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -163,19 +165,16 @@ def test_suite_options_only_on_verify_and_run(argv, flag, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_runs_without_scipy():
-    code = ("import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from contactcalc import cli\n"
-            "status = cli.main(['verify', 'twist', '--n', '6', '--samples', '5'])\n"
-            "loaded = [m for m, mod in sys.modules.items()\n"
-            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
-            "assert not loaded, loaded\n"
-            "sys.exit(status)\n")
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
+def test_runs_without_scipy(cli_child):
+    res = cli_child(["verify", "twist", "--n", "6", "--samples", "5"],
+                    blocked=["scipy"])
+    assert res.status == 0
+    assert "scipy" not in res.packages
     assert "FAIL" not in res.stdout
+
+
+def test_verify_loads_numpy(cli_child):
+    # The numerical suites need numpy; only the symbolic commands go without.
+    res = cli_child(["verify", "forms", "--samples", "3"])
+    assert res.status == 0
+    assert "numpy" in res.packages

@@ -35,3 +35,14 @@ def test_golden_report(name, capsysbinary):
     status = main(CASES[name])
     got = f"exit {status}\n".encode() + capsysbinary.readouterr().out
     assert got == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
+                                        if argv[0] != "verify"))
+def test_symbolic_golden_without_numpy(name, cli_child):
+    # The package imports and the symbolic commands print the same bytes
+    # with numpy unimportable.
+    res = cli_child(CASES[name], blocked=["numpy"])
+    got = f"exit {res.status}\n{res.stdout}".encode()
+    assert got == (GOLDEN / f"{name}.out").read_bytes()
+    assert not any(p.startswith("numpy") for p in res.packages)

@@ -1,0 +1,82 @@
+"""The package namespace: every name ``contactcalc`` exports is its
+submodule's own object, loaded on first use."""
+
+import importlib
+
+import pytest
+
+import contactcalc
+
+# Submodule -> names, as the package imported them eagerly before its exports
+# became lazy.  ConditionReport now lives in ``reports``; ``conditions``
+# re-exports the same class.
+EXPORTED = {
+    "charts": ["Chart", "ChartPoint", "darboux_chart", "cotangent_chart",
+               "sphere_chart", "euclidean_chart", "load_sample_file"],
+    "conditions": ["ConditionReport", "check_contact_condition",
+                   "check_contact_dilation", "check_two_form_dilation"],
+    "fields": ["hamiltonian_vector_field", "liouville_vector_field",
+               "moser_field", "reeb_vector_field"],
+    "forms": ["OneFormField", "SkewMatrixAtPoint", "eval_one_form",
+              "exterior_derivative", "lambda_std", "lambda_can", "weinstein",
+              "weinstein_hamiltonian", "handle_form", "dz_plus",
+              "theta_invariant"],
+    "rounding": ["rounding_curve", "smoothstep"],
+    "twist": ["CotangentPoint", "TwistProfile", "apply_twist",
+              "almost_complex_generator", "boundary_displacement_probe",
+              "isotopy_phi", "isotopy_psi", "make_profile", "plane_generator",
+              "pullback_two_form"],
+    "surgery": ["FillabilityFlags", "ManifoldDescriptor", "MonodromyWord",
+                "OpenBook", "PageSpec", "branched_cover", "catalog_M_nk",
+                "contact_surgery", "disk_cotangent_page", "fibered_manifold",
+                "fillability_propagate", "liouville_sum_openbooks",
+                "reduce_word", "surgery_compose", "word"],
+    "cobordism": ["CobordismSpec", "Handle", "HomologyProfile", "cabling_genus",
+                  "euler_characteristic", "gysin_sphere_bundle_homology",
+                  "hopf_invariant_one_exists", "not_stein_certificate",
+                  "self_linking_liouville", "stein_homology_check",
+                  "sum_cobordism", "twist_square_smoothly_trivial"],
+    "kirby": ["KirbyDiagram", "branched_cover_diagram", "parse_diagram",
+              "serialize_diagram", "surgery_cobordism_diagram"],
+    "scenario": ["Scenario", "ScenarioError", "parse_scenario", "run_scenario"],
+}
+PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
+
+
+def test_export_count():
+    assert len(PAIRS) == len(contactcalc.__all__) == 74
+
+
+@pytest.mark.parametrize("module,name", PAIRS)
+def test_export_is_the_submodules_object(module, name):
+    own = getattr(importlib.import_module(f"contactcalc.{module}"), name)
+    assert getattr(contactcalc, name) is own
+    assert name in contactcalc.__all__ and name in dir(contactcalc)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from contactcalc import *", namespace)
+    for module, name in PAIRS:
+        assert namespace[name] is getattr(
+            importlib.import_module(f"contactcalc.{module}"), name)
+
+
+def test_report_records_are_shared():
+    from contactcalc import cobordism, conditions, reports, verify
+    assert conditions.ConditionReport is cobordism.ConditionReport \
+        is reports.ConditionReport
+    assert verify.ReportLine is reports.ReportLine
+    assert verify.render_report is reports.render_report
+    assert verify.report_failed is reports.report_failed
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        contactcalc.no_such_name
+
+
+def test_submodule_import_and_version():
+    from contactcalc import verify
+    assert verify is importlib.import_module("contactcalc.verify")
+    assert contactcalc.__version__ == "0.1.0"
