@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ChartMismatchError, DomainError
 
+POINT_TOL = 1e-8  # how far a point may lie off a constraint locus (and T*S^n)
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -72,7 +74,6 @@ class Chart:
     name: str
     coord_names: tuple[str, ...]
     constraints: tuple[Constraint, ...] = ()
-    tol: float = 1e-8
     orientation: int = 1
 
     @property
@@ -106,13 +107,12 @@ def cotangent_chart(n: int) -> Chart:
     return Chart(f"R{2 * n}_qp", tuple(names))
 
 
-def sphere_chart(ambient_dim: int, orientation: int = 1) -> Chart:
+def sphere_chart(ambient_dim: int) -> Chart:
     """The unit sphere S^{ambient_dim-1} in ambient coordinates, oriented as
     the boundary of the (oriented) ambient ball via outward-normal-first."""
     names = tuple(f"x{j}" for j in range(1, ambient_dim + 1))
     return Chart(f"S{ambient_dim - 1}", names,
-                 (unit_norm_constraint(range(ambient_dim)),),
-                 orientation=orientation)
+                 (unit_norm_constraint(range(ambient_dim)),))
 
 
 def with_constraints(chart: Chart, constraints: Sequence[Constraint],
@@ -121,8 +121,7 @@ def with_constraints(chart: Chart, constraints: Sequence[Constraint],
     constrained locus is oriented by outward-normal-first inside the
     oriented ambient chart."""
     return Chart(name, chart.coord_names,
-                 chart.constraints + tuple(constraints), chart.tol,
-                 chart.orientation)
+                 chart.constraints + tuple(constraints), chart.orientation)
 
 
 def prepend_coords(chart: Chart, extra: Sequence[str], name: str | None = None) -> Chart:
@@ -140,7 +139,7 @@ def prepend_coords(chart: Chart, extra: Sequence[str], name: str | None = None) 
             (lambda x, _c=c: np.concatenate([np.zeros(k), _c.grad(x[k:])])),
         ))
     return Chart(name or f"{'x'.join(extra)}*{chart.name}",
-                 tuple(extra) + chart.coord_names, tuple(shifted), chart.tol,
+                 tuple(extra) + chart.coord_names, tuple(shifted),
                  chart.orientation)
 
 
@@ -160,7 +159,7 @@ class ChartPoint:
             raise DomainError(f"non-finite coords on {self.chart.name}")
         for g in self.chart.constraints:
             r = abs(g.value(c))
-            if not r <= self.chart.tol:
+            if not r <= POINT_TOL:
                 raise DomainError(
                     f"constraint {g.name} violated by {r:.3e} on {self.chart.name}")
 

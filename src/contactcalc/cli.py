@@ -23,8 +23,8 @@ import sys
 
 from .errors import ContactCalcError, DomainError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
-from .reports import render_report, report_failed
-from .scenario import DEFAULT_SAMPLES, Verify, parse_scenario, run_scenario, run_suite
+from .reports import DEFAULT_SAMPLES, render_report, report_failed
+from .scenario import Verify, parse_scenario, run_scenario, run_suite
 from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
                       contact_surgery, disk_cotangent_page, fibered_manifold,
                       surgery_compose, word)

@@ -15,9 +15,11 @@ import numpy as np
 from .charts import ChartPoint, tangent_frame
 from .errors import DomainError
 from .fields import flow, two_form_matrix
-from .forms import DEFAULT_STEP, OneFormField, central_difference, d_matrix, \
-    eval_one_form
+from .forms import OneFormField, central_difference, eval_one_form
 from .reports import ConditionReport
+
+H = 1e-4              # flow-time step of the Lie derivatives
+DILATION_TOL = 1e-6   # largest residual a dilation check passes
 
 
 def _report(margin: float, tolerance: float, samples: int) -> ConditionReport:
@@ -54,76 +56,65 @@ def top_form_coefficient(a: np.ndarray, m2: np.ndarray) -> float:
     return _pfaffian(np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], m2]]))
 
 
-def contact_margin(alpha: OneFormField, p: ChartPoint,
-                   step: float = DEFAULT_STEP, orientation: int = 1) -> float:
+def contact_margin(alpha: OneFormField, p: ChartPoint) -> float:
     """The top-form coefficient at one point, on an oriented tangent frame
-    for constrained charts.  The chart's own orientation sign is applied,
-    times any extra ``orientation`` supplied by the caller."""
+    for constrained charts, times the chart's orientation sign."""
     a = eval_one_form(alpha, p)
-    m2 = two_form_matrix(alpha, p, step)
+    m2 = two_form_matrix(alpha, p.coords)
     if p.chart.constraints:
         frame = tangent_frame(p, oriented=True)
         a = frame.T @ a
         m2 = frame.T @ m2 @ frame
-    return orientation * p.chart.orientation * top_form_coefficient(a, m2)
+    return p.chart.orientation * top_form_coefficient(a, m2)
 
 
-def check_contact_condition(alpha: OneFormField, points: Sequence[ChartPoint],
-                            step: float = DEFAULT_STEP, tolerance: float = 0.0,
-                            orientation: int = 1) -> ConditionReport:
+def check_contact_condition(alpha: OneFormField,
+                            points: Sequence[ChartPoint]) -> ConditionReport:
     """Positivity of alpha ^ (d alpha)^n at every sample point; the margin is
     NaN, and so FAIL, if any sample's coefficient is NaN."""
     if not points:
         raise DomainError("empty sample set")
-    margin = np.min([contact_margin(alpha, p, step, orientation) for p in points])
-    return _report(float(margin), tolerance, len(points))
+    margin = np.min([contact_margin(alpha, p) for p in points])
+    return _report(float(margin), 0.0, len(points))
 
 
-def _lie_derivative(v, x: np.ndarray, pullback: Callable, h: float,
-                    step: float) -> np.ndarray:
+def _lie_derivative(v, x: np.ndarray, pullback: Callable) -> np.ndarray:
     """d/dt at t = 0 of phi_t^* of a form at x, where ``pullback(y, jac)``
     pulls the form at y = phi_t(x) back through the flow Jacobian
     jac = D phi_t(x); both derivatives are central differences."""
     def pull(t: np.ndarray) -> np.ndarray:
-        jac = central_difference(lambda y: flow(v, y, t[0]), x, np.eye(x.size), step)
+        jac = central_difference(lambda y: flow(v, y, t[0]), x, np.eye(x.size))
         return pullback(flow(v, x, t[0]), jac)
 
-    return central_difference(pull, np.zeros(1), np.ones((1, 1)), h)[..., 0]
+    return central_difference(pull, np.zeros(1), np.ones((1, 1)), H)[..., 0]
 
 
-def lie_derivative_one_form(v, alpha: OneFormField, p: ChartPoint,
-                            h: float = 1e-4, step: float = DEFAULT_STEP) -> np.ndarray:
+def lie_derivative_one_form(v, alpha: OneFormField, p: ChartPoint) -> np.ndarray:
     """L_v alpha at p via central differences of the flow pullback."""
     return _lie_derivative(
         v, p.coords,
-        lambda y, jac: jac.T @ np.asarray(alpha.evaluator(y), dtype=float), h, step)
+        lambda y, jac: jac.T @ np.asarray(alpha.evaluator(y), dtype=float))
 
 
-def check_contact_dilation(v, alpha: OneFormField, points: Sequence[ChartPoint],
-                           h: float = 1e-4, step: float = DEFAULT_STEP,
-                           tolerance: float = 1e-6) -> ConditionReport:
+def check_contact_dilation(v, alpha: OneFormField,
+                           points: Sequence[ChartPoint]) -> ConditionReport:
     """L_v alpha = alpha, checked componentwise; margin is -max residual
     (NaN, and so FAIL, if any residual is NaN)."""
     if not points:
         raise DomainError("empty sample set")
-    worst = np.max([np.max(np.abs(lie_derivative_one_form(v, alpha, p, h, step)
+    worst = np.max([np.max(np.abs(lie_derivative_one_form(v, alpha, p)
                                   - alpha.at(p))) for p in points])
-    return _report(-float(worst), tolerance, len(points))
+    return _report(-float(worst), DILATION_TOL, len(points))
 
 
-def check_two_form_dilation(v, omega_source, points: Sequence[ChartPoint],
-                            h: float = 1e-4, step: float = DEFAULT_STEP,
-                            tolerance: float = 1e-6) -> ConditionReport:
+def check_two_form_dilation(v, omega_source,
+                            points: Sequence[ChartPoint]) -> ConditionReport:
     """L_v omega = omega for a 2-form given by a primitive or a matrix
     callable; margin as in ``check_contact_dilation``."""
     if not points:
         raise DomainError("empty sample set")
-    if isinstance(omega_source, OneFormField):
-        omega = lambda y: d_matrix(omega_source, y, step)
-    else:
-        omega = lambda y: np.asarray(omega_source(y), dtype=float)
-
-    pullback = lambda y, jac: jac.T @ omega(y) @ jac
-    worst = np.max([np.max(np.abs(_lie_derivative(v, p.coords, pullback, h, step)
-                                  - omega(p.coords))) for p in points])
-    return _report(-float(worst), tolerance, len(points))
+    pullback = lambda y, jac: jac.T @ two_form_matrix(omega_source, y) @ jac
+    worst = np.max([np.max(np.abs(_lie_derivative(v, p.coords, pullback)
+                                  - two_form_matrix(omega_source, p.coords)))
+                    for p in points])
+    return _report(-float(worst), DILATION_TOL, len(points))

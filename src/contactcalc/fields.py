@@ -17,11 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .charts import ChartPoint, tangent_frame
-from .errors import DegenerateSystemError, IllConditionedError
-from .forms import DEFAULT_STEP, OneFormField, central_difference, d_matrix, \
-    eval_one_form
+from .errors import DegenerateSystemError, DomainError, IllConditionedError
+from .forms import OneFormField, central_difference, d_matrix, eval_one_form
 
 COND_MAX = 1e10
+RESIDUAL_TOL = 1e-6  # largest Reeb lstsq residual and Moser d(beta) mismatch
 
 
 def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -32,38 +32,38 @@ def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def two_form_matrix(source, p: ChartPoint, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Matrix M[i,j] = omega(e_i, e_j) from a 1-form primitive or a callable."""
+def two_form_matrix(source, x: np.ndarray) -> np.ndarray:
+    """Matrix M[i,j] = omega(e_i, e_j) at raw coords x, from a 1-form
+    primitive or a callable returning the matrix."""
     if isinstance(source, OneFormField):
-        return d_matrix(source, p.coords, step)
-    return np.asarray(source(p.coords), dtype=float)
+        return d_matrix(source, x)
+    return np.asarray(source(x), dtype=float)
 
 
-def liouville_vector_field(form: OneFormField, p: ChartPoint,
-                           step: float = DEFAULT_STEP) -> np.ndarray:
+def liouville_vector_field(form: OneFormField, p: ChartPoint) -> np.ndarray:
     """X with d(form)(X, .) = form at p."""
-    m = two_form_matrix(form, p, step)
+    m = two_form_matrix(form, p.coords)
     b = eval_one_form(form, p)
     # d(beta)(X, e_j) = sum_i X_i M[i,j] = (M^T X)_j
     return _checked_solve(m.T, b, f"liouville_vector_field({form.form_id})")
 
 
 def hamiltonian_vector_field(fn: Callable[[np.ndarray], float], omega_source,
-                             p: ChartPoint, step: float = DEFAULT_STEP) -> np.ndarray:
+                             p: ChartPoint) -> np.ndarray:
     """X_f with df(.) = omega(X_f, .); omega from a primitive 1-form or callable."""
-    df = central_difference(fn, p.coords, np.eye(p.chart.dim), step)
-    m = two_form_matrix(omega_source, p, step)
+    df = central_difference(fn, p.coords, np.eye(p.chart.dim))
+    if not np.all(np.isfinite(df)):
+        raise DomainError("non-finite derivative of the Hamiltonian")
+    m = two_form_matrix(omega_source, p.coords)
     return _checked_solve(m.T, df, "hamiltonian_vector_field")
 
 
-def reeb_vector_field(alpha: OneFormField, p: ChartPoint,
-                      step: float = DEFAULT_STEP,
-                      residual_tol: float = 1e-6) -> np.ndarray:
+def reeb_vector_field(alpha: OneFormField, p: ChartPoint) -> np.ndarray:
     """R (in ambient components) with alpha(R)=1 and d(alpha)(R, .)=0 on the
     chart's tangent space.  On constrained charts the solve is restricted to
     an orthonormal tangent frame."""
     frame = tangent_frame(p)
-    m = two_form_matrix(alpha, p, step)
+    m = two_form_matrix(alpha, p.coords)
     a = eval_one_form(alpha, p)
     mt = frame.T @ m @ frame          # 2-form on the frame
     at = frame.T @ a                  # 1-form on the frame
@@ -72,20 +72,19 @@ def reeb_vector_field(alpha: OneFormField, p: ChartPoint,
     rhs = np.concatenate([np.zeros(mt.shape[0]), [1.0]])
     c, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
     resid = np.max(np.abs(sys @ c - rhs))
-    if resid > residual_tol:
+    if resid > RESIDUAL_TOL:
         raise DegenerateSystemError(
             f"reeb_vector_field({alpha.form_id}): residual {resid:.3e}")
     return frame @ c
 
 
-def moser_field(beta: OneFormField, beta_prime: OneFormField, p: ChartPoint,
-                step: float = DEFAULT_STEP,
-                match_tol: float = 1e-6) -> np.ndarray:
+def moser_field(beta: OneFormField, beta_prime: OneFormField,
+                p: ChartPoint) -> np.ndarray:
     """V with d(beta)(V, .) = beta - beta', requiring d(beta) = d(beta')."""
-    m = two_form_matrix(beta, p, step)
-    m2 = two_form_matrix(beta_prime, p, step)
+    m = two_form_matrix(beta, p.coords)
+    m2 = two_form_matrix(beta_prime, p.coords)
     mismatch = np.max(np.abs(m - m2))
-    if mismatch > match_tol * max(1.0, np.max(np.abs(m))):
+    if mismatch > RESIDUAL_TOL * max(1.0, np.max(np.abs(m))):
         raise DegenerateSystemError(
             f"moser_field: d(beta) != d(beta') (mismatch {mismatch:.3e})")
     rhs = eval_one_form(beta, p) - eval_one_form(beta_prime, p)

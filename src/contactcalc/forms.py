@@ -1,8 +1,9 @@
 """The catalog of explicit 1-forms and finite-difference exterior derivatives.
 
 Catalog forms are exact closed-form evaluators; the only numerical error in
-this module comes from differentiation (central differences, default step
-1e-5, O(step^2) accurate on the smooth catalog formulas).
+this module comes from differentiation (central differences with the fixed
+spatial step ``STEP`` = 1e-5, O(step^2) accurate on the smooth catalog
+formulas).
 
 ``central_difference`` is the package's single differencing stencil and the
 one place a step is validated.  ``d_matrix`` differentiates forms with it,
@@ -10,7 +11,10 @@ one place a step is validated.  ``d_matrix`` differentiates forms with it,
 ``conditions`` takes flow Jacobians and the t-derivatives of flow pullbacks
 (the Lie derivatives of the dilation checks), and
 ``twist.pullback_two_form`` takes the differential of a map along a tangent
-frame.
+frame.  Steps and tolerances are module constants (``STEP`` here, ``H`` and
+``DILATION_TOL`` in ``conditions``, ``RESIDUAL_TOL`` and ``COND_MAX`` in
+``fields``, ``POINT_TOL`` in ``charts``): no kernel function other than
+``central_difference`` takes a step or tolerance argument.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .charts import Chart, ChartPoint, darboux_chart, cotangent_chart, \
     prepend_coords, require_same_chart
 from .errors import ChartMismatchError, DomainError
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
 
 
 def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                       directions: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+                       directions: np.ndarray, step: float = STEP) -> np.ndarray:
     """Derivatives of ``fn`` at x along the columns d_i of ``directions``:
     entry [..., i] is (fn(x + step d_i) - fn(x - step d_i)) / (2 step), so a
     vector-valued fn gives the matrix whose column i is that difference."""
@@ -82,18 +86,17 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return diff.transpose((*range(1, diff.ndim), 0))
 
 
-def d_matrix(form: OneFormField, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+def d_matrix(form: OneFormField, x: np.ndarray) -> np.ndarray:
     """Entries of d(form) at raw coords x: d_i a_j - d_j a_i, central differences."""
-    jac = central_difference(form.evaluator, x, np.eye(x.size), step)  # d a_i / d x_j
+    jac = central_difference(form.evaluator, x, np.eye(x.size))  # d a_i / d x_j
     if not np.all(np.isfinite(jac)):
         raise DomainError(f"non-finite derivative of {form.form_id}")
     return jac.T - jac
 
 
-def exterior_derivative(form: OneFormField, p: ChartPoint,
-                        step: float = DEFAULT_STEP) -> SkewMatrixAtPoint:
+def exterior_derivative(form: OneFormField, p: ChartPoint) -> SkewMatrixAtPoint:
     """d(form) at p as a SkewMatrixAtPoint."""
-    return SkewMatrixAtPoint(p, d_matrix(form, p.coords, step))
+    return SkewMatrixAtPoint(p, d_matrix(form, p.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +198,6 @@ def symplectization(alpha: OneFormField) -> OneFormField:
         return np.concatenate([[0.0], c[0] * np.asarray(alpha.evaluator(c[1:]))])
 
     return OneFormField(f"symp({alpha.form_id})", chart, ev)
-
-
-def custom_form(form_id: str, chart: Chart, evaluator) -> OneFormField:
-    return OneFormField(form_id, chart, evaluator)
 
 
 def restrict_form(form: OneFormField, chart: Chart) -> OneFormField:

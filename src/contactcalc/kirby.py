@@ -104,35 +104,35 @@ class KirbyDiagram:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def branched_cover_diagram(page, base: Sequence[str], q: int,
-                           zero_handle_labels: Sequence[str] = ("p",),
-                           core_curves: Sequence[str] | None = None) -> KirbyDiagram:
+def branched_cover_diagram(page, base: Sequence[str], q: int) -> KirbyDiagram:
     """Diagram of the cobordism from q copies of a 3-manifold to its q-fold
-    cyclic branched cover, built from a page handle decomposition.
+    cyclic branched cover, built from the handle decomposition of a surface
+    page with one 0-handle.
 
     Along the chain of copies 1 ~ 2 ~ ... ~ q, each adjacent pair is joined
-    by one Liouville sum contributing, per page 0-handle, a dotted 1-handle
-    anchored at that 0-handle's image in the two copies, and per page
-    1-handle with core c, a 2-handle attached along c_j u (-c_{j+1}).
+    by one Liouville sum contributing a dotted 1-handle anchored at the
+    0-handle's images p_j and p_{j+1}, and per page 1-handle with core c (the
+    page's spheres, in order), a 2-handle attached along c_j u (-c_{j+1}).
     """
     if q < 1:
         raise DomainError("cover degree must be >= 1")
-    if core_curves is None:
-        core_curves = page.spheres
-    n_one_handles = page.handle_count(1)
-    if len(core_curves) != n_one_handles:
+    if page.half_dim != 1:
         raise DomainError(
-            f"page has {n_one_handles} 1-handles but {len(core_curves)} "
+            f"cover diagram needs a surface page (dim=2), got dim={2 * page.half_dim}")
+    if page.handle_count(0) != 1:
+        raise DomainError(
+            f"cover diagram needs one page 0-handle, got {page.handle_count(0)}")
+    n_one_handles = page.handle_count(1)
+    if len(page.spheres) != n_one_handles:
+        raise DomainError(
+            f"page has {n_one_handles} 1-handles but {len(page.spheres)} "
             f"core-curve labels")
-    if len(zero_handle_labels) != page.handle_count(0):
-        raise DomainError("one anchor label needed per page 0-handle")
 
     dotted = []
     two_handles = []
     for j in range(1, q):
-        for p0 in zero_handle_labels:
-            dotted.append(DottedHandle(f"d{j}{p0}", (f"{p0}_{j}", f"{p0}_{j + 1}")))
-        for c in core_curves:
+        dotted.append(DottedHandle(f"d{j}p", (f"p_{j}", f"p_{j + 1}")))
+        for c in page.spheres:
             two_handles.append(TwoHandle(
                 f"h{j}{c}",
                 (curve(c, j, 1), curve(c, j + 1, -1)),

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+# Sample count of the verify suites when no statement or caller sets one.
+DEFAULT_SAMPLES = 25
+
 
 @dataclass(frozen=True)
 class ConditionReport:

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .errors import ContactCalcError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
-from .reports import ReportLine, check_suite_args, report_failed
+from .reports import DEFAULT_SAMPLES, ReportLine, check_suite_args, report_failed
 from .surgery import (MonodromyWord, OpenBook, PageSpec, branched_cover,
                       contact_surgery, fibered_manifold, liouville_sum_openbooks,
                       open_book_descriptor, reduce_word)
@@ -46,10 +46,6 @@ from .surgery import (MonodromyWord, OpenBook, PageSpec, branched_cover,
 E_SYNTAX = "E_SYNTAX"
 E_UNDECLARED = "E_UNDECLARED"
 E_ARITY = "E_ARITY"
-
-# Sample count of the verify suites when neither the statement nor the
-# caller sets one; the CLI's --samples default.
-DEFAULT_SAMPLES = 25
 
 
 class ScenarioError(ContactCalcError):
@@ -449,7 +445,7 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                     ok(f"fibered:{cmd.target}", str(res.presentation))
                 case Kirby():
                     if cmd.mode == "cover":
-                        base = (cmd.base,) if cmd.base is not None else ()
+                        base = (cmd.base,) if cmd.base else ()
                         diagram = branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
                     else:
                         diagram = surgery_cobordism_diagram(cmd.k)

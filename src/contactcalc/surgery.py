@@ -448,19 +448,14 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
          f"disjoint union of {q} copies to cover"))
 
 
-def fibered_manifold(page: PageSpec, phi: MonodromyWord, psi: MonodromyWord,
-                     base_flags: Optional[FillabilityFlags] = None) -> ManifoldDescriptor:
+def fibered_manifold(page: PageSpec, phi: MonodromyWord,
+                     psi: MonodromyWord) -> ManifoldDescriptor:
     """The fibered manifold determined by a page and two monodromy words:
-    one Liouville sum performed on the open book (page, phi o psi).
-
-    ``base_flags`` overrides what is known about the base open book (e.g. an
-    externally supplied exact filling); by default only what the word itself
-    certifies is used."""
+    one Liouville sum performed on the open book (page, phi o psi), using
+    only what the word itself certifies about the base open book."""
     base = OpenBook(page, phi * psi)
-    known = base_flags if base_flags is not None \
-        else open_book_descriptor(base).flags
-    flags = fillability_inherit(known, page.stein, base.dim,
-                                page.weak_h2_ok)
+    flags = fillability_inherit(open_book_descriptor(base).flags, page.stein,
+                                base.dim, page.weak_h2_ok)
     if phi.is_identity() and psi.is_identity():
         label = f"bd({page.name} x D*S1)"
     else:

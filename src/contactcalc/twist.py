@@ -15,14 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import orthonormal_complement
+from .charts import POINT_TOL, orthonormal_complement
 from .errors import DomainError
 from .forms import central_difference
 from .octonion import cross7_matrix
 from .rounding import smoothstep
 
 ZERO_FIBER_THRESHOLD = 1e-12
-POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,9 @@ def make_profile(epsilon: float) -> TwistProfile:
 @dataclass(frozen=True)
 class SkewGenerator:
     """A skew matrix generating either the fiberwise almost-complex rotation
-    (kind 'j_u') or the rotation of the (u, v-hat) plane (kind 'v_u')."""
+    j_u or the rotation v_u of the (u, v-hat) plane."""
 
     matrix: np.ndarray = field(repr=False)
-    kind: str = "v_u"
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
@@ -126,7 +124,7 @@ def plane_generator(u: np.ndarray, v: np.ndarray) -> SkewGenerator:
         raise DomainError("plane generator undefined on the zero fiber")
     vhat = v / norm
     u = np.asarray(u, dtype=float)
-    return SkewGenerator(np.outer(vhat, u) - np.outer(u, vhat), "v_u")
+    return SkewGenerator(np.outer(vhat, u) - np.outer(u, vhat))
 
 
 def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
@@ -140,7 +138,7 @@ def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
         m = cross7_matrix(u)
     else:
         raise DomainError(f"almost-complex generator needs n in {{2,6}}, got {n}")
-    return SkewGenerator(m, "j_u")
+    return SkewGenerator(m)
 
 
 def generator_exp(gen: SkewGenerator, theta: float) -> np.ndarray:
@@ -236,7 +234,7 @@ class PullbackResult:
 
 
 def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
-                      p: CotangentPoint, step: float = 1e-5) -> PullbackResult:
+                      p: CotangentPoint) -> PullbackResult:
     """Pull back -d(lambda_can) through ``map_fn`` on a tangent frame at p.
 
     The differential is assembled by central differences along retracted
@@ -253,7 +251,7 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
         pairing = w[:m].T @ w[m:]
         return pairing - pairing.T
 
-    diff = central_difference(image, p.ambient(), frame, step)
+    diff = central_difference(image, p.ambient(), frame)
     return PullbackResult(frame, minus_dlambda(diff), minus_dlambda(frame))
 
 
@@ -269,9 +267,9 @@ class ProbeReport:
 
 
 def boundary_displacement_probe(family: str, prof: TwistProfile, n: int,
-                                samples: int, seed: int = 0,
-                                t_count: int = 11) -> ProbeReport:
-    """Max ||family_t(p) - p|| over ||v|| = 1 boundary points and a t-grid.
+                                samples: int, seed: int = 0) -> ProbeReport:
+    """Max ||family_t(p) - p|| over ||v|| = 1 boundary points and the
+    11-point t-grid 0, 0.1, ..., 1.
 
     Reports the measurement only; whether intermediate-t maps fix the
     boundary is deliberately not asserted anywhere in this package.
@@ -284,7 +282,7 @@ def boundary_displacement_probe(family: str, prof: TwistProfile, n: int,
     for _ in range(samples):
         q = random_point(rng, n, 1.0)
         q = CotangentPoint(q.u, q.v / np.linalg.norm(q.v))  # push to ||v|| = 1
-        for t in np.linspace(0.0, 1.0, t_count):
+        for t in np.linspace(0.0, 1.0, 11):
             out = apply(float(t), q, prof)
             disp = float(np.linalg.norm(out.ambient() - q.ambient()))
             if disp > worst:

@@ -13,7 +13,8 @@ from . import conditions, fields, forms, twist
 from .charts import ChartPoint
 from .errors import DomainError
 # render_report and report_failed are re-exported for callers of this module.
-from .reports import ReportLine, check_suite_args, render_report, report_failed
+from .reports import (DEFAULT_SAMPLES, ReportLine, check_suite_args,
+                      render_report, report_failed)
 
 
 def _line(metric: str, value: float, tol: float, asserted: bool = True) -> ReportLine:
@@ -34,7 +35,7 @@ def _random_points(rng: np.random.Generator, chart, samples: int,
 
 
 def verify_forms(seed: int = 0, tol: float | None = None,
-                 samples: int = 25) -> list[ReportLine]:
+                 samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
     """Model forms: Liouville/Reeb/Hamiltonian fields against closed forms,
     contact positivity, and the finite-difference exterior derivative.
     ``tol=None`` means 1e-8."""
@@ -93,7 +94,7 @@ def verify_forms(seed: int = 0, tol: float | None = None,
 
 
 def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
-                 samples: int = 50) -> list[ReportLine]:
+                 samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
     """Dehn-twist checks: pullback invariance, endpoint identities,
     two-path consistency, and the boundary-displacement probe.
     ``tol=None`` means 1e-5."""

@@ -3,11 +3,12 @@ import pytest
 
 from contactcalc.charts import darboux_chart, with_constraints, \
     unit_norm_constraint
-from contactcalc.errors import DegenerateSystemError, IllConditionedError
+from contactcalc.errors import DegenerateSystemError, DomainError, \
+    IllConditionedError
 from contactcalc.fields import (flow, hamiltonian_vector_field,
                                 liouville_vector_field, moser_field,
                                 reeb_vector_field)
-from contactcalc.forms import custom_form, dz_plus, lambda_can, lambda_std, \
+from contactcalc.forms import OneFormField, dz_plus, lambda_can, lambda_std, \
     restrict_form, weinstein, weinstein_hamiltonian
 
 
@@ -55,6 +56,12 @@ def test_hamiltonian_field_of_f_k(rng):
         assert np.allclose(got, expected, atol=1e-8)
 
 
+def test_nan_hamiltonian_fails_closed():
+    lam = lambda_std(1)
+    with pytest.raises(DomainError, match="non-finite derivative"):
+        hamiltonian_vector_field(lambda c: float("nan"), lam, lam.chart.point([0.3, 0.4]))
+
+
 def test_reeb_of_collar_form(rng):
     alpha = dz_plus(lambda_std(2))
     ez = np.zeros(5)
@@ -79,7 +86,7 @@ def test_reeb_on_sphere(rng):
 
 def test_reeb_refuses_degenerate():
     ch = darboux_chart(1)
-    zero = custom_form("zero", ch, lambda c: np.zeros(2))
+    zero = OneFormField("zero", ch, lambda c: np.zeros(2))
     with pytest.raises(DegenerateSystemError):
         reeb_vector_field(zero, ch.point([0.3, 0.4]))
 
@@ -87,7 +94,7 @@ def test_reeb_refuses_degenerate():
 def test_liouville_refuses_ill_conditioned():
     ch = darboux_chart(1)
     # closed form: d(const) = 0, singular system
-    const = custom_form("const", ch, lambda c: np.array([1.0, 1.0]))
+    const = OneFormField("const", ch, lambda c: np.array([1.0, 1.0]))
     with pytest.raises(IllConditionedError) as exc:
         liouville_vector_field(const, ch.point([0.1, 0.2]))
     assert exc.value.condition_number > 1e10 or not np.isfinite(
@@ -104,8 +111,8 @@ def test_moser_field_solves_difference(rng):
     n = 1
     lam = lambda_std(n)
     # x dy has the same exterior derivative as lambda_std
-    other = custom_form("xdy", lam.chart,
-                        lambda c: np.array([0.0, c[0]]))
+    other = OneFormField("xdy", lam.chart,
+                         lambda c: np.array([0.0, c[0]]))
     p = lam.chart.point([0.4, 0.8])
     v = moser_field(lam, other, p)
     # d(lam)(V,.) = lam - other = (-y/2, -x/2); with omega = dx^dy,
@@ -115,7 +122,7 @@ def test_moser_field_solves_difference(rng):
 
 def test_moser_field_rejects_mismatched_derivatives():
     lam = lambda_std(1)
-    other = custom_form("2xdy", lam.chart, lambda c: np.array([0.0, 2.0 * c[0]]))
+    other = OneFormField("2xdy", lam.chart, lambda c: np.array([0.0, 2.0 * c[0]]))
     with pytest.raises(DegenerateSystemError):
         moser_field(lam, other, lam.chart.point([0.4, 0.8]))
 

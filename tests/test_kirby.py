@@ -64,11 +64,19 @@ def test_branched_cover_q3_counts():
 
 
 def test_branched_cover_label_arity():
-    with pytest.raises(DomainError):
-        branched_cover_diagram(_genus_one_page(), (), 2, core_curves=("a",))
-    with pytest.raises(DomainError):
-        branched_cover_diagram(_genus_one_page(), (), 2,
-                               zero_handle_labels=("p", "q"))
+    fewer_spheres = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a",))
+    with pytest.raises(DomainError, match="2 1-handles but 1 core-curve"):
+        branched_cover_diagram(fewer_spheres, (), 2)
+    two_zero_handles = PageSpec("two0", 1, ((0, 2), (1, 2)), True, ("a", "b"))
+    with pytest.raises(DomainError, match="one page 0-handle"):
+        branched_cover_diagram(two_zero_handles, (), 2)
+
+
+def test_branched_cover_needs_surface_page():
+    # The dim-4 page's 2-handle has no place in the diagram.
+    page = PageSpec("big", 2, ((0, 1), (2, 1)), True)
+    with pytest.raises(DomainError, match="surface page"):
+        branched_cover_diagram(page, (), 2)
 
 
 def test_surgery_diagram_k_minus_one():

@@ -2,6 +2,7 @@
 submodule's own object, loaded on first use."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -80,3 +81,22 @@ def test_submodule_import_and_version():
     from contactcalc import verify
     assert verify is importlib.import_module("contactcalc.verify")
     assert contactcalc.__version__ == "0.1.0"
+
+
+KERNEL_MODULES = ("forms", "fields", "conditions", "twist", "charts")
+NUMERICAL_SETTINGS = {"step", "h", "tolerance", "orientation"}
+
+
+@pytest.mark.parametrize("module", KERNEL_MODULES)
+def test_kernel_takes_no_step_or_tolerance(module):
+    """Steps and tolerances are module constants; only the stencil itself,
+    ``forms.central_difference``, takes a step."""
+    mod = importlib.import_module(f"contactcalc.{module}")
+    settable = []
+    for name, fn in vars(mod).items():
+        if (name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != mod.__name__ or name == "central_difference"):
+            continue
+        settable += [f"{name}({param})" for param in inspect.signature(fn).parameters
+                     if param in NUMERICAL_SETTINGS or param.endswith("_tol")]
+    assert settable == []

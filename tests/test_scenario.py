@@ -70,6 +70,28 @@ def test_kirby_command_counts_and_out(tmp_path):
     assert (tmp_path / "d.kirby").read_text().startswith("KIRBY 1")
 
 
+def test_kirby_cover_rejects_non_surface_page(tmp_path, monkeypatch, capsys):
+    text = ("page big dim=4 handles=[0:1,2:1] stein=true\n"
+            "kirby cover big q=2 out=big.kirby\n")
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+    assert (exc.value.code, exc.value.line, exc.value.col) == (E_SYNTAX, 2, 1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.scn").write_text(text)
+    assert main(["run", "big.scn"]) == 2
+    assert "surface page" in capsys.readouterr().err
+    assert not (tmp_path / "big.kirby").exists()
+
+
+def test_kirby_cover_empty_base_matches_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_scenario(parse_scenario(DECLS + "kirby cover genus1 q=2 base= out=s.kirby\n"))
+    assert main(["kirby", "cover", "--q", "2", "--base", ""]) == 0
+    cli_out = capsys.readouterr().out
+    assert "BASE\nDOTTED\n" in cli_out
+    assert (tmp_path / "s.kirby").read_text() == cli_out
+
+
 def test_verify_forms_in_scenario():
     report, status, _ = run_scenario(parse_scenario("verify forms samples=5\n"))
     assert status == 0
