@@ -181,9 +181,14 @@ def constraint_gradients(p: ChartPoint) -> np.ndarray:
 
 def orthonormal_complement(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of the row
-    span of ``rows``, by a full SVD; singular values <= 1e-12 count as 0."""
+    span of ``rows``, by a full SVD; singular values <= 1e-12 count as 0.
+    A stack of row sets (..., r, m) gives a stack of bases, and its row sets
+    must all have the same rank."""
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    return vt[int(np.sum(s > 1e-12)):].T
+    rank = (s > 1e-12).sum(axis=-1)
+    if rank.ndim and rank.min() != rank.max():
+        raise DomainError("the row sets of a stack differ in rank")
+    return vt[..., rank.flat[0]:, :].swapaxes(-1, -2)
 
 
 def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:

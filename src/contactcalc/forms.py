@@ -75,13 +75,20 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                        directions: np.ndarray, step: float = STEP) -> np.ndarray:
     """Derivatives of ``fn`` at x along the columns d_i of ``directions``:
     entry [..., i] is (fn(x + step d_i) - fn(x - step d_i)) / (2 step), so a
-    vector-valued fn gives the matrix whose column i is that difference."""
+    vector-valued fn gives the matrix whose column i is that difference.
+
+    x may be a batch of points (B..., dim) with one frame (B..., dim, k) per
+    point.  fn is then called once per offset, on the whole batch of
+    displaced points (B..., dim), and returns (B..., out...); the result is
+    (B..., out..., k)."""
     if not 0.0 < step < np.inf:
         raise DomainError(f"bad differencing step {step}")
-    offsets = step * directions.T
-    k = offsets.shape[0]
-    values = np.array([fn(y) for y in np.concatenate([x + offsets, x - offsets])],
-                      dtype=float)
+    offsets = step * directions.swapaxes(-1, -2)
+    k = offsets.shape[-2]
+    x = x[..., None, :]
+    ys = np.concatenate([x + offsets, x - offsets], axis=-2)  # (B..., 2k, dim)
+    ys = ys.transpose((ys.ndim - 2, *range(ys.ndim - 2), ys.ndim - 1))
+    values = np.array([fn(y) for y in ys], dtype=float)
     diff = (values[:k] - values[k:]) / (2.0 * step)
     return diff.transpose((*range(1, diff.ndim), 0))
 

@@ -68,6 +68,7 @@ def cross7(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cross7_matrix(u: np.ndarray) -> np.ndarray:
-    """Matrix of w -> u x w on R^7."""
+    """Matrix of w -> u x w on R^7; a stack u of shape (..., 7) gives a
+    stack of matrices (..., 7, 7)."""
     u = np.asarray(u, dtype=float)
-    return np.einsum("ijk,i->kj", _CROSS7, u)
+    return np.einsum("ijk,...i->...kj", _CROSS7, u)

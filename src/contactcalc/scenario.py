@@ -11,7 +11,7 @@ Grammar (one statement per line; '#' starts a comment; blank lines skipped):
     surgery <manifold> sphere=<label> k=<int> [param=<id>] -> <name>
     cover <manifold> q=<int> over=binding -> <name>
     fibered <page> <word> <word> -> <name>
-    kirby cover <page> q=<int> [base=<text>] [out=<path>]
+    kirby cover <page> q=<int> [base=<text>|base="<text with blanks>"] [out=<path>]
     kirby surgery k=<int> [out=<path>]
     verify equal <manifold> <manifold>
     verify forms [samples=<int>]
@@ -23,6 +23,11 @@ scenario's pages, words and open books; each command becomes a frozen record
 counts, keys, names, and integer and boolean values are all checked at parse
 time, so a malformed statement is reported before any statement runs or
 writes a file.  ``run_scenario`` executes the records in order.
+
+A key=value value may be double-quoted to hold blanks or '#'
+(``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
+the value is converted.  Quotes anywhere else, or a quote left open, are an
+E_SYNTAX error.
 
 Errors carry a source position and one of three codes: E_SYNTAX (malformed
 statement, or a command the library refused while running), E_UNDECLARED
@@ -139,15 +144,36 @@ class Scenario:
 _LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
+# A token is a run of non-blank characters in which a double-quoted part
+# may hold blanks and '#'; a lone '"' is an unterminated quote, and '#'
+# outside quotes starts a comment.
+_TOKEN = re.compile(r'(?:[^\s"#]|"[^"]*")+|"|#')
+_QUOTED_KV = re.compile(r'[^"=]+="[^"]*"')
+
+
 def _tokenize(line: str, lineno: int) -> list[Token]:
-    line = line.split("#", 1)[0]
-    return [Token(m.group(0), lineno, m.start() + 1)
-            for m in re.finditer(r"\S+", line)]
+    toks = []
+    for m in _TOKEN.finditer(line):
+        text, col = m.group(0), m.start() + 1
+        if text == "#":
+            break
+        if text == '"':
+            raise ScenarioError(E_SYNTAX, lineno, col, "unterminated quote")
+        if '"' in text and not _QUOTED_KV.fullmatch(text):
+            raise ScenarioError(E_SYNTAX, lineno, col,
+                                f'quotes may only enclose a whole value, '
+                                f'as in key="...": got {text}')
+        toks.append(Token(text, lineno, col))
+    return toks
 
 
 def _kv(tok: Token) -> Optional[tuple[str, str]]:
+    """The (key, value) of a key=value token, the quotes of a key="..."
+    value stripped; None for any other token."""
     if "=" in tok.text and not tok.text.startswith("="):
         key, _, val = tok.text.partition("=")
+        if val.startswith('"'):
+            val = val[1:-1]
         return key, val
     return None
 

@@ -5,11 +5,17 @@ Points of T*S^n are pairs (u, v) in R^{n+1} x R^{n+1} with ||u|| = 1 and
 by a profile angle f(||v||) with f(0) = pi and f = 2 pi outside a small
 fiber radius, so it is the antipodal map on the zero section and compactly
 supported in the fibers.
+
+Every map here is batched over leading axes: a ``CotangentPoint`` holds u
+and v of shape (..., n+1), one point per row, and the maps, generators,
+exponentials, tangent frames and pullbacks act row by row and return the
+same leading shape.  A single point (u and v of shape (n+1,)) is the N = 1
+case of the same code.  Norms, inner products and the small matrix products
+are elementwise products summed over the last axis, not BLAS calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,9 +30,36 @@ from .rounding import smoothstep
 ZERO_FIBER_THRESHOLD = 1e-12
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b> over the last axis."""
+    return (a * b).sum(axis=-1)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x for stacks: m (..., k, l) and x (..., l) give (..., k)."""
+    return (m * x[..., None, :]).sum(axis=-1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for stacks: a (..., k, l) and b (..., l, r) give (..., k, r)."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _require_rows(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise DomainError, quoting the first failing row's value, unless every
+    row is ok."""
+    if not ok.all():
+        raise DomainError(message.format(np.asarray(values)[~ok].flat[0]))
+
+
 @dataclass(frozen=True)
 class CotangentPoint:
-    """A point (u, v) of T*S^n in ambient coordinates."""
+    """Points (u, v) of T*S^n in ambient coordinates, one per row of u and v
+    (shape (..., n+1)); every row is validated."""
 
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -36,49 +69,63 @@ class CotangentPoint:
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if u.shape != v.shape or u.ndim != 1:
-            raise DomainError("u and v must be vectors of equal length")
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if not abs(nu - 1.0) <= POINT_TOL:
-            raise DomainError(f"||u|| = {nu} is not 1")
-        if not math.isfinite(nv):
-            raise DomainError(f"||v|| = {nv} is not finite")
-        if not abs(float(np.dot(u, v))) <= POINT_TOL * max(1.0, nv):
-            raise DomainError(f"<u,v> = {np.dot(u, v)} is not 0")
+        if u.shape != v.shape or u.ndim == 0:
+            raise DomainError("u and v must be arrays of equal shape (..., n+1)")
+        nu, nv = _norm(u), _norm(v)
+        _require_rows(np.abs(nu - 1.0) <= POINT_TOL, nu, "||u|| = {} is not 1")
+        _require_rows(np.isfinite(nv), nv, "||v|| = {} is not finite")
+        uv = _dot(u, v)
+        _require_rows(np.abs(uv) <= POINT_TOL * np.maximum(1.0, nv), uv,
+                      "<u,v> = {} is not 0")
 
     @property
     def n(self) -> int:
-        return self.u.size - 1
+        return self.u.shape[-1] - 1
 
     def ambient(self) -> np.ndarray:
-        return np.concatenate([self.u, self.v])
+        return np.concatenate([self.u, self.v], axis=-1)
 
     def __repr__(self):
-        return (f"CotangentPoint(n={self.n}, |v|={np.linalg.norm(self.v):.4f})")
+        if self.u.ndim > 1:
+            return f"CotangentPoint(n={self.n}, batch={self.u.shape[:-1]})"
+        return f"CotangentPoint(n={self.n}, |v|={float(_norm(self.v)):.4f})"
 
 
 def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
-    """Project nearby ambient data back onto T*S^n."""
+    """Project nearby ambient data back onto T*S^n, row by row."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    if nu < 0.5:
+    nu = _norm(u)[..., None]
+    if not np.all(nu >= 0.5):
         raise DomainError("point too far from T*S^n to retract")
     uhat = u / nu
-    return CotangentPoint(uhat, v - float(np.dot(v, uhat)) * uhat)
+    return CotangentPoint(uhat, v - _dot(v, uhat)[..., None] * uhat)
 
 
-def random_point(rng: np.random.Generator, n: int, fiber_radius: float) -> CotangentPoint:
-    """A random point with ||v|| uniform in (0, fiber_radius]."""
+def _draw(rng: np.random.Generator, n: int, fiber_radius: float):
+    """One sample (u, v) for ``random_point``, unvalidated."""
     u = rng.normal(size=n + 1)
     u /= np.linalg.norm(u)
     v = rng.normal(size=n + 1)
     v -= float(np.dot(v, u)) * u
     norm = np.linalg.norm(v)
     if norm < 1e-8:
-        return random_point(rng, n, fiber_radius)
+        return _draw(rng, n, fiber_radius)
     v *= float(rng.uniform(1e-3, 1.0)) * fiber_radius / norm
-    return CotangentPoint(u, v)
+    return u, v
+
+
+def random_point(rng: np.random.Generator, n: int, fiber_radius: float) -> CotangentPoint:
+    """A random point with ||v|| uniform in (0, fiber_radius]."""
+    return CotangentPoint(*_draw(rng, n, fiber_radius))
+
+
+def random_points(rng: np.random.Generator, n: int, fiber_radius: float,
+                  count: int) -> CotangentPoint:
+    """``count`` points drawn one after another as by ``random_point`` (so in
+    its RNG order), as one batch of shape (count, n+1)."""
+    us, vs = zip(*(_draw(rng, n, fiber_radius) for _ in range(count)))
+    return CotangentPoint(np.stack(us), np.stack(vs))
 
 
 @dataclass(frozen=True)
@@ -101,30 +148,31 @@ def make_profile(epsilon: float) -> TwistProfile:
 
 @dataclass(frozen=True)
 class SkewGenerator:
-    """A skew matrix generating either the fiberwise almost-complex rotation
-    j_u or the rotation v_u of the (u, v-hat) plane."""
+    """Skew matrices (shape (..., n+1, n+1)) generating either the fiberwise
+    almost-complex rotation j_u or the rotation v_u of the (u, v-hat) plane."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", a)
-        if np.max(np.abs(a + a.T)) > 1e-12:
+        if not np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-12:
             raise DomainError("generator is not skew-symmetric")
-        if np.max(np.abs(a @ a @ a + a)) > 1e-10:
+        if not np.max(np.abs(_matmul(_matmul(a, a), a) + a)) <= 1e-10:
             raise DomainError("generator does not satisfy A^3 = -A")
 
 
 def plane_generator(u: np.ndarray, v: np.ndarray) -> SkewGenerator:
     """A = vhat u^T - u vhat^T: rotates the oriented (u, vhat) plane and
     annihilates its orthogonal complement."""
+    u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm <= ZERO_FIBER_THRESHOLD:
+    norm = _norm(v)[..., None]
+    if not np.all(norm > ZERO_FIBER_THRESHOLD):
         raise DomainError("plane generator undefined on the zero fiber")
     vhat = v / norm
-    u = np.asarray(u, dtype=float)
-    return SkewGenerator(np.outer(vhat, u) - np.outer(u, vhat))
+    return SkewGenerator(vhat[..., :, None] * u[..., None, :]
+                         - u[..., :, None] * vhat[..., None, :])
 
 
 def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
@@ -132,8 +180,11 @@ def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
     the octonionic 7-dimensional one for n=6."""
     u = np.asarray(u, dtype=float)
     if n == 2:
-        ux, uy, uz = u
-        m = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+        ux, uy, uz = np.moveaxis(u, -1, 0)
+        zero = np.zeros_like(ux)
+        m = np.stack([np.stack([zero, -uz, uy], axis=-1),
+                      np.stack([uz, zero, -ux], axis=-1),
+                      np.stack([-uy, ux, zero], axis=-1)], axis=-2)
     elif n == 6:
         m = cross7_matrix(u)
     else:
@@ -141,73 +192,95 @@ def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
     return SkewGenerator(m)
 
 
-def generator_exp(gen: SkewGenerator, theta: float) -> np.ndarray:
-    """e^(theta A) in closed form, valid because A^3 = -A."""
+def generator_exp(gen: SkewGenerator, theta) -> np.ndarray:
+    """e^(theta A) in closed form, valid because A^3 = -A; theta is one
+    angle or one per generator of the stack."""
     a = gen.matrix
-    return np.eye(a.shape[0]) + np.sin(theta) * a + (1.0 - np.cos(theta)) * (a @ a)
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return np.eye(a.shape[-1]) + np.sin(theta) * a + (1.0 - np.cos(theta)) * _matmul(a, a)
 
 
 def mixed_exp(matrix: np.ndarray) -> np.ndarray:
-    """e^M = V diag(e^(-iw)) V^H for real skew M, where iM = V diag(w) V^H."""
+    """e^M = V diag(e^(-iw)) V^H for real skew M, where iM = V diag(w) V^H;
+    a stack of matrices takes one stacked ``eigh``."""
     w, v = np.linalg.eigh(1j * matrix)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+    return _matmul(v * np.exp(-1j * w)[..., None, :],
+                   np.swapaxes(v, -1, -2).conj()).real
 
 
 def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau_n(u, v): rotate (u, v) by f(||v||) in the (u, v-hat) plane."""
-    norm = np.linalg.norm(p.v)
-    if norm < ZERO_FIBER_THRESHOLD:
-        return CotangentPoint(-p.u, np.zeros_like(p.v))
-    theta = float(prof.f(norm))
-    vhat = p.v / norm
+    norm = _norm(p.v)[..., None]
+    zero = norm < ZERO_FIBER_THRESHOLD
+    theta = prof.f(norm)
+    vhat = p.v / np.where(zero, 1.0, norm)
     c, s = np.cos(theta), np.sin(theta)
-    u_new = c * p.u + s * vhat
-    v_new = -norm * s * p.u + c * p.v
+    u_new = np.where(zero, -p.u, c * p.u + s * vhat)
+    v_new = np.where(zero, 0.0, -norm * s * p.u + c * p.v)
     return CotangentPoint(u_new, v_new)
+
+
+def _rotate(p: CotangentPoint, rotation: Callable[..., np.ndarray],
+            zero_sign: float, *row_params, fiber_only: bool = False) -> CotangentPoint:
+    """Apply per-row rotation matrices to the rows of p off the zero fiber.
+
+    ``rotation(u, v, norm, *params)`` receives those rows (shape (k, n+1)),
+    their fiber norms and the matching entries of each ``row_params`` value
+    (broadcast to p's batch shape), and returns (k, n+1, n+1) rotations.  They
+    act on v, and on u too unless ``fiber_only``.  A zero-fiber row goes to
+    (zero_sign u, 0).
+    """
+    m = p.u.shape[-1]
+    u, v = p.u.reshape(-1, m), p.v.reshape(-1, m)
+    norm = _norm(v)
+    moving = norm >= ZERO_FIBER_THRESHOLD
+    out_u, out_v = zero_sign * u, np.zeros_like(v)
+    if np.any(moving):
+        batch = p.u.shape[:-1]
+        params = [np.broadcast_to(np.asarray(x, dtype=float), batch).reshape(-1)[moving]
+                  for x in row_params]
+        rot = rotation(u[moving], v[moving], norm[moving], *params)
+        if not fiber_only:
+            out_u[moving] = _matvec(rot, u[moving])
+        out_v[moving] = _matvec(rot, v[moving])
+    return CotangentPoint(out_u.reshape(p.u.shape), out_v.reshape(p.v.shape))
 
 
 def apply_twist_via_generator(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """Second evaluation path: (e^(f A) u, e^(f A) v) with A the plane generator."""
-    norm = np.linalg.norm(p.v)
-    if norm < ZERO_FIBER_THRESHOLD:
-        return CotangentPoint(-p.u, np.zeros_like(p.v))
-    rot = generator_exp(plane_generator(p.u, p.v), float(prof.f(norm)))
-    return CotangentPoint(rot @ p.u, rot @ p.v)
+    return _rotate(p, lambda u, v, norm: generator_exp(plane_generator(u, v),
+                                                       prof.f(norm)), -1.0)
 
 
 def twist_square_direct(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau^2 in one step: e^(2 f v_u) applied to both components."""
-    norm = np.linalg.norm(p.v)
-    if norm < ZERO_FIBER_THRESHOLD:
-        return CotangentPoint(p.u.copy(), np.zeros_like(p.v))
-    rot = generator_exp(plane_generator(p.u, p.v), 2.0 * float(prof.f(norm)))
-    return CotangentPoint(rot @ p.u, rot @ p.v)
+    return _rotate(p, lambda u, v, norm: generator_exp(plane_generator(u, v),
+                                                       2.0 * prof.f(norm)), 1.0)
 
 
-def isotopy_phi(t: float, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """Phi_t: e^(2 f ((1-t) j_u + t v_u)) applied to both components;
-    the zero section is sent to itself."""
+    the zero section is sent to itself.  t is one time or one per row."""
     if p.n not in (2, 6):
         raise DomainError(f"isotopy_phi needs n in {{2,6}}, got {p.n}")
-    norm = np.linalg.norm(p.v)
-    if norm < ZERO_FIBER_THRESHOLD:
-        return CotangentPoint(p.u.copy(), np.zeros_like(p.v))
-    j = almost_complex_generator(p.u, p.n).matrix
-    a = plane_generator(p.u, p.v).matrix
-    rot = mixed_exp(2.0 * float(prof.f(norm)) * ((1.0 - t) * j + t * a))
-    return CotangentPoint(rot @ p.u, rot @ p.v)
+
+    def rotation(u, v, norm, t):
+        j = almost_complex_generator(u, p.n).matrix
+        a = plane_generator(u, v).matrix
+        t = t[:, None, None]
+        return mixed_exp((2.0 * prof.f(norm))[:, None, None] * ((1.0 - t) * j + t * a))
+
+    return _rotate(p, rotation, 1.0, t)
 
 
-def isotopy_psi(t: float, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
-    """Psi_t: fiberwise rotation (u, e^(t 2 f j_u) v); Psi_0 = id, Psi_1 = Phi_0."""
+def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+    """Psi_t: fiberwise rotation (u, e^(t 2 f j_u) v); Psi_0 = id, Psi_1 = Phi_0.
+    t is one time or one per row."""
     if p.n not in (2, 6):
         raise DomainError(f"isotopy_psi needs n in {{2,6}}, got {p.n}")
-    norm = np.linalg.norm(p.v)
-    if norm < ZERO_FIBER_THRESHOLD:
-        return CotangentPoint(p.u.copy(), np.zeros_like(p.v))
-    j = almost_complex_generator(p.u, p.n)
-    rot = generator_exp(j, t * 2.0 * float(prof.f(norm)))
-    return CotangentPoint(p.u.copy(), rot @ p.v)
+    return _rotate(p, lambda u, v, norm, t: generator_exp(
+        almost_complex_generator(u, p.n), t * 2.0 * prof.f(norm)), 1.0, t,
+        fiber_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +288,11 @@ def isotopy_psi(t: float, p: CotangentPoint, prof: TwistProfile) -> CotangentPoi
 # ---------------------------------------------------------------------------
 
 def tstar_tangent_frame(p: CotangentPoint) -> np.ndarray:
-    """Orthonormal frame (columns) of T_(u,v) T*S^n inside R^{2(n+1)}."""
-    m = p.u.size
-    g1 = np.concatenate([2.0 * p.u, np.zeros(m)])
-    g2 = np.concatenate([p.v, p.u])
-    return orthonormal_complement(np.stack([g1, g2]))
+    """Orthonormal frames (columns, shape (..., 2(n+1), 2n)) of
+    T_(u,v) T*S^n inside R^{2(n+1)}."""
+    g1 = np.concatenate([2.0 * p.u, np.zeros_like(p.u)], axis=-1)
+    g2 = np.concatenate([p.v, p.u], axis=-1)
+    return orthonormal_complement(np.stack([g1, g2], axis=-2))
 
 
 @dataclass(frozen=True)
@@ -229,27 +302,34 @@ class PullbackResult:
     reference: np.ndarray = field(repr=False)
 
     @property
+    def deviations(self) -> np.ndarray:
+        """Largest entry of |pulled - reference| per point of the batch."""
+        return np.max(np.abs(self.pulled - self.reference), axis=(-2, -1))
+
+    @property
     def max_deviation(self) -> float:
-        return float(np.max(np.abs(self.pulled - self.reference)))
+        return float(np.max(self.deviations))
 
 
 def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
                       p: CotangentPoint) -> PullbackResult:
-    """Pull back -d(lambda_can) through ``map_fn`` on a tangent frame at p.
+    """Pull back -d(lambda_can) through ``map_fn`` on a tangent frame at each
+    point of p.
 
     The differential is assembled by central differences along retracted
-    curves in the constraint-tangent directions.
+    curves in the constraint-tangent directions; ``map_fn`` is called once
+    per differencing offset, on the whole batch.
     """
     frame = tstar_tangent_frame(p)
-    m = p.u.size
+    m = p.u.shape[-1]
 
     def image(y: np.ndarray) -> np.ndarray:
-        return map_fn(retract(y[:m], y[m:])).ambient()
+        return map_fn(retract(y[..., :m], y[..., m:])).ambient()
 
     def minus_dlambda(w: np.ndarray) -> np.ndarray:
         # sum du_i ^ dv_i on the columns (du, dv) of w: du^T dv - dv^T du
-        pairing = w[:m].T @ w[m:]
-        return pairing - pairing.T
+        pairing = _matmul(np.swapaxes(w[..., :m, :], -1, -2), w[..., m:, :])
+        return pairing - np.swapaxes(pairing, -1, -2)
 
     diff = central_difference(image, p.ambient(), frame)
     return PullbackResult(frame, minus_dlambda(diff), minus_dlambda(frame))
@@ -269,22 +349,22 @@ class ProbeReport:
 def boundary_displacement_probe(family: str, prof: TwistProfile, n: int,
                                 samples: int, seed: int = 0) -> ProbeReport:
     """Max ||family_t(p) - p|| over ||v|| = 1 boundary points and the
-    11-point t-grid 0, 0.1, ..., 1.
+    11-point t-grid 0, 0.1, ..., 1, evaluated as one batch.
 
     Reports the measurement only; whether intermediate-t maps fix the
     boundary is deliberately not asserted anywhere in this package.
     """
     if family not in ("phi", "psi"):
         raise DomainError(f"unknown family {family!r}")
+    if samples < 1:
+        raise DomainError(f"the probe needs at least one sample, got {samples}")
     apply = isotopy_phi if family == "phi" else isotopy_psi
-    rng = np.random.default_rng(seed)
-    worst, wt, wp = 0.0, 0.0, None
-    for _ in range(samples):
-        q = random_point(rng, n, 1.0)
-        q = CotangentPoint(q.u, q.v / np.linalg.norm(q.v))  # push to ||v|| = 1
-        for t in np.linspace(0.0, 1.0, 11):
-            out = apply(float(t), q, prof)
-            disp = float(np.linalg.norm(out.ambient() - q.ambient()))
-            if disp > worst:
-                worst, wt, wp = disp, float(t), q
-    return ProbeReport(family, worst, wt, wp, samples)
+    q = random_points(np.random.default_rng(seed), n, 1.0, samples)
+    q = CotangentPoint(q.u, q.v / _norm(q.v)[:, None])  # push to ||v|| = 1
+    ts = np.linspace(0.0, 1.0, 11)
+    grid = CotangentPoint(np.repeat(q.u[:, None, :], ts.size, axis=1),
+                          np.repeat(q.v[:, None, :], ts.size, axis=1))
+    disp = _norm(apply(ts, grid, prof).ambient() - grid.ambient())
+    i, j = np.unravel_index(np.argmax(disp), disp.shape)
+    return ProbeReport(family, float(disp[i, j]), float(ts[j]),
+                       CotangentPoint(q.u[i], q.v[i]), samples)

@@ -22,10 +22,11 @@ def _line(metric: str, value: float, tol: float, asserted: bool = True) -> Repor
 
 
 def _worst(deviations) -> float:
-    """The largest absolute entry over the samples' deviation arrays.  A NaN
-    anywhere makes it NaN, and so fails its line, where Python's ``max``
+    """The largest absolute entry over the samples' deviations: per-sample
+    arrays of one shape, or one batch array whose rows are the samples.  A
+    NaN anywhere makes it NaN, and so fails its line, where Python's ``max``
     would drop it."""
-    return float(np.max([np.max(np.abs(d)) for d in deviations]))
+    return float(np.max(np.abs(np.asarray(list(deviations), dtype=float))))
 
 
 def _random_points(rng: np.random.Generator, chart, samples: int,
@@ -107,9 +108,11 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     prof = twist.make_profile(0.4)
     out = []
 
-    dev = _worst(twist.pullback_two_form(
-        lambda q: twist.apply_twist(q, prof),
-        twist.random_point(rng, n, 0.9)).max_deviation for _ in range(samples))
+    # Each line draws its points one by one (random_point's RNG order) and
+    # runs them through the twist maps as one batch.
+    q = twist.random_points(rng, n, 0.9, samples)
+    dev = twist.pullback_two_form(lambda p: twist.apply_twist(p, prof),
+                                  q).max_deviation
     out.append(_line(f"twist_pullback_minus_dlambda_can_n{n}", dev, tol))
 
     u = np.zeros(n + 1)
@@ -118,26 +121,21 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     dev = float(np.max(np.abs(zero.u + u)) + np.max(np.abs(zero.v)))
     out.append(_line(f"twist_zero_section_antipodal_n{n}", dev, 0.0))
 
-    def outside_eps_shift(q):
-        q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v) * 0.95)
-        return twist.apply_twist(q, prof).ambient() - q.ambient()
-    dev = _worst(outside_eps_shift(twist.random_point(rng, n, 1.0))
-                 for _ in range(20))
+    q = twist.random_points(rng, n, 1.0, 20)
+    q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True)
+                             * 0.95)
+    dev = _worst(twist.apply_twist(q, prof).ambient() - q.ambient())
     out.append(_line(f"twist_identity_outside_eps_n{n}", dev, 1e-12))
 
-    def two_path_gap(q):
-        return (twist.apply_twist(q, prof).ambient()
-                - twist.apply_twist_via_generator(q, prof).ambient())
-    dev = _worst(two_path_gap(twist.random_point(rng, n, 0.9))
-                 for _ in range(samples))
+    q = twist.random_points(rng, n, 0.9, samples)
+    dev = _worst(twist.apply_twist(q, prof).ambient()
+                 - twist.apply_twist_via_generator(q, prof).ambient())
     out.append(_line(f"twist_two_path_consistency_n{n}", dev, 1e-10))
 
     if n in (2, 6):
-        def square_gap(q):
-            return (twist.isotopy_phi(1.0, q, prof).ambient()
-                    - twist.twist_square_direct(q, prof).ambient())
-        dev = _worst(square_gap(twist.random_point(rng, n, 0.9))
-                     for _ in range(20))
+        q = twist.random_points(rng, n, 0.9, 20)
+        dev = _worst(twist.isotopy_phi(1.0, q, prof).ambient()
+                     - twist.twist_square_direct(q, prof).ambient())
         out.append(_line(f"isotopy_phi1_vs_tau_squared_n{n}", dev, 1e-8))
         probe = twist.boundary_displacement_probe("phi", prof, n, 5, seed)
         out.append(ReportLine(f"boundary_displacement_probe_phi_n{n}",

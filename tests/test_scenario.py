@@ -92,6 +92,29 @@ def test_kirby_cover_empty_base_matches_cli(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "s.kirby").read_text() == cli_out
 
 
+def test_kirby_cover_quoted_base_matches_cli(tmp_path, monkeypatch, capsys):
+    base = "L(2,1) as -2 surgery on unknot # the lens space"
+    monkeypatch.chdir(tmp_path)
+    run_scenario(parse_scenario(
+        DECLS + f'kirby cover genus1 q=2 base="{base}" out=s.kirby  # comment\n'))
+    assert main(["kirby", "cover", "--q", "2", "--base", base]) == 0
+    cli_out = capsys.readouterr().out
+    assert f"BASE\n{base}\nDOTTED\n" in cli_out
+    assert (tmp_path / "s.kirby").read_bytes() == cli_out.encode()
+
+
+@pytest.mark.parametrize("stmt,col", [
+    ('kirby cover genus1 q=2 base="L(2,1) as', 29),
+    ('kirby cover genus1 q=2 "base=L(2,1)"', 24),
+    ('kirby cover genus1 q=2 base=L"(2,1)"', 24),
+])
+def test_bad_quotes_are_positioned_syntax_errors(stmt, col):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(DECLS + stmt + "\n")
+    lineno = DECLS.count("\n") + 1
+    assert (exc.value.code, exc.value.line, exc.value.col) == (E_SYNTAX, lineno, col)
+
+
 def test_verify_forms_in_scenario():
     report, status, _ = run_scenario(parse_scenario("verify forms samples=5\n"))
     assert status == 0

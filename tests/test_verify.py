@@ -1,8 +1,11 @@
 """A NaN in any sample of a verify suite fails the line that used it.
 
-Each case makes one kernel function return NaN on one call (the second
-sample of its line, where Python's max or min would drop it) and checks that
-the line prints FAIL."""
+The forms suite evaluates its samples one call at a time, so its cases make
+one kernel function return NaN on one call (the second sample of its line).
+The twist suite evaluates each line's samples as one batch, so its cases
+poison the second sample row of the batched result instead.  Either way the
+NaN is one that Python's max or min would drop, and the line must print
+FAIL."""
 
 import math
 from types import SimpleNamespace
@@ -13,21 +16,32 @@ import pytest
 from contactcalc import conditions, fields, forms, twist, verify
 
 SAMPLES = 5
+ROW = 1  # the second sample row of a batched twist result
+
+
+def _with_nan_row(array):
+    out = np.array(array, dtype=float)
+    out[ROW] = np.nan
+    return out
 
 
 def _nan_like(value):
-    """A stand-in for a kernel result with every number NaN; the suites read
-    arrays and floats directly, a twisted point through ``ambient()``, a
-    pullback through ``max_deviation`` and a 2-form through ``entries``."""
+    """A stand-in for a kernel result with NaN in place of its numbers: all
+    of them for a per-call result, only sample row ``ROW`` of a batched
+    one.  The suites read arrays and floats directly, twisted points through
+    ``u``, ``v`` and ``ambient()``, a pullback through ``max_deviation`` and
+    a 2-form through ``entries``."""
     if isinstance(value, np.ndarray):
         return np.full(value.shape, np.nan)
     if isinstance(value, float):
         return math.nan
     if isinstance(value, twist.CotangentPoint):
-        shape = value.ambient().shape
-        return SimpleNamespace(ambient=lambda: np.full(shape, np.nan))
+        u, v = _with_nan_row(value.u), _with_nan_row(value.v)
+        return SimpleNamespace(u=u, v=v,
+                               ambient=lambda: np.concatenate([u, v], axis=-1))
     if isinstance(value, twist.PullbackResult):
-        return SimpleNamespace(max_deviation=math.nan)
+        return twist.PullbackResult(value.frame, _with_nan_row(value.pulled),
+                                    value.reference)
     return SimpleNamespace(entries=np.full(value.entries.shape, np.nan))
 
 
@@ -37,7 +51,7 @@ def _every(*args):
 
 def _poison(monkeypatch, owner, name, nth, counts):
     """Make ``owner.name`` return NaN on the nth call for which ``counts``
-    holds."""
+    holds (in sample row ``ROW`` only, for a batched twist result)."""
     original = getattr(owner, name)
     seen = [0]
 
@@ -54,7 +68,7 @@ def _poison(monkeypatch, owner, name, nth, counts):
 
 def _is_outside_eps(q, prof):
     # Only the identity-outside-epsilon line twists points with |v| = 0.95.
-    return abs(np.linalg.norm(q.v) - 0.95) < 1e-12
+    return bool(np.all(np.abs(np.linalg.norm(q.v, axis=-1) - 0.95) < 1e-12))
 
 
 CASES = [
@@ -68,13 +82,13 @@ CASES = [
     ("forms", conditions, "contact_margin", 2, _every,
      "contact_margin_dz_plus_lambda_std"),
     ("forms", forms, "exterior_derivative", 2, _every, "d_lambda_std_vs_closed_form"),
-    ("twist", twist, "pullback_two_form", 2, _every,
+    ("twist", twist, "pullback_two_form", 1, _every,
      "twist_pullback_minus_dlambda_can_n2"),
-    ("twist", twist, "apply_twist", 2, _is_outside_eps,
+    ("twist", twist, "apply_twist", 1, _is_outside_eps,
      "twist_identity_outside_eps_n2"),
-    ("twist", twist, "apply_twist_via_generator", 2, _every,
+    ("twist", twist, "apply_twist_via_generator", 1, _every,
      "twist_two_path_consistency_n2"),
-    ("twist", twist, "twist_square_direct", 2, _every,
+    ("twist", twist, "twist_square_direct", 1, _every,
      "isotopy_phi1_vs_tau_squared_n2"),
 ]
 
@@ -92,3 +106,27 @@ def test_nan_sample_fails_its_line(suite, owner, name, nth, counts, metric,
     assert math.isnan(line.value)
     assert line.render().endswith("\tFAIL")
     assert verify.report_failed(lines)
+
+
+def _twist_calls(monkeypatch, n, samples):
+    """How often ``verify_twist(n, samples=samples)`` calls the batched twist
+    map and the pullback."""
+    calls = {"apply_twist": 0, "pullback_two_form": 0}
+    for name in calls:
+        original = getattr(twist, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(twist, name, counted)
+    verify.verify_twist(n, samples=samples)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_twist_suite_call_count_is_independent_of_samples(n, monkeypatch):
+    # One batched call per line (and per differencing offset inside the
+    # pullback), however many samples: a per-point loop would scale with them.
+    assert _twist_calls(monkeypatch, n, 5) == _twist_calls(monkeypatch, n, 50)
