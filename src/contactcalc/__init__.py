@@ -16,16 +16,15 @@ __version__ = "0.1.0"
 # Submodule -> the public names the package exports from it.
 _EXPORTS = {
     "charts": ("Chart", "ChartPoint", "darboux_chart", "cotangent_chart",
-               "sphere_chart", "euclidean_chart", "load_sample_file"),
+               "sphere_chart"),
     "conditions": ("check_contact_condition", "check_contact_dilation",
                    "check_two_form_dilation"),
     "reports": ("ConditionReport",),
     "fields": ("hamiltonian_vector_field", "liouville_vector_field",
                "moser_field", "reeb_vector_field"),
-    "forms": ("OneFormField", "SkewMatrixAtPoint", "eval_one_form",
-              "exterior_derivative", "lambda_std", "lambda_can", "weinstein",
-              "weinstein_hamiltonian", "handle_form", "dz_plus",
-              "theta_invariant"),
+    "forms": ("OneFormField", "eval_one_form", "d_matrix", "lambda_std",
+              "lambda_can", "weinstein", "weinstein_hamiltonian",
+              "handle_form", "dz_plus", "theta_invariant"),
     "rounding": ("rounding_curve", "smoothstep"),
     "twist": ("CotangentPoint", "TwistProfile", "apply_twist",
               "almost_complex_generator", "boundary_displacement_probe",

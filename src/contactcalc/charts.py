@@ -44,23 +44,6 @@ def unit_norm_constraint(indices: Sequence[int], name: str = "unit_norm") -> Con
     return Constraint(name, value, grad)
 
 
-def orthogonality_constraint(idx_a: Sequence[int], idx_b: Sequence[int],
-                             name: str = "orthogonal") -> Constraint:
-    """Constraint <x[idx_a], x[idx_b]> = 0 (e.g. <u,v>=0 on T*S^n)."""
-    ia, ib = tuple(idx_a), tuple(idx_b)
-
-    def value(x: np.ndarray) -> float:
-        return float(np.dot(x[list(ia)], x[list(ib)]))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x)
-        g[list(ia)] += x[list(ib)]
-        g[list(ib)] += x[list(ia)]
-        return g
-
-    return Constraint(name, value, grad)
-
-
 @dataclass(frozen=True)
 class Chart:
     """A named chart: ambient coordinates plus optional constraints.
@@ -86,10 +69,6 @@ class Chart:
 
     def point(self, coords) -> "ChartPoint":
         return ChartPoint(self, np.asarray(coords, dtype=float))
-
-
-def euclidean_chart(name: str, coord_names: Sequence[str]) -> Chart:
-    return Chart(name, tuple(coord_names))
 
 
 def darboux_chart(n: int) -> Chart:
@@ -212,15 +191,3 @@ def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:
             frame = frame.copy()
             frame[:, 0] = -frame[:, 0]
     return frame
-
-
-def load_sample_file(path, chart: Chart) -> list[ChartPoint]:
-    """Read whitespace-separated points, one per line; '#' starts a comment."""
-    points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            points.append(chart.point([float(tok) for tok in line.split()]))
-    return points

@@ -43,23 +43,6 @@ class OneFormField:
         return eval_one_form(self, p)
 
 
-@dataclass(frozen=True)
-class SkewMatrixAtPoint:
-    """Values of a 2-form on coordinate basis pairs at a point."""
-
-    base: ChartPoint
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", e)
-        m = self.base.chart.dim
-        if e.shape != (m, m):
-            raise DomainError(f"2-form matrix shape {e.shape} != ({m},{m})")
-        if np.max(np.abs(e + e.T)) > 1e-8 * max(1.0, np.max(np.abs(e))):
-            raise DomainError("2-form matrix is not skew-symmetric")
-
-
 def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
     """Covector components of ``form`` at ``p`` (exact for catalog forms)."""
     require_same_chart(form.chart, p.chart)
@@ -100,10 +83,6 @@ def d_matrix(form: OneFormField, x: np.ndarray) -> np.ndarray:
         raise DomainError(f"non-finite derivative of {form.form_id}")
     return jac.T - jac
 
-
-def exterior_derivative(form: OneFormField, p: ChartPoint) -> SkewMatrixAtPoint:
-    """d(form) at p as a SkewMatrixAtPoint."""
-    return SkewMatrixAtPoint(p, d_matrix(form, p.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Octonion multiplication and the 7-dimensional cross product.
+"""The 7-dimensional cross product of the imaginary octonions.
 
-The multiplication table is generated by Cayley-Dickson doubling of the
-quaternions: writing an octonion as a pair (a, b) of quaternions,
-
-    (a, b) * (c, d) = (a c - conj(d) b,  d a + b conj(c)).
-
-Basis: e0 = 1 (real), imaginary units e1..e7 with (e1, e2, e3) the
-quaternion units (i, j, k), e4 = (0, 1), e5 = (0, i), e6 = (0, j),
-e7 = (0, k).  The induced Fano-plane triples (ei ej = ek cyclically) are
+Basis: imaginary units e1..e7.  The table is the seven Fano-plane triples
 
     (1,2,3) (1,4,5) (2,4,6) (3,4,7) (1,7,6) (2,5,7) (3,6,5)
+
+read as e_a x e_b = e_c for each cyclic rotation (a, b, c) of a triple, and
+e_b x e_a = -e_c.  These are the triples of the Cayley-Dickson doubling of
+the quaternions with (e1, e2, e3) = (i, j, k) and e4..e7 = (0, 1), (0, i),
+(0, j), (0, k); the tests check the table against that product.
 
 Any consistent sign convention works for this package: only the identity
 u x (u x w) = <u,w> u - w (for unit u) is consumed downstream.
@@ -19,52 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+_FANO = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (1, 7, 6), (2, 5, 7),
+         (3, 6, 5))
 
 
-def _quat_conj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
+def _cross_table() -> np.ndarray:
+    """t[i, j] = e_{i+1} x e_{j+1} (7x7x7)."""
+    t = np.zeros((7, 7, 7))
+    for a, b, c in _FANO:
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            t[i - 1, j - 1, k - 1] = 1.0
+            t[j - 1, i - 1, k - 1] = -1.0
+    return t
 
 
-def octonion_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two octonions given as length-8 coefficient vectors."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    p, q = a[:4], a[4:]
-    r, s = b[:4], b[4:]
-    top = _quat_mul(p, r) - _quat_mul(_quat_conj(s), q)
-    bot = _quat_mul(s, p) + _quat_mul(q, _quat_conj(r))
-    return np.concatenate([top, bot])
-
-
-def _structure_tensor() -> np.ndarray:
-    """c[i,j,:] = imaginary part of e_{i+1} * e_{j+1} (7x7x7)."""
-    c = np.zeros((7, 7, 7))
-    for i in range(7):
-        for j in range(7):
-            ei = np.zeros(8)
-            ej = np.zeros(8)
-            ei[i + 1] = 1.0
-            ej[j + 1] = 1.0
-            c[i, j] = octonion_multiply(ei, ej)[1:]
-    return c
-
-
-_CROSS7 = _structure_tensor()
-
-
-def cross7(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product on R^7 = imaginary octonions: Im((0,a) * (0,b))."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return np.einsum("ijk,i,j->k", _CROSS7, a, b)
+_CROSS7 = _cross_table()
 
 
 def cross7_matrix(u: np.ndarray) -> np.ndarray:

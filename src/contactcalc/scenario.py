@@ -436,12 +436,14 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
     byte-stable for fixed inputs and seed.  ``tol=None`` keeps each verify
     suite's own tolerance.  A negative seed, a sample count below 1 or a NaN
     or negative ``tol`` raises ``DomainError`` before any statement runs,
-    whether or not the scenario runs a suite.
+    whether or not the scenario runs a suite.  ``out=`` files are written,
+    in statement order, only after the last statement has run, so a run
+    that raises leaves none behind.
     """
     check_suite_args(seed, samples, tol)
     env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
     lines: list[str] = []
-    files: list[str] = []
+    files: list[tuple[str, str]] = []  # (path, text), written once all ran
     failed = False
 
     def ok(metric: str, value: str):
@@ -479,9 +481,7 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                     if cmd.out is not None:
                         path = cmd.out if out_dir is None \
                             else f"{out_dir.rstrip('/')}/{cmd.out}"
-                        with open(path, "w", encoding="utf-8") as fh:
-                            fh.write(text)
-                        files.append(path)
+                        files.append((path, text))
                         ok("kirby:file", path)
                     else:
                         ok("kirby:dotted", str(len(diagram.dotted)))
@@ -501,4 +501,8 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
             raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,
                                 f"{type(cmd).__name__.lower()} failed: {exc}") from exc
 
-    return "".join(line + "\n" for line in lines), (1 if failed else 0), files
+    for path, text in files:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return ("".join(line + "\n" for line in lines), (1 if failed else 0),
+            [path for path, _ in files])

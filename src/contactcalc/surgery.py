@@ -245,14 +245,6 @@ def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
     return FillabilityFlags(weakly, symplectically, exactly, stein)
 
 
-def fillability_inherit(f: FillabilityFlags, page_stein: bool, dim: int,
-                        weak_h2_ok: TriState) -> FillabilityFlags:
-    """Flags inherited through a single Liouville sum performed on one
-    manifold (the fibered-manifold construction)."""
-    return fillability_propagate(f, FillabilityFlags.all_true(),
-                                 page_stein, dim, weak_h2_ok)
-
-
 # ---------------------------------------------------------------------------
 # Manifold descriptors
 # ---------------------------------------------------------------------------
@@ -437,11 +429,8 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
             f"got {hypersurface!r}")
     if q == 1:
         return m.with_history(("branched_cover", hypersurface, 1, "identity"))
-    out = open_book_descriptor(ob, m.flags)
-    for _ in range(q - 1):
-        out_ob = out.open_book
-        summed = liouville_sum_openbooks(out_ob, ob)
-        out = summed
+    # Only the last of the q - 1 sums decides the flags, word and history.
+    out = liouville_sum_openbooks(OpenBook(ob.page, ob.word ** (q - 1)), ob)
     return out.with_history(
         ("branched_cover", hypersurface, q, f"{q - 1} liouville sums"),
         ("cobordism", "exact" if m.flags.exactly else "recorded",
@@ -454,8 +443,9 @@ def fibered_manifold(page: PageSpec, phi: MonodromyWord,
     one Liouville sum performed on the open book (page, phi o psi), using
     only what the word itself certifies about the base open book."""
     base = OpenBook(page, phi * psi)
-    flags = fillability_inherit(open_book_descriptor(base).flags, page.stein,
-                                base.dim, page.weak_h2_ok)
+    flags = fillability_propagate(open_book_descriptor(base).flags,
+                                  FillabilityFlags.all_true(), page.stein,
+                                  base.dim, page.weak_h2_ok)
     if phi.is_identity() and psi.is_identity():
         label = f"bd({page.name} x D*S1)"
     else:

@@ -89,7 +89,7 @@ def verify_forms(seed: int = 0, tol: float | None = None,
     for j in range(n):
         dstd[j, n + j] = 1.0
         dstd[n + j, j] = -1.0
-    dev = _worst(forms.exterior_derivative(lam, p).entries - dstd for p in pts)
+    dev = _worst(forms.d_matrix(lam, p.coords) - dstd for p in pts)
     out.append(_line("d_lambda_std_vs_closed_form", dev, 1e-6))
     return out
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from contactcalc.charts import darboux_chart, euclidean_chart, \
-    unit_norm_constraint, with_constraints
+from contactcalc.charts import Chart, darboux_chart, unit_norm_constraint, \
+    with_constraints
 from contactcalc.conditions import (check_contact_condition,
                                     check_contact_dilation,
                                     check_two_form_dilation, contact_margin,
@@ -153,7 +153,7 @@ def test_theta_invariant_family_volume_independent_of_p():
     # e^(-theta) (-z0 dtheta + (1-p) z0' ds + t0 dw); its volume coefficient
     # must not depend on p.
     rc = rounding_curve(0.3, 64)
-    ch = euclidean_chart("theta_s_w", ("theta", "s", "w"))
+    ch = Chart("theta_s_w", ("theta", "s", "w"))
 
     def family(p):
         def ev(c):

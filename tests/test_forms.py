@@ -4,9 +4,8 @@ import pytest
 from contactcalc.charts import darboux_chart, sphere_chart, with_constraints, \
     unit_norm_constraint
 from contactcalc.errors import ChartMismatchError, DomainError
-from contactcalc.forms import (SkewMatrixAtPoint, central_difference,
-                               dz_plus, exterior_derivative, handle_form,
-                               lambda_can, lambda_std, restrict_form,
+from contactcalc.forms import (central_difference, d_matrix, dz_plus,
+                               handle_form, lambda_can, lambda_std, restrict_form,
                                symplectization, theta_invariant, weinstein,
                                weinstein_hamiltonian)
 
@@ -40,8 +39,8 @@ def test_d_weinstein_equals_d_lambda_std(rng):
     w, lam = weinstein(n, k), lambda_std(n)
     for _ in range(5):
         p = lam.chart.point(rng.uniform(-1, 1, 2 * n))
-        dw = exterior_derivative(w, p).entries
-        dl = exterior_derivative(lam, p).entries
+        dw = d_matrix(w, p.coords)
+        dl = d_matrix(lam, p.coords)
         assert np.max(np.abs(dw - dl)) < 1e-9
 
 
@@ -53,7 +52,7 @@ def test_d_lambda_std_closed_form(rng):
         expected[j, n + j] = 1.0
         expected[n + j, j] = -1.0
     p = lam.chart.point(rng.uniform(-1, 1, 2 * n))
-    assert np.max(np.abs(exterior_derivative(lam, p).entries - expected)) < 1e-9
+    assert np.max(np.abs(d_matrix(lam, p.coords) - expected)) < 1e-9
 
 
 def test_weinstein_hamiltonian_values():
@@ -74,7 +73,7 @@ def test_handle_form_exterior_derivative(rng):
     expected = np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
                          [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
     p = hf.chart.point(rng.uniform(-1, 1, 4))
-    assert np.max(np.abs(exterior_derivative(hf, p).entries - expected)) < 1e-9
+    assert np.max(np.abs(d_matrix(hf, p.coords) - expected)) < 1e-9
 
 
 def test_dz_plus_and_theta_invariant():
@@ -101,15 +100,6 @@ def test_restrict_form_chart_checks():
     assert r.chart.name == "S3_xy"
     with pytest.raises(ChartMismatchError):
         restrict_form(lambda_std(1), sphere_chart(4))
-
-
-def test_skew_matrix_validation():
-    p = darboux_chart(1).point([0.0, 0.0])
-    SkewMatrixAtPoint(p, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    with pytest.raises(DomainError):
-        SkewMatrixAtPoint(p, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(DomainError):
-        SkewMatrixAtPoint(p, np.zeros((3, 3)))
 
 
 def test_central_difference_exact_on_quadratic(rng):

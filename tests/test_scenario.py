@@ -201,6 +201,19 @@ def test_bad_integer_fails_at_parse_before_any_write(tmp_path, monkeypatch, caps
     assert not (tmp_path / "d.kirby").exists()
 
 
+@pytest.mark.parametrize("stmt", [
+    "surgery ob1 sphere=a k=0 -> m", "cover ob1 q=0 over=binding -> c",
+    "cover ob1 q=2 over=bogus -> c", "verify twist n=0", "verify forms samples=0",
+])
+def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, stmt):
+    text = DECLS + "kirby cover genus1 q=2 out=w.kirby\n" + stmt + "\n"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fail.scn").write_text(text)
+    assert main(["run", "fail.scn"]) == 2
+    assert "line 9, col 1: [E_SYNTAX]" in capsys.readouterr().err
+    assert not (tmp_path / "w.kirby").exists()
+
+
 @pytest.mark.parametrize("stmt", ["verify twist n=0", "verify twist n=-1",
                                   "verify forms samples=0", "verify twist samples=-1"])
 def test_bad_counts_are_positioned(stmt):
