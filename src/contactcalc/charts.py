@@ -6,6 +6,12 @@ factors, unit cotangent bundles) described by ambient coordinates together
 with constraint functions whose zero set is the chart's domain.  Tangent
 spaces of constrained charts are obtained by orthonormalizing the complement
 of the constraint gradients; no atlas machinery is attempted.
+
+A ``ChartPoint`` holds one point (coords of shape (dim,)) or a batch of
+points (shape (..., dim), one per row); constraints, tangent frames and the
+kernel built on them (``forms``, ``fields``, ``conditions``) act row by row
+and keep the leading shape.  Small matrix products are elementwise products
+summed over an axis (``matvec``, ``matmul``), not BLAS calls.
 """
 
 from __future__ import annotations
@@ -20,25 +26,41 @@ from .errors import ChartMismatchError, DomainError
 POINT_TOL = 1e-8  # how far a point may lie off a constraint locus (and T*S^n)
 
 
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x for stacks: m (..., k, l) and x (..., l) give (..., k)."""
+    return (m * x[..., None, :]).sum(axis=-1)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for stacks: a (..., k, l) and b (..., l, r) give (..., k, r)."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def first_bad(values, ok) -> float:
+    """The value of the first row that is not ok, for an error message."""
+    return float(np.asarray(values)[~np.asarray(ok)].flat[0])
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """A scalar constraint g(x)=0 with an analytic gradient."""
+    """A scalar constraint g(x)=0 with an analytic gradient; both act on
+    coords of shape (..., dim) and return shapes (...) and (..., dim)."""
 
     name: str
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
 
 
 def unit_norm_constraint(indices: Sequence[int], name: str = "unit_norm") -> Constraint:
     """Constraint ||x[indices]||^2 - 1 = 0 (a sphere factor in ambient coords)."""
-    idx = tuple(indices)
+    idx = list(indices)
 
-    def value(x: np.ndarray) -> float:
-        return float(np.sum(x[list(idx)] ** 2) - 1.0)
+    def value(x: np.ndarray) -> np.ndarray:
+        return np.sum(x[..., idx] ** 2, axis=-1) - 1.0
 
     def grad(x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
-        g[list(idx)] = 2.0 * x[list(idx)]
+        g[..., idx] = 2.0 * x[..., idx]
         return g
 
     return Constraint(name, value, grad)
@@ -114,8 +136,9 @@ def prepend_coords(chart: Chart, extra: Sequence[str], name: str | None = None) 
     for c in chart.constraints:
         shifted.append(Constraint(
             c.name,
-            (lambda x, _c=c: _c.value(x[k:])),
-            (lambda x, _c=c: np.concatenate([np.zeros(k), _c.grad(x[k:])])),
+            (lambda x, _c=c: _c.value(x[..., k:])),
+            (lambda x, _c=c: np.concatenate(
+                [np.zeros(x.shape[:-1] + (k,)), _c.grad(x[..., k:])], axis=-1)),
         ))
     return Chart(name or f"{'x'.join(extra)}*{chart.name}",
                  tuple(extra) + chart.coord_names, tuple(shifted),
@@ -124,25 +147,34 @@ def prepend_coords(chart: Chart, extra: Sequence[str], name: str | None = None) 
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """Points of a chart, one per row of ``coords`` (shape (..., dim)); a
+    single point has shape (dim,).  Every row is validated: its coords are
+    finite and it lies within ``POINT_TOL`` of each constraint locus, and
+    one bad row rejects the whole batch."""
+
     chart: Chart
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", c)
-        if c.shape != (self.chart.dim,):
+        if c.ndim == 0 or c.shape[-1] != self.chart.dim:
             raise DomainError(
                 f"point has {c.shape} coords, chart {self.chart.name} "
                 f"expects {self.chart.dim}")
         if not np.isfinite(c).all():
             raise DomainError(f"non-finite coords on {self.chart.name}")
         for g in self.chart.constraints:
-            r = abs(g.value(c))
-            if not r <= POINT_TOL:
+            r = np.abs(g.value(c))
+            ok = r <= POINT_TOL
+            if not ok.all():
                 raise DomainError(
-                    f"constraint {g.name} violated by {r:.3e} on {self.chart.name}")
+                    f"constraint {g.name} violated by {first_bad(r, ok):.3e} "
+                    f"on {self.chart.name}")
 
     def __repr__(self):
+        if self.coords.ndim > 1:
+            return f"ChartPoint({self.chart.name}, batch={self.coords.shape[:-1]})"
         return f"ChartPoint({self.chart.name}, {np.array2string(self.coords, precision=4)})"
 
 
@@ -151,11 +183,26 @@ def require_same_chart(a: Chart, b: Chart):
         raise ChartMismatchError(f"chart mismatch: {a.name} vs {b.name}")
 
 
+def stack_points(points: "ChartPoint | Sequence[ChartPoint]") -> ChartPoint:
+    """One ChartPoint holding every given point as a row: a ChartPoint is
+    returned as it is, a sequence of points on one chart is stacked.  An
+    empty sample set is refused."""
+    if not isinstance(points, ChartPoint):
+        if not points:
+            raise DomainError("empty sample set")
+        for p in points[1:]:
+            require_same_chart(points[0].chart, p.chart)
+        points = ChartPoint(points[0].chart, np.stack([p.coords for p in points]))
+    if points.coords.size == 0:
+        raise DomainError("empty sample set")
+    return points
+
+
 def constraint_gradients(p: ChartPoint) -> np.ndarray:
-    """Column matrix of constraint gradients at p (dim x #constraints)."""
+    """Column matrices of constraint gradients at p, (..., dim, #constraints)."""
     if not p.chart.constraints:
-        return np.zeros((p.chart.dim, 0))
-    return np.stack([g.grad(p.coords) for g in p.chart.constraints], axis=1)
+        return np.zeros(p.coords.shape + (0,))
+    return np.stack([g.grad(p.coords) for g in p.chart.constraints], axis=-1)
 
 
 def orthonormal_complement(rows: np.ndarray) -> np.ndarray:
@@ -171,23 +218,25 @@ def orthonormal_complement(rows: np.ndarray) -> np.ndarray:
 
 
 def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns) of the tangent space at p.
+    """Orthonormal bases (columns) of the tangent spaces at the rows of p,
+    shape (..., dim, intrinsic_dim).
 
-    For unconstrained charts this is the identity.  With ``oriented=True``
-    (single-constraint charts only) the frame is chosen so that
-    (outward normal, frame) is positively oriented in the ambient
-    coordinate order — the boundary-orientation convention.
+    For unconstrained charts this is the identity (a read-only broadcast for
+    a batch).  With ``oriented=True`` (single-constraint charts only) each
+    frame is chosen so that (outward normal, frame) is positively oriented
+    in the ambient coordinate order — the boundary-orientation convention.
     """
     m = p.chart.dim
     G = constraint_gradients(p)
-    if G.shape[1] == 0:
-        return np.eye(m)
-    frame = orthonormal_complement(G.T)
+    if G.shape[-1] == 0:
+        return np.broadcast_to(np.eye(m), p.coords.shape[:-1] + (m, m))
+    frame = orthonormal_complement(G.swapaxes(-1, -2))
     if oriented:
-        if G.shape[1] != 1:
+        if G.shape[-1] != 1:
             raise DomainError("oriented frame needs exactly one constraint")
-        normal = G[:, 0] / np.linalg.norm(G[:, 0])
-        if np.linalg.det(np.column_stack([normal, frame])) < 0:
-            frame = frame.copy()
-            frame[:, 0] = -frame[:, 0]
+        normal = G / np.linalg.norm(G, axis=-2, keepdims=True)
+        flip = np.linalg.det(np.concatenate([normal, frame], axis=-1)) < 0
+        frame = frame.copy()
+        frame[..., :, 0] = np.where(flip[..., None], -frame[..., :, 0],
+                                    frame[..., :, 0])
     return frame

@@ -1,9 +1,14 @@
-"""Pointwise condition checks: contact positivity and dilation equations.
+"""Sampled condition checks: contact positivity and dilation equations.
 
 The top-form coefficient of alpha ^ (d alpha)^n on the chart (or
 tangent-frame) basis is the Pfaffian of the bordered skew matrix
 [[0, a^T], [-a, M]], computed by Parlett-Reid elimination with pivoting
 (Wimmer, ACM TOMS 2012) in O(m^3) for any odd dimension m = 2n+1.
+
+Contact positivity is batched: ``contact_margin`` takes a ChartPoint holding
+any number of points (one per row) and eliminates all their Pfaffians at
+once, pivoting row by row, so ``check_contact_condition`` is one call for the
+whole sample set.  The dilation checks differentiate flows point by point.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartPoint, tangent_frame
+from .charts import ChartPoint, matmul, matvec, stack_points, tangent_frame
 from .errors import DomainError
 from .fields import flow, two_form_matrix
 from .forms import OneFormField, central_difference, eval_one_form
@@ -26,56 +31,73 @@ def _report(margin: float, tolerance: float, samples: int) -> ConditionReport:
     return ConditionReport(margin > -tolerance, margin, tolerance, samples)
 
 
-def _pfaffian(a: np.ndarray) -> float:
-    """Pfaffian of an even-size real skew matrix: Parlett-Reid reduction to
-    tridiagonal form, pivoting on the largest entry of each column."""
-    a = np.array(a, dtype=float)
-    m = a.shape[0]
-    pf = 1.0
+def _pfaffian(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a stack (..., m, m) of even-size real skew matrices:
+    Parlett-Reid reduction to tridiagonal form, each matrix pivoting on the
+    largest entry of its own column."""
+    m = a.shape[-1]
+    batch = a.shape[:-2]
+    a = np.array(a, dtype=float).reshape(-1, m, m)
+    rows = np.arange(len(a))[:, None]
+    cols = np.arange(m)
+    pf = np.ones(len(a))
+    singular = np.zeros(len(a), dtype=bool)
     for k in range(0, m - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if kp != k + 1:
-            a[[k + 1, kp]] = a[[kp, k + 1]]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            pf = -pf
-        if a[k + 1, k] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
-        tau = a[k, k + 2:] / a[k, k + 1]
-        col = a[k + 2:, k + 1]
-        a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return float(pf)
+        kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=-1)
+        # Swap rows and columns k+1 and kp of each matrix (a no-op where
+        # kp = k+1): one gather through the per-matrix permutation.
+        perm = np.where(cols == kp[:, None], k + 1, cols)
+        perm[:, k + 1] = kp
+        a = a[rows[:, :, None], perm[:, :, None], perm[:, None, :]]
+        pf = np.where(kp != k + 1, -pf, pf)
+        zero = a[:, k + 1, k] == 0.0
+        singular |= zero
+        piv = np.where(zero, 1.0, a[:, k, k + 1])
+        pf = pf * piv
+        tau = a[:, k, k + 2:] / piv[:, None]
+        col = a[:, k + 2:, k + 1]
+        a[:, k + 2:, k + 2:] += (tau[:, :, None] * col[:, None, :]
+                                 - col[:, :, None] * tau[:, None, :])
+    return np.where(singular, 0.0, pf).reshape(batch)[()]
 
 
-def top_form_coefficient(a: np.ndarray, m2: np.ndarray) -> float:
-    """(alpha ^ omega^n)(e_1, ..., e_{2n+1}) for covector a and skew matrix
-    m2, normalised to 1 for dz + lambda_std: Pf([[0, a^T], [-a, m2]])."""
-    m = a.size
+def top_form_coefficient(a: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """(alpha ^ omega^n)(e_1, ..., e_{2n+1}) for covectors a (..., m) and
+    skew matrices m2 (..., m, m), normalised to 1 for dz + lambda_std:
+    Pf([[0, a^T], [-a, m2]]), one value per row."""
+    m = a.shape[-1]
     if m % 2 == 0:
         raise DomainError(f"top form needs odd dimension, got {m}")
-    return _pfaffian(np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], m2]]))
+    bordered = np.zeros(np.broadcast_shapes(a.shape[:-1], m2.shape[:-2])
+                        + (m + 1, m + 1))
+    bordered[..., 0, 1:] = a
+    bordered[..., 1:, 0] = -a
+    bordered[..., 1:, 1:] = m2
+    return _pfaffian(bordered)
 
 
-def contact_margin(alpha: OneFormField, p: ChartPoint) -> float:
-    """The top-form coefficient at one point, on an oriented tangent frame
-    for constrained charts, times the chart's orientation sign."""
+def contact_margin(alpha: OneFormField, p: ChartPoint) -> np.ndarray:
+    """The top-form coefficient at each row of p, on an oriented tangent
+    frame for constrained charts, times the chart's orientation sign."""
     a = eval_one_form(alpha, p)
     m2 = two_form_matrix(alpha, p.coords)
     if p.chart.constraints:
         frame = tangent_frame(p, oriented=True)
-        a = frame.T @ a
-        m2 = frame.T @ m2 @ frame
+        ft = frame.swapaxes(-1, -2)
+        a = matvec(ft, a)
+        m2 = matmul(ft, matmul(m2, frame))
     return p.chart.orientation * top_form_coefficient(a, m2)
 
 
 def check_contact_condition(alpha: OneFormField,
-                            points: Sequence[ChartPoint]) -> ConditionReport:
-    """Positivity of alpha ^ (d alpha)^n at every sample point; the margin is
-    NaN, and so FAIL, if any sample's coefficient is NaN."""
-    if not points:
-        raise DomainError("empty sample set")
-    margin = np.min([contact_margin(alpha, p) for p in points])
-    return _report(float(margin), 0.0, len(points))
+                            points: ChartPoint | Sequence[ChartPoint]
+                            ) -> ConditionReport:
+    """Positivity of alpha ^ (d alpha)^n at every sample point, given as one
+    batched ChartPoint or a sequence of points on one chart (stacked here);
+    the margin is NaN, and so FAIL, if any sample's coefficient is NaN."""
+    p = stack_points(points)
+    margin = np.min(contact_margin(alpha, p))
+    return _report(float(margin), 0.0, int(np.prod(p.coords.shape[:-1])))
 
 
 def _lie_derivative(v, x: np.ndarray, pullback: Callable) -> np.ndarray:

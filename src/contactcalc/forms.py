@@ -15,6 +15,11 @@ frame.  Steps and tolerances are module constants (``STEP`` here, ``H`` and
 ``DILATION_TOL`` in ``conditions``, ``RESIDUAL_TOL`` and ``COND_MAX`` in
 ``fields``, ``POINT_TOL`` in ``charts``): no kernel function other than
 ``central_difference`` takes a step or tolerance argument.
+
+Evaluators act on coords of shape (..., dim), one point per row, and return
+covectors of the same shape; ``eval_one_form`` and ``d_matrix`` keep the
+leading shape, so a batch of N points is one call and a single point is the
+case with no leading axis.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ STEP = 1e-5
 
 @dataclass(frozen=True)
 class OneFormField:
-    """A 1-form given by an evaluator mapping coords -> covector components."""
+    """A 1-form given by an evaluator mapping coords (..., dim) to covector
+    components (..., dim), row by row."""
 
     form_id: str
     chart: Chart
@@ -44,10 +50,11 @@ class OneFormField:
 
 
 def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
-    """Covector components of ``form`` at ``p`` (exact for catalog forms)."""
+    """Covector components of ``form`` at the rows of ``p``, shape
+    (..., dim) (exact for catalog forms)."""
     require_same_chart(form.chart, p.chart)
     out = np.asarray(form.evaluator(p.coords), dtype=float)
-    if out.shape != (form.chart.dim,):
+    if out.shape != p.coords.shape:
         raise DomainError(f"evaluator returned shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"non-finite evaluation of {form.form_id}")
@@ -77,12 +84,23 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def d_matrix(form: OneFormField, x: np.ndarray) -> np.ndarray:
-    """Entries of d(form) at raw coords x: d_i a_j - d_j a_i, central differences."""
-    jac = central_difference(form.evaluator, x, np.eye(x.size))  # d a_i / d x_j
+    """Entries of d(form) at raw coords x (..., dim): d_i a_j - d_j a_i, by
+    central differences, shape (..., dim, dim).  The evaluator runs once per
+    differencing offset on the whole batch."""
+    jac = central_difference(form.evaluator, x, np.eye(x.shape[-1]))  # d a_i / d x_j
     if not np.all(np.isfinite(jac)):
         raise DomainError(f"non-finite derivative of {form.form_id}")
-    return jac.T - jac
+    return jac.swapaxes(-1, -2) - jac
 
+
+def _prepend(first: float, rest: np.ndarray) -> np.ndarray:
+    """The component ``first`` in front of the components ``rest`` (..., k)
+    of every row."""
+    rest = np.asarray(rest, dtype=float)
+    out = np.empty(rest.shape[:-1] + (rest.shape[-1] + 1,))
+    out[..., 0] = first
+    out[..., 1:] = rest
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +111,8 @@ def lambda_std(n: int) -> OneFormField:
     """(1/2) sum (x_j dy_j - y_j dx_j) on R^{2n} with coords (x, y)."""
 
     def ev(c: np.ndarray) -> np.ndarray:
-        x, y = c[:n], c[n:]
-        return np.concatenate([-0.5 * y, 0.5 * x])
+        x, y = c[..., :n], c[..., n:]
+        return np.concatenate([-0.5 * y, 0.5 * x], axis=-1)
 
     return OneFormField("lambda_std", darboux_chart(n), ev)
 
@@ -103,8 +121,8 @@ def lambda_can(n: int) -> OneFormField:
     """sum p_j dq_j on R^{2n} with coords (q, p)."""
 
     def ev(c: np.ndarray) -> np.ndarray:
-        p = c[n:]
-        return np.concatenate([p, np.zeros(n)])
+        p = c[..., n:]
+        return np.concatenate([p, np.zeros_like(p)], axis=-1)
 
     return OneFormField("lambda_can", cotangent_chart(n), ev)
 
@@ -116,19 +134,20 @@ def weinstein(n: int, k: int) -> OneFormField:
         raise DomainError(f"weinstein index k={k} out of range 0..{n}")
 
     def ev(c: np.ndarray) -> np.ndarray:
-        x, y = c[:n], c[n:]
+        x, y = c[..., :n], c[..., n:]
         dx = np.where(np.arange(n) < k, 0.5 * y, -0.5 * y)
         dy = np.where(np.arange(n) < k, 1.5 * x, 0.5 * x)
-        return np.concatenate([dx, dy])
+        return np.concatenate([dx, dy], axis=-1)
 
     return OneFormField(f"weinstein({n},{k})", darboux_chart(n), ev)
 
 
-def weinstein_hamiltonian(n: int, k: int) -> Callable[[np.ndarray], float]:
-    """f_k = sum_{j<=k} x_j y_j on the darboux chart of weinstein(n,k)."""
+def weinstein_hamiltonian(n: int, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """f_k = sum_{j<=k} x_j y_j on the darboux chart of weinstein(n,k), one
+    value per row of coords (..., 2n)."""
 
-    def f(c: np.ndarray) -> float:
-        return float(np.dot(c[:k], c[n:n + k]))
+    def f(c: np.ndarray) -> np.ndarray:
+        return (c[..., :k] * c[..., n:n + k]).sum(axis=-1)
 
     return f
 
@@ -143,8 +162,9 @@ def handle_form(beta: OneFormField) -> OneFormField:
                            name=f"handle({beta.chart.name})")
 
     def ev(c: np.ndarray) -> np.ndarray:
-        theta, z = c[0], c[1]
-        return np.concatenate([[-2.0 * z, -theta], beta.evaluator(c[2:])])
+        theta, z = c[..., :1], c[..., 1:2]
+        return np.concatenate([-2.0 * z, -theta, beta.evaluator(c[..., 2:])],
+                              axis=-1)
 
     return OneFormField(f"handle_form({beta.form_id})", chart, ev)
 
@@ -154,7 +174,7 @@ def dz_plus(beta: OneFormField) -> OneFormField:
     chart = prepend_coords(beta.chart, ("z",), name=f"collar({beta.chart.name})")
 
     def ev(c: np.ndarray) -> np.ndarray:
-        return np.concatenate([[1.0], beta.evaluator(c[1:])])
+        return _prepend(1.0, beta.evaluator(c[..., 1:]))
 
     return OneFormField(f"dz_plus({beta.form_id})", chart, ev)
 
@@ -171,7 +191,7 @@ def theta_invariant(beta: OneFormField, epsilon: float, sheet: int = 1) -> OneFo
                            name=f"theta_collar({beta.chart.name})")
 
     def ev(c: np.ndarray) -> np.ndarray:
-        return np.concatenate([[-sheet * epsilon], beta.evaluator(c[1:])])
+        return _prepend(-sheet * epsilon, beta.evaluator(c[..., 1:]))
 
     return OneFormField(f"theta_invariant({beta.form_id},{sheet:+d})", chart, ev)
 
@@ -181,7 +201,7 @@ def symplectization(alpha: OneFormField) -> OneFormField:
     chart = prepend_coords(alpha.chart, ("t",), name=f"symp({alpha.chart.name})")
 
     def ev(c: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0.0], c[0] * np.asarray(alpha.evaluator(c[1:]))])
+        return _prepend(0.0, c[..., :1] * np.asarray(alpha.evaluator(c[..., 1:])))
 
     return OneFormField(f"symp({alpha.form_id})", chart, ev)
 

@@ -16,6 +16,10 @@ from .errors import DomainError
 
 # Sample count of the verify suites when no statement or caller sets one.
 DEFAULT_SAMPLES = 25
+# Largest sample count a suite accepts: each line evaluates its samples as
+# one batch, so memory grows linearly with them (about 170 MB peak for
+# `verify twist --n 6` at this cap).
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,11 +64,14 @@ def report_failed(lines: list[ReportLine]) -> bool:
 
 
 def check_suite_args(seed: int, samples: int, tol: float | None):
-    """Reject a negative seed, a sample count below 1, or a tolerance that is
-    NaN or negative; ``tol=None`` stands for a suite's own tolerance."""
+    """Reject a negative seed, a sample count below 1 or above
+    ``MAX_SAMPLES``, or a tolerance that is NaN or negative; ``tol=None``
+    stands for a suite's own tolerance."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if tol is not None and not tol >= 0.0:
         raise DomainError(f"tolerance must be a number >= 0, got {tol}")

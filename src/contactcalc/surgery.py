@@ -46,13 +46,10 @@ class MonodromyWord:
         return reduce_word(MonodromyWord.raw(self.letters + other.letters))
 
     def __pow__(self, k: int) -> "MonodromyWord":
-        if k == 0:
-            return MonodromyWord()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        # Free reduction is confluent, so one reduction of the |k|-fold
+        # concatenation equals the iterated product, in O(|k| |w|).
+        base = self if k >= 0 else self.inverse()
+        return reduce_word(MonodromyWord.raw(base.letters * abs(k)))
 
     def inverse(self) -> "MonodromyWord":
         return MonodromyWord(tuple((lab, -exp) for lab, exp in reversed(self.letters)))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import POINT_TOL, orthonormal_complement
+from .charts import POINT_TOL, first_bad, matmul, matvec, orthonormal_complement
 from .errors import DomainError
 from .forms import central_difference
 from .octonion import cross7_matrix
@@ -39,21 +39,11 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m x for stacks: m (..., k, l) and x (..., l) give (..., k)."""
-    return (m * x[..., None, :]).sum(axis=-1)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b for stacks: a (..., k, l) and b (..., l, r) give (..., k, r)."""
-    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
-
-
 def _require_rows(ok: np.ndarray, values: np.ndarray, message: str) -> None:
     """Raise DomainError, quoting the first failing row's value, unless every
     row is ok."""
     if not ok.all():
-        raise DomainError(message.format(np.asarray(values)[~ok].flat[0]))
+        raise DomainError(message.format(first_bad(values, ok)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,7 @@ class SkewGenerator:
         object.__setattr__(self, "matrix", a)
         if not np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-12:
             raise DomainError("generator is not skew-symmetric")
-        if not np.max(np.abs(_matmul(_matmul(a, a), a) + a)) <= 1e-10:
+        if not np.max(np.abs(matmul(matmul(a, a), a) + a)) <= 1e-10:
             raise DomainError("generator does not satisfy A^3 = -A")
 
 
@@ -197,14 +187,14 @@ def generator_exp(gen: SkewGenerator, theta) -> np.ndarray:
     angle or one per generator of the stack."""
     a = gen.matrix
     theta = np.asarray(theta, dtype=float)[..., None, None]
-    return np.eye(a.shape[-1]) + np.sin(theta) * a + (1.0 - np.cos(theta)) * _matmul(a, a)
+    return np.eye(a.shape[-1]) + np.sin(theta) * a + (1.0 - np.cos(theta)) * matmul(a, a)
 
 
 def mixed_exp(matrix: np.ndarray) -> np.ndarray:
     """e^M = V diag(e^(-iw)) V^H for real skew M, where iM = V diag(w) V^H;
     a stack of matrices takes one stacked ``eigh``."""
     w, v = np.linalg.eigh(1j * matrix)
-    return _matmul(v * np.exp(-1j * w)[..., None, :],
+    return matmul(v * np.exp(-1j * w)[..., None, :],
                    np.swapaxes(v, -1, -2).conj()).real
 
 
@@ -241,8 +231,8 @@ def _rotate(p: CotangentPoint, rotation: Callable[..., np.ndarray],
                   for x in row_params]
         rot = rotation(u[moving], v[moving], norm[moving], *params)
         if not fiber_only:
-            out_u[moving] = _matvec(rot, u[moving])
-        out_v[moving] = _matvec(rot, v[moving])
+            out_u[moving] = matvec(rot, u[moving])
+        out_v[moving] = matvec(rot, v[moving])
     return CotangentPoint(out_u.reshape(p.u.shape), out_v.reshape(p.v.shape))
 
 
@@ -328,7 +318,7 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
 
     def minus_dlambda(w: np.ndarray) -> np.ndarray:
         # sum du_i ^ dv_i on the columns (du, dv) of w: du^T dv - dv^T du
-        pairing = _matmul(np.swapaxes(w[..., :m, :], -1, -2), w[..., m:, :])
+        pairing = matmul(np.swapaxes(w[..., :m, :], -1, -2), w[..., m:, :])
         return pairing - np.swapaxes(pairing, -1, -2)
 
     diff = central_difference(image, p.ambient(), frame)

@@ -22,24 +22,23 @@ def _line(metric: str, value: float, tol: float, asserted: bool = True) -> Repor
 
 
 def _worst(deviations) -> float:
-    """The largest absolute entry over the samples' deviations: per-sample
-    arrays of one shape, or one batch array whose rows are the samples.  A
-    NaN anywhere makes it NaN, and so fails its line, where Python's ``max``
+    """The largest absolute entry of a batch of per-sample deviations.  A NaN
+    anywhere makes it NaN, and so fails its line, where Python's ``max``
     would drop it."""
-    return float(np.max(np.abs(np.asarray(list(deviations), dtype=float))))
+    return float(np.max(np.abs(deviations)))
 
 
-def _random_points(rng: np.random.Generator, chart, samples: int,
-                   scale: float = 1.0) -> list[ChartPoint]:
-    return [chart.point(rng.uniform(-scale, scale, chart.dim))
-            for _ in range(samples)]
+def _random_points(rng: np.random.Generator, chart, samples: int) -> ChartPoint:
+    """``samples`` points uniform in [-1, 1]^dim as one batch, drawn in the
+    RNG order of one ``uniform(-1, 1, dim)`` call per point."""
+    return chart.point(rng.uniform(-1.0, 1.0, (samples, chart.dim)))
 
 
 def verify_forms(seed: int = 0, tol: float | None = None,
                  samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
     """Model forms: Liouville/Reeb/Hamiltonian fields against closed forms,
     contact positivity, and the finite-difference exterior derivative.
-    ``tol=None`` means 1e-8."""
+    Each line evaluates its samples as one batch.  ``tol=None`` means 1e-8."""
     check_suite_args(seed, samples, tol)
     if tol is None:
         tol = 1e-8
@@ -49,36 +48,29 @@ def verify_forms(seed: int = 0, tol: float | None = None,
 
     lam = forms.lambda_std(n)
     pts = _random_points(rng, lam.chart, samples)
-    dev = _worst(fields.liouville_vector_field(lam, p) - 0.5 * p.coords
-                 for p in pts)
+    dev = _worst(fields.liouville_vector_field(lam, pts) - 0.5 * pts.coords)
     out.append(_line("liouville_lambda_std_vs_radial/2", dev, tol))
 
     can = forms.lambda_can(n)
     pts_can = _random_points(rng, can.chart, samples)
-    def can_oracle(p):
-        v = np.zeros(2 * n)
-        v[n:] = p.coords[n:]
-        return v
-    dev = _worst(fields.liouville_vector_field(can, p) - can_oracle(p)
-                 for p in pts_can)
+    can_oracle = np.zeros_like(pts_can.coords)
+    can_oracle[:, n:] = pts_can.coords[:, n:]
+    dev = _worst(fields.liouville_vector_field(can, pts_can) - can_oracle)
     out.append(_line("liouville_lambda_can_vs_p_dp", dev, tol))
 
     alpha = forms.dz_plus(lam)
     apts = _random_points(rng, alpha.chart, samples)
     ez = np.zeros(alpha.chart.dim)
     ez[0] = 1.0
-    dev = _worst(fields.reeb_vector_field(alpha, p) - ez for p in apts)
+    dev = _worst(fields.reeb_vector_field(alpha, apts) - ez)
     out.append(_line("reeb_dz_plus_beta_vs_dz", dev, tol))
 
     k = 1
     fk = forms.weinstein_hamiltonian(n, k)
-    def fk_oracle(p):
-        v = np.zeros(2 * n)
-        v[:k] = p.coords[:k]
-        v[n:n + k] = -p.coords[n:n + k]
-        return v
-    dev = _worst(fields.hamiltonian_vector_field(fk, lam, p) - fk_oracle(p)
-                 for p in pts)
+    fk_oracle = np.zeros_like(pts.coords)
+    fk_oracle[:, :k] = pts.coords[:, :k]
+    fk_oracle[:, n:n + k] = -pts.coords[:, n:n + k]
+    dev = _worst(fields.hamiltonian_vector_field(fk, lam, pts) - fk_oracle)
     out.append(_line("hamiltonian_f_k_vs_closed_form", dev, tol))
 
     rep = conditions.check_contact_condition(alpha, apts)
@@ -89,7 +81,7 @@ def verify_forms(seed: int = 0, tol: float | None = None,
     for j in range(n):
         dstd[j, n + j] = 1.0
         dstd[n + j, j] = -1.0
-    dev = _worst(forms.d_matrix(lam, p.coords) - dstd for p in pts)
+    dev = _worst(forms.d_matrix(lam, pts.coords) - dstd)
     out.append(_line("d_lambda_std_vs_closed_form", dev, 1e-6))
     return out
 

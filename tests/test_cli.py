@@ -112,6 +112,10 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["run", str(DEMO), "--tol", "-1"],
     ["run", str(DEMO), "--seed", "-1"],
     ["run", str(DEMO), "--samples", "0"],
+    # the sample cap, checked before any point is drawn
+    ["verify", "forms", "--samples", "10001"],
+    ["verify", "twist", "--samples", "10001"],
+    ["run", str(DEMO), "--samples", "10001"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2

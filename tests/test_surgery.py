@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from contactcalc import surgery
 from contactcalc.errors import DomainError
 from contactcalc.surgery import (FillabilityFlags, ManifoldDescriptor,
                                  MonodromyWord, OpenBook, PageSpec,
@@ -31,6 +34,43 @@ def test_word_inverse_and_power():
     assert w ** 3 == w * w * w
     assert w ** -1 == w.inverse()
     assert (w ** 0).is_identity()
+
+
+def _iterated_power(w, k):
+    """w ** k as |k| - 1 products, each reduced (the definition)."""
+    base = w if k >= 0 else w.inverse()
+    out = MonodromyWord()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("k", list(range(-7, 8)) + [50])
+def test_word_power_matches_iterated_product(k):
+    # Words that cancel against their own powers (a b a^-1 style) as well as
+    # ones that merge at the seam (a ... a).
+    rnd = random.Random(k)
+    for _ in range(20):
+        letters = [(rnd.choice("abc"), rnd.choice([-2, -1, 1, 2]))
+                   for _ in range(rnd.randint(0, 6))]
+        w = word(*letters)
+        assert w ** k == _iterated_power(w, k)
+
+
+def test_word_power_reduces_once(monkeypatch):
+    # One reduction of the 40-fold concatenation, not 40 growing ones.
+    w = word(("a", 1), ("b", 2), ("a", -1))
+    want = word(("a", 1), ("b", 80), ("a", -1))
+    calls = []
+
+    def counted(raw):
+        calls.append(len(raw.letters))
+        return reduce_word(raw)
+
+    monkeypatch.setattr(surgery, "reduce_word", counted)
+    got = w ** 40
+    assert calls == [120]
+    assert got == want
 
 
 def test_word_rejects_unreduced_construction():
