@@ -22,12 +22,12 @@ import argparse
 import sys
 
 from .errors import ContactCalcError, DomainError
-from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
+from .kirby import serialize_diagram
 from .reports import DEFAULT_SAMPLES, render_report, report_failed
-from .scenario import Verify, parse_scenario, run_scenario, run_suite
-from .surgery import (MonodromyWord, ZERO_SECTION, branched_cover, catalog_M_nk,
-                      contact_surgery, disk_cotangent_page, fibered_manifold,
-                      surgery_compose, word)
+from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
+                       execute, parse_scenario, run_scenario)
+from .surgery import (MonodromyWord, PageSpec, ZERO_SECTION, catalog_M_nk,
+                      disk_cotangent_page, surgery_compose, word)
 
 
 def _add_common(p: argparse.ArgumentParser, verifies: bool = False):
@@ -81,10 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kirby", help="emit a Kirby diagram")
     pk.add_argument("mode", choices=["cover", "surgery"])
-    pk.add_argument("--q", type=int, default=2, help="cover degree")
-    pk.add_argument("--k", type=int, default=-1, help="surgery coefficient")
+    pk.add_argument("--q", type=int, default=None, help="cover degree (default 2)")
+    pk.add_argument("--k", type=int, default=None,
+                    help="surgery coefficient (default -1)")
     pk.add_argument("--base", type=str, default=None,
-                    help="base-manifold description line")
+                    help="base-manifold description line (cover mode)")
     _add_common(pk)
 
     pr = sub.add_parser("run", help="execute a scenario file")
@@ -111,14 +112,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "verify":
-        if args.suite == "forms" and args.n is not None:
-            raise DomainError("verify forms takes no --n")
-        cmd = Verify(args.suite) if args.n is None else Verify(args.suite, n=args.n)
-        rep = run_suite(cmd, args.seed, args.tol, args.samples)
-        _emit(render_report(rep), args.out)
-        return 1 if report_failed(rep) else 0
-
     if args.command == "compose":
         total = surgery_compose(list(args.exponents))
         w = MonodromyWord()
@@ -130,36 +123,6 @@ def _dispatch(args) -> int:
         _emit(text, args.out)
         return 0
 
-    if args.command == "surgery":
-        m = catalog_M_nk(args.n, 1)
-        res = contact_surgery(m, args.sphere, args.k, args.param)
-        _emit(res.serialize(), args.out)
-        return 0
-
-    if args.command == "cover":
-        base = catalog_M_nk(args.n, args.power)
-        res = branched_cover(base, "binding", args.q)
-        _emit(res.serialize(), args.out)
-        return 0
-
-    if args.command == "fibered":
-        page = disk_cotangent_page(args.n)
-        phi = word((ZERO_SECTION, args.phi)) if args.phi else MonodromyWord()
-        psi = word((ZERO_SECTION, args.psi)) if args.psi else MonodromyWord()
-        res = fibered_manifold(page, phi, psi)
-        _emit(res.serialize(), args.out)
-        return 0
-
-    if args.command == "kirby":
-        if args.mode == "cover":
-            page = _genus_one_page()
-            base = (args.base,) if args.base else ()
-            diagram = branched_cover_diagram(page, base, args.q)
-        else:
-            diagram = surgery_cobordism_diagram(args.k)
-        _emit(serialize_diagram(diagram), args.out)
-        return 0
-
     if args.command == "run":
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -169,12 +132,42 @@ def _dispatch(args) -> int:
         _emit(report, args.out)
         return status
 
-    raise AssertionError(f"unhandled command {args.command}")
+    # Every other subcommand runs one scenario record through the scenario
+    # executor; the catalog manifold, page and words it names are implicit
+    # declarations.
+    s, env = Scenario(), {}
+    if args.command == "verify":
+        if args.suite == "forms" and args.n is not None:
+            raise DomainError("verify forms takes no --n")
+        cmd = Verify(args.suite) if args.n is None else Verify(args.suite, n=args.n)
+        rep = execute(cmd, s, env, args.seed, args.tol, args.samples)
+        _emit(render_report(rep), args.out)
+        return 1 if report_failed(rep) else 0
 
-
-def _genus_one_page():
-    from .surgery import PageSpec
-    return PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+    if args.command == "surgery":
+        env["m"] = catalog_M_nk(args.n, 1)
+        cmd = Surgery("m", args.sphere, args.k, "m", param=args.param)
+    elif args.command == "cover":
+        env["m"] = catalog_M_nk(args.n, args.power)
+        cmd = Cover("m", args.q, "m")
+    elif args.command == "fibered":
+        s.pages["page"] = disk_cotangent_page(args.n)
+        s.words.update(phi=word((ZERO_SECTION, args.phi)),
+                       psi=word((ZERO_SECTION, args.psi)))
+        cmd = Fibered("page", "phi", "psi", "m")
+    elif args.mode == "cover":
+        if args.k is not None:
+            raise DomainError("kirby cover takes no --k")
+        s.pages["genus1"] = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+        cmd = Kirby("cover", "genus1", 2 if args.q is None else args.q, base=args.base)
+    else:
+        if args.q is not None or args.base is not None:
+            raise DomainError("kirby surgery takes no --q or --base")
+        cmd = Kirby("surgery", k=-1 if args.k is None else args.k)
+    res = execute(cmd, s, env)
+    _emit(serialize_diagram(res) if args.command == "kirby" else res.serialize(),
+          args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,11 @@ scenario's pages, words and open books; each command becomes a frozen record
 (``Sum``, ``Surgery``, ``Cover``, ``Fibered``, ``Kirby``, ``Verify``).  Argument
 counts, keys, names, and integer and boolean values are all checked at parse
 time, so a malformed statement is reported before any statement runs or
-writes a file.  ``run_scenario`` executes the records in order.
+writes a file.  ``execute`` runs one record and returns its result: a
+``ManifoldDescriptor`` (sum, surgery, cover, fibered), a ``KirbyDiagram``, a
+bool (verify equal) or report lines (verify forms|twist); the CLI's
+subcommands run their records through it too.  ``run_scenario`` executes the
+records in order and renders each result as report lines.
 
 A key=value value may be double-quoted to hold blanks or '#'
 (``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
@@ -43,10 +47,10 @@ from typing import Callable, Optional
 
 from .errors import ContactCalcError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
-from .reports import DEFAULT_SAMPLES, ReportLine, check_suite_args, report_failed
-from .surgery import (MonodromyWord, OpenBook, PageSpec, branched_cover,
-                      contact_surgery, fibered_manifold, liouville_sum_openbooks,
-                      open_book_descriptor, reduce_word)
+from .reports import DEFAULT_SAMPLES, check_suite_args, report_failed
+from .surgery import (ManifoldDescriptor, MonodromyWord, OpenBook, PageSpec,
+                      branched_cover, contact_surgery, fibered_manifold,
+                      liouville_sum_openbooks, open_book_descriptor, reduce_word)
 
 E_SYNTAX = "E_SYNTAX"
 E_UNDECLARED = "E_UNDECLARED"
@@ -66,12 +70,6 @@ class Token:
     text: str
     line: int
     col: int
-
-
-@dataclass(frozen=True)
-class WordDecl:
-    word: MonodromyWord
-    letter_tokens: tuple[Token, ...]
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class Verify(Command):
 @dataclass
 class Scenario:
     pages: dict[str, PageSpec] = field(default_factory=dict)
-    words: dict[str, WordDecl] = field(default_factory=dict)
+    words: dict[str, MonodromyWord] = field(default_factory=dict)
     openbooks: dict[str, OpenBook] = field(default_factory=dict)
     commands: list[Command] = field(default_factory=list)
 
@@ -268,14 +266,15 @@ def _parse_page(toks: list[Token]) -> tuple[str, PageSpec]:
     return name, page
 
 
-def _parse_word(toks: list[Token]) -> tuple[str, WordDecl]:
+def _parse_word(toks: list[Token]) -> tuple[str, MonodromyWord, dict[str, Token]]:
+    """Name, reduced word, and the first token of each label (non-zero exponent)."""
     if len(toks) < 3 or toks[2].text != "=":
         t = toks[0]
         raise ScenarioError(E_SYNTAX, t.line, t.col,
                             "word syntax: word <name> = <letters>")
     name = toks[1].text
     letters = []
-    letter_tokens = []
+    first_token: dict[str, Token] = {}
     for tok in toks[3:]:
         m = _LETTER.match(tok.text)
         if m is None:
@@ -284,34 +283,33 @@ def _parse_word(toks: list[Token]) -> tuple[str, WordDecl]:
         exp = int(m.group(2)) if m.group(2) is not None else 1
         if exp != 0:
             letters.append((m.group(1), exp))
-            letter_tokens.append(tok)
-    return name, WordDecl(reduce_word(MonodromyWord.raw(tuple(letters))),
-                          tuple(letter_tokens))
+            first_token.setdefault(m.group(1), tok)
+    return name, reduce_word(MonodromyWord.raw(tuple(letters))), first_token
 
 
-def _parse_openbook(s: Scenario, toks: list[Token]) -> tuple[str, OpenBook]:
+def _parse_openbook(s: Scenario, toks: list[Token],
+                    letter_tokens: dict[str, dict[str, Token]]) -> tuple[str, OpenBook]:
     # openbook <name> = (<page>, <word>)
-    text = " ".join(t.text for t in toks[1:])
+    t = toks[0]
+    text = " ".join(tok.text for tok in toks[1:])
     m = re.match(r"^(\S+)\s*=\s*\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$", text)
     if m is None:
-        t = toks[0]
         raise ScenarioError(E_SYNTAX, t.line, t.col,
                             "openbook syntax: openbook <name> = (<page>, <word>)")
     name, page_name, word_name = m.groups()
-    t = toks[0]
     if page_name not in s.pages:
         raise ScenarioError(E_UNDECLARED, t.line, t.col,
                             f"page {page_name!r} not declared")
     if word_name not in s.words:
         raise ScenarioError(E_UNDECLARED, t.line, t.col,
                             f"word {word_name!r} not declared")
-    page = s.pages[page_name]
-    decl = s.words[word_name]
-    for (label, _), tok in zip(decl.word.letters, decl.letter_tokens):
+    page, w = s.pages[page_name], s.words[word_name]
+    for label, _ in w.letters:
         if label not in page.spheres:
+            tok = letter_tokens[word_name][label]
             raise ScenarioError(E_UNDECLARED, tok.line, tok.col,
                                 f"sphere label {label!r} not on page {page_name!r}")
-    return name, OpenBook(page, decl.word)
+    return name, OpenBook(page, w)
 
 
 # (statement, mode) -> record type, the kind of each positional name, the
@@ -383,6 +381,7 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
 def parse_scenario(text: str) -> Scenario:
     s = Scenario()
     declared: set[str] = set()   # open books and command targets so far
+    letter_tokens: dict[str, dict[str, Token]] = {}  # word -> label -> token
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw, lineno)
         if not toks:
@@ -392,10 +391,9 @@ def parse_scenario(text: str) -> Scenario:
             name, page = _parse_page(toks)
             s.pages[name] = page
         elif head.text == "word":
-            name, decl = _parse_word(toks)
-            s.words[name] = decl
+            name, s.words[name], letter_tokens[name] = _parse_word(toks)
         elif head.text == "openbook":
-            name, ob = _parse_openbook(s, toks)
+            name, ob = _parse_openbook(s, toks, letter_tokens)
             s.openbooks[name] = ob
             declared.add(name)
         elif head.text in ("sum", "surgery", "cover", "fibered", "kirby", "verify"):
@@ -410,20 +408,37 @@ def parse_scenario(text: str) -> Scenario:
 # Execution
 # ---------------------------------------------------------------------------
 
-def run_suite(cmd: Verify, seed: int = 0, tol: Optional[float] = None,
-              samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
-    """The report of a ``verify forms`` or ``verify twist`` record; the CLI's
-    verify subcommand runs through here too.  ``samples`` applies when the
-    record sets none; ``tol=None`` keeps the suite's own tolerance."""
-    # Imported here, not at the top: the suites are the only part of a
-    # scenario that needs numpy, and the symbolic commands should not load it.
-    from . import verify
-
-    if cmd.samples is not None:
-        samples = cmd.samples
-    if cmd.mode == "forms":
-        return verify.verify_forms(seed, tol, samples)
-    return verify.verify_twist(cmd.n, seed, tol, samples)
+def execute(cmd: Command, s: Scenario, env: dict[str, ManifoldDescriptor],
+            seed: int = 0, tol: Optional[float] = None,
+            samples: int = DEFAULT_SAMPLES):
+    """The result of one record, whose pages, words and open books are in
+    ``s`` and manifolds in ``env``.  ``samples`` applies when a verify record
+    sets none; ``tol=None`` keeps the suite's own.  Library errors propagate."""
+    match cmd:
+        case Sum():
+            return liouville_sum_openbooks(s.openbooks[cmd.left], s.openbooks[cmd.right])
+        case Surgery():
+            return contact_surgery(env[cmd.manifold], cmd.sphere, cmd.k, cmd.param)
+        case Cover():
+            return branched_cover(env[cmd.manifold], cmd.over, cmd.q)
+        case Fibered():
+            return fibered_manifold(s.pages[cmd.page], s.words[cmd.phi], s.words[cmd.psi])
+        case Kirby(mode="cover"):
+            base = (cmd.base,) if cmd.base else ()
+            return branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
+        case Kirby():
+            return surgery_cobordism_diagram(cmd.k)
+        case Verify(mode="equal"):
+            return env[cmd.left].word_equals(env[cmd.right])
+        case Verify():
+            # Imported here, not at the top: the suites are the only records
+            # that need numpy, and the symbolic commands should not load it.
+            from . import verify
+            count = samples if cmd.samples is None else cmd.samples
+            if cmd.mode == "forms":
+                return verify.verify_forms(seed, tol, count)
+            return verify.verify_twist(cmd.n, seed, tol, count)
+    raise AssertionError(f"unhandled record {cmd!r}")
 
 
 def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
@@ -451,52 +466,28 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
 
     for cmd in s.commands:
         try:
+            res = execute(cmd, s, env, seed, tol, samples)
             match cmd:
-                case Sum():
-                    res = liouville_sum_openbooks(s.openbooks[cmd.left],
-                                                  s.openbooks[cmd.right])
+                case Sum() | Surgery() | Cover() | Fibered():
                     env[cmd.target] = res
-                    ok(f"sum:{cmd.target}", str(res.word))
-                case Surgery():
-                    res = contact_surgery(env[cmd.manifold], cmd.sphere, cmd.k,
-                                          cmd.param)
-                    env[cmd.target] = res
-                    ok(f"surgery:{cmd.target}", str(res.word))
-                case Cover():
-                    res = branched_cover(env[cmd.manifold], cmd.over, cmd.q)
-                    env[cmd.target] = res
-                    ok(f"cover:{cmd.target}", str(res.word))
-                case Fibered():
-                    res = fibered_manifold(s.pages[cmd.page], s.words[cmd.phi].word,
-                                           s.words[cmd.psi].word)
-                    env[cmd.target] = res
-                    ok(f"fibered:{cmd.target}", str(res.presentation))
+                    shown = res.presentation if isinstance(cmd, Fibered) else res.word
+                    ok(f"{type(cmd).__name__.lower()}:{cmd.target}", str(shown))
                 case Kirby():
-                    if cmd.mode == "cover":
-                        base = (cmd.base,) if cmd.base else ()
-                        diagram = branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
-                    else:
-                        diagram = surgery_cobordism_diagram(cmd.k)
-                    text = serialize_diagram(diagram)
                     if cmd.out is not None:
                         path = cmd.out if out_dir is None \
                             else f"{out_dir.rstrip('/')}/{cmd.out}"
-                        files.append((path, text))
+                        files.append((path, serialize_diagram(res)))
                         ok("kirby:file", path)
                     else:
-                        ok("kirby:dotted", str(len(diagram.dotted)))
-                        ok("kirby:two_handles", str(len(diagram.two_handles)))
+                        ok("kirby:dotted", str(len(res.dotted)))
+                        ok("kirby:two_handles", str(len(res.two_handles)))
                 case Verify(mode="equal"):
-                    equal = env[cmd.left].word_equals(env[cmd.right])
-                    failed = failed or not equal
-                    lines.append(
-                        f"verify:equal:{cmd.left}:{cmd.right}"
-                        f"\t{'equal' if equal else 'distinct'}\t-"
-                        f"\t{'PASS' if equal else 'FAIL'}")
+                    failed = failed or not res
+                    lines.append(f"verify:equal:{cmd.left}:{cmd.right}\t"
+                                 + ("equal\t-\tPASS" if res else "distinct\t-\tFAIL"))
                 case Verify():
-                    rep = run_suite(cmd, seed, tol, samples)
-                    failed = failed or report_failed(rep)
-                    lines.extend(line.render() for line in rep)
+                    failed = failed or report_failed(res)
+                    lines.extend(line.render() for line in res)
         except ContactCalcError as exc:
             raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,
                                 f"{type(cmd).__name__.lower()} failed: {exc}") from exc

@@ -349,7 +349,7 @@ def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
     if n < 1:
         raise DomainError("catalog needs n >= 1")
     page = disk_cotangent_page(n)
-    ob = OpenBook(page, word((ZERO_SECTION, k)) if k != 0 else MonodromyWord())
+    ob = OpenBook(page, word((ZERO_SECTION, k)))
     if k == 1:
         flags, name = FillabilityFlags.all_true(), f"S^{2*n+1}_std"
     elif k == 0:

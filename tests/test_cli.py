@@ -50,6 +50,19 @@ def test_kirby_modes(capsys):
     assert capsys.readouterr().out.count("curve:") == 8
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["kirby", "cover"], "kirby_cover_q2"),
+    (["kirby", "--q", "2", "cover"], "kirby_cover_q2"),
+    (["kirby", "surgery"], "kirby_surgery_k-1"),
+    (["kirby", "--k", "-1", "surgery"], "kirby_surgery_k-1"),
+])
+def test_kirby_mode_defaults_and_flag_order(argv, golden, capsys):
+    # --q defaults to 2 and --k to -1; a mode's own flag may come before it.
+    assert main(argv) == 0
+    expected = (pathlib.Path(__file__).parent / "golden" / f"{golden}.out").read_text()
+    assert "exit 0\n" + capsys.readouterr().out == expected
+
+
 def test_out_flag(tmp_path):
     path = tmp_path / "report.txt"
     assert main(["verify", "forms", "--samples", "5", "--out", str(path)]) == 0
@@ -116,6 +129,12 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["verify", "forms", "--samples", "10001"],
     ["verify", "twist", "--samples", "10001"],
     ["run", str(DEMO), "--samples", "10001"],
+    # kirby refuses the other mode's flags, in either order
+    ["kirby", "cover", "--q", "2", "--k", "5"],
+    ["kirby", "--k", "5", "cover"],
+    ["kirby", "surgery", "--k", "2", "--q", "9", "--base", "foo"],
+    ["kirby", "surgery", "--q", "3"],
+    ["kirby", "--base", "foo", "surgery"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2

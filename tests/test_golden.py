@@ -32,6 +32,10 @@ CASES = {
     "surgery_n2_k-1": ["surgery", "--n", "2", "--k", "-1"],
     "cover_n1_q6": ["cover", "--n", "1", "--q", "6"],
     "fibered_n1": ["fibered", "--n", "1"],
+    "fibered_n2_phi1_psi-2": ["fibered", "--n", "2", "--phi", "1", "--psi", "-2"],
+    "cover_n2_power2_q3": ["cover", "--n", "2", "--power", "2", "--q", "3"],
+    "surgery_n1_k2_twisted": ["surgery", "--n", "1", "--k", "2", "--param", "twisted"],
+    "kirby_cover_q3_base": ["kirby", "cover", "--q", "3", "--base", "L(2,1)"],
 }
 
 

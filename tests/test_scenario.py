@@ -18,8 +18,8 @@ def test_parse_declarations():
     s = parse_scenario(DECLS)
     assert s.pages["genus1"].half_dim == 1
     assert s.pages["genus1"].spheres == ("a", "b")
-    assert str(s.words["ta"].word) == "a"
-    assert s.words["wid"].word.is_identity()
+    assert str(s.words["ta"]) == "a"
+    assert s.words["wid"].is_identity()
     assert s.openbooks["ob1"].page.name == "genus1"
 
 
@@ -144,12 +144,17 @@ def test_error_undeclared_page():
     assert e.code == E_UNDECLARED and e.line == 2
 
 
-def test_error_undeclared_sphere_label_at_letter():
+@pytest.mark.parametrize("letters,col", [
+    ("a c^2", 12),       # the letter c^2
+    ("a b b^-1 c", 19),  # c, not the cancelled b at col 12
+    ("a a^-1 c", 17),    # c, the only letter left after reduction
+], ids=["unreduced", "cancelled_pair_before", "only_c_left"])
+def test_error_undeclared_sphere_label_at_letter(letters, col):
     e = _err("page p dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n"
-             "word w = a c^2\n"
+             f"word w = {letters}\n"
              "openbook ob = (p, w)\n")
     assert e.code == E_UNDECLARED
-    assert e.line == 2 and e.col == 12  # points at the letter c^2
+    assert e.line == 2 and e.col == col
 
 
 def test_error_missing_required_key():
