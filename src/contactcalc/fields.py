@@ -6,14 +6,14 @@ Conventions:
   * Reeb field:          alpha(R) = 1,  d(alpha)(R, .) = 0
   * Moser field:         d(beta)(V, .) = beta - beta'
 
-The Liouville, Hamiltonian and Reeb solves are batched: a ``ChartPoint``
-holding N points (coords (N, dim)) gives N fields (N, dim) from one stacked
-``cond``/``solve`` (Liouville, Hamiltonian) or one stacked pseudo-inverse
-(Reeb), and a single point is the case with no leading axis.  All solves
-are dense; a batch in which any system has condition number above
-``COND_MAX``, or any Reeb system a residual above ``RESIDUAL_TOL``, is
-refused as a whole rather than silently returning garbage.  ``moser_field``
-and ``flow`` take single points.
+Every solve is batched: a ``ChartPoint`` holding N points (coords
+(N, dim)) gives N fields (N, dim) from one stacked ``cond``/``solve``
+(Liouville, Hamiltonian, Moser) or one stacked pseudo-inverse (Reeb), and a
+single point is the case with no leading axis.  The 2-forms are the
+``d_matrix`` of a primitive 1-form.  All solves are dense; a batch in which
+any system has condition number above ``COND_MAX``, any Reeb system a
+residual above ``RESIDUAL_TOL``, or any Moser pair mismatched derivatives,
+is refused as a whole rather than silently returning garbage.
 """
 
 from __future__ import annotations
@@ -42,15 +42,6 @@ def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs[..., None])[..., 0]
 
 
-def two_form_matrix(source, x: np.ndarray) -> np.ndarray:
-    """Matrix M[i,j] = omega(e_i, e_j) at raw coords x, from a 1-form
-    primitive (x of shape (..., dim), M of shape (..., dim, dim)) or a
-    callable returning the matrix at one point."""
-    if isinstance(source, OneFormField):
-        return d_matrix(source, x)
-    return np.asarray(source(x), dtype=float)
-
-
 def liouville_vector_field(form: OneFormField, p: ChartPoint) -> np.ndarray:
     """X with d(form)(X, .) = form at each row of p."""
     m = d_matrix(form, p.coords)
@@ -60,15 +51,14 @@ def liouville_vector_field(form: OneFormField, p: ChartPoint) -> np.ndarray:
                           f"liouville_vector_field({form.form_id})")
 
 
-def hamiltonian_vector_field(fn: Callable[[np.ndarray], np.ndarray], omega_source,
-                             p: ChartPoint) -> np.ndarray:
-    """X_f with df(.) = omega(X_f, .) at each row of p; fn maps coords
-    (..., dim) to values (...), and omega comes from a primitive 1-form or
-    (at a single point) a matrix callable."""
+def hamiltonian_vector_field(fn: Callable[[np.ndarray], np.ndarray],
+                             beta: OneFormField, p: ChartPoint) -> np.ndarray:
+    """X_f with df(.) = omega(X_f, .) at each row of p, for omega = d(beta);
+    fn maps coords (..., dim) to values (...)."""
     df = central_difference(fn, p.coords, np.eye(p.chart.dim))
     if not np.all(np.isfinite(df)):
         raise DomainError("non-finite derivative of the Hamiltonian")
-    m = two_form_matrix(omega_source, p.coords)
+    m = d_matrix(beta, p.coords)
     return _checked_solve(m.swapaxes(-1, -2), df, "hamiltonian_vector_field")
 
 
@@ -99,28 +89,16 @@ def reeb_vector_field(alpha: OneFormField, p: ChartPoint) -> np.ndarray:
 
 def moser_field(beta: OneFormField, beta_prime: OneFormField,
                 p: ChartPoint) -> np.ndarray:
-    """V with d(beta)(V, .) = beta - beta', requiring d(beta) = d(beta')."""
-    m = two_form_matrix(beta, p.coords)
-    m2 = two_form_matrix(beta_prime, p.coords)
-    mismatch = np.max(np.abs(m - m2))
-    if mismatch > RESIDUAL_TOL * max(1.0, np.max(np.abs(m))):
+    """V with d(beta)(V, .) = beta - beta' at each row of p, requiring
+    d(beta) = d(beta') there; V = 0 on rows where beta = beta'."""
+    m = d_matrix(beta, p.coords)
+    mismatch = np.max(np.abs(m - d_matrix(beta_prime, p.coords)), axis=(-2, -1))
+    ok = mismatch <= RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    if not ok.all():
         raise DegenerateSystemError(
-            f"moser_field: d(beta) != d(beta') (mismatch {mismatch:.3e})")
+            f"moser_field: d(beta) != d(beta') (mismatch {first_bad(mismatch, ok):.3e})")
     rhs = eval_one_form(beta, p) - eval_one_form(beta_prime, p)
-    if not np.any(rhs):
-        return np.zeros(p.chart.dim)
-    return _checked_solve(m.T, rhs, "moser_field")
-
-
-def flow(v: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-         time: float, steps: int = 8) -> np.ndarray:
-    """Classical RK4 integration of x' = v(x) for the given time."""
-    x = np.asarray(x0, dtype=float).copy()
-    h = time / steps
-    for _ in range(steps):
-        k1 = np.asarray(v(x))
-        k2 = np.asarray(v(x + 0.5 * h * k1))
-        k3 = np.asarray(v(x + 0.5 * h * k2))
-        k4 = np.asarray(v(x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+    live = np.any(rhs, axis=-1)
+    out = np.zeros_like(rhs)
+    out[live] = _checked_solve(m[live].swapaxes(-1, -2), rhs[live], "moser_field")
+    return out

@@ -8,13 +8,13 @@ formulas).
 ``central_difference`` is the package's single differencing stencil and the
 one place a step is validated.  ``d_matrix`` differentiates forms with it,
 ``fields.hamiltonian_vector_field`` differentiates the Hamiltonian,
-``conditions`` takes flow Jacobians and the t-derivatives of flow pullbacks
-(the Lie derivatives of the dilation checks), and
-``twist.pullback_two_form`` takes the differential of a map along a tangent
-frame.  Steps and tolerances are module constants (``STEP`` here, ``H`` and
-``DILATION_TOL`` in ``conditions``, ``RESIDUAL_TOL`` and ``COND_MAX`` in
-``fields``, ``POINT_TOL`` in ``charts``): no kernel function other than
-``central_difference`` takes a step or tolerance argument.
+``conditions`` differentiates the pairing alpha(v) and the contraction
+i_v d(beta) (the Lie derivatives of the dilation checks, by Cartan's
+formula), and ``twist.pullback_two_form`` takes the differential of a map
+along a tangent frame.  Steps and tolerances are module constants (``STEP``
+here, ``H`` and ``DILATION_TOL`` in ``conditions``, ``RESIDUAL_TOL`` and
+``COND_MAX`` in ``fields``, ``POINT_TOL`` in ``charts``): no kernel function
+other than ``central_difference`` takes a step or tolerance argument.
 
 Evaluators act on coords of shape (..., dim), one point per row, and return
 covectors of the same shape; ``eval_one_form`` and ``d_matrix`` keep the

@@ -21,7 +21,10 @@ terminated; see also docs/kirby_format.md):
 where a letter is either ``curve:<label>_<copy>:<+|->`` (a core curve in a
 numbered copy, with orientation sign) or ``dotted:<id>`` (a traversal of a
 dotted handle).  Sections with no entries are still emitted.  Handles are
-sorted by id, so serialization is canonical and byte-stable.
+sorted by id, so serialization is canonical and byte-stable.  A diagram
+refuses base and note lines that are section headers or hold line breaks,
+and curve labels that are empty or hold ':' or whitespace, so that every
+serialized diagram parses back.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Sequence
 from .errors import DomainError
 
 MAGIC = "KIRBY 1"
+SECTIONS = ("BASE", "DOTTED", "2HANDLES", "NOTES")
 
 # Attaching-word letters as tagged tuples:
 #   ("curve", label, copy_index, sign)   sign in {+1, -1}
@@ -94,6 +98,17 @@ class KirbyDiagram:
                     raise DomainError(
                         f"2-handle {h.id} traverses unknown dotted handle "
                         f"{letter[1]!r}")
+                # A curve letter is written curve:<label>_<copy>:<sign>.
+                if letter[0] == "curve" and (":" in letter[1]
+                                             or letter[1].split() != [letter[1]]):
+                    raise DomainError(
+                        f"curve label {letter[1]!r} in {h.id} is empty or "
+                        f"holds ':' or whitespace")
+        for line in (*self.base_components, *self.notes):
+            if line in SECTIONS or line.splitlines() not in ([], [line]):
+                raise DomainError(
+                    f"base or note line {line!r} is a section header or "
+                    f"holds a line break")
         object.__setattr__(self, "dotted",
                            tuple(sorted(self.dotted, key=lambda d: d.id)))
         object.__setattr__(self, "two_handles",
@@ -218,7 +233,7 @@ def parse_diagram(text: str) -> KirbyDiagram:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise DomainError("missing KIRBY header")
-    sections = {"BASE": [], "DOTTED": [], "2HANDLES": [], "NOTES": []}
+    sections = {name: [] for name in SECTIONS}
     current = None
     for line in lines[1:]:
         if line in sections:

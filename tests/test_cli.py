@@ -135,6 +135,9 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     ["kirby", "surgery", "--k", "2", "--q", "9", "--base", "foo"],
     ["kirby", "surgery", "--q", "3"],
     ["kirby", "--base", "foo", "surgery"],
+    # a base text the Kirby format cannot carry
+    ["kirby", "cover", "--base", "DOTTED"],
+    ["kirby", "cover", "--base", "two\nlines"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from contactcalc.charts import Chart, darboux_chart, unit_norm_constraint, \
-    with_constraints
+from contactcalc.charts import Chart, darboux_chart, stack_points, \
+    unit_norm_constraint, with_constraints
 from contactcalc.conditions import (check_contact_condition,
                                     check_contact_dilation,
                                     check_two_form_dilation, contact_margin,
@@ -176,8 +176,8 @@ def test_contact_dilation_collar(rng):
 
     def v(x):
         out = np.empty_like(x)
-        out[0] = x[0]
-        out[1:] = 0.5 * x[1:]
+        out[..., 0] = x[..., 0]
+        out[..., 1:] = 0.5 * x[..., 1:]
         return out
 
     pts = [alpha.chart.point(rng.uniform(-1, 1, 3)) for _ in range(5)]
@@ -190,7 +190,7 @@ def test_contact_dilation_symplectization(rng):
 
     def t_dt(x):
         out = np.zeros_like(x)
-        out[0] = x[0]
+        out[..., 0] = x[..., 0]
         return out
 
     pts = [sa.chart.point(np.concatenate([[rng.uniform(0.5, 2.0)],
@@ -200,25 +200,21 @@ def test_contact_dilation_symplectization(rng):
 
 
 def test_two_form_dilation_handle(rng):
-    # omega = dtheta^dz + dx^dy with dilation Z = -theta d_theta + 2z d_z
-    # + (radial/2 on the beta block)
-    def omega(x):
-        m = np.zeros((4, 4))
-        m[0, 1], m[1, 0] = 1.0, -1.0
-        m[2, 3], m[3, 2] = 1.0, -1.0
-        return m
+    # omega = dtheta^dz + dx^dy, the d of the handle form, with dilation
+    # Z = -theta d_theta + 2z d_z + (radial/2 on the beta block)
+    from contactcalc.forms import handle_form
+    primitive = handle_form(lambda_std(1))
 
     def z_field(x):
         out = np.empty_like(x)
-        out[0] = -x[0]
-        out[1] = 2.0 * x[1]
-        out[2:] = 0.5 * x[2:]
+        out[..., 0] = -x[..., 0]
+        out[..., 1] = 2.0 * x[..., 1]
+        out[..., 2:] = 0.5 * x[..., 2:]
         return out
 
-    from contactcalc.forms import handle_form
-    ch = handle_form(lambda_std(1)).chart
+    ch = primitive.chart
     pts = [ch.point(rng.uniform(-1, 1, 4)) for _ in range(5)]
-    assert check_two_form_dilation(z_field, omega, pts).passed
+    assert check_two_form_dilation(z_field, primitive, pts).passed
 
 
 def _radial_dilation_case(rng):
@@ -229,19 +225,18 @@ def _radial_dilation_case(rng):
 
 def test_dilation_nan_residual_fails(rng):
     # The field is NaN near the second sample point only; the worst residual
-    # must be NaN (not the first point's finite residual) and the check FAIL.
+    # must be NaN (not the first point's finite residual) and the check FAIL,
+    # whether the points come as a list or as one batch.
     lam, pts = _radial_dilation_case(rng)
-    omega = np.zeros((4, 4))
-    omega[0, 2], omega[2, 0], omega[1, 3], omega[3, 1] = 1.0, -1.0, 1.0, -1.0
 
     def v(x):
-        if np.max(np.abs(x - pts[1].coords)) < 1e-2:
-            return np.full(4, np.nan)
-        return 0.5 * x
+        near = np.max(np.abs(x - pts[1].coords), axis=-1, keepdims=True) < 1e-2
+        return np.where(near, np.nan, 0.5 * x)
 
-    assert check_contact_dilation(lambda x: 0.5 * x, lam, pts).passed
-    assert check_two_form_dilation(lambda x: 0.5 * x, lambda y: omega, pts).passed
-    for rep in (check_contact_dilation(v, lam, pts),
-                check_two_form_dilation(v, lambda y: omega, pts)):
-        assert not rep.passed
-        assert math.isnan(rep.margin)
+    for points in (pts, stack_points(pts)):
+        assert check_contact_dilation(lambda x: 0.5 * x, lam, points).passed
+        assert check_two_form_dilation(lambda x: 0.5 * x, lam, points).passed
+        for rep in (check_contact_dilation(v, lam, points),
+                    check_two_form_dilation(v, lam, points)):
+            assert not rep.passed
+            assert math.isnan(rep.margin)

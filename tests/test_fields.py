@@ -5,7 +5,7 @@ from contactcalc.charts import darboux_chart, with_constraints, \
     unit_norm_constraint
 from contactcalc.errors import DegenerateSystemError, DomainError, \
     IllConditionedError
-from contactcalc.fields import (flow, hamiltonian_vector_field,
+from contactcalc.fields import (hamiltonian_vector_field,
                                 liouville_vector_field, moser_field,
                                 reeb_vector_field)
 from contactcalc.forms import OneFormField, dz_plus, lambda_can, lambda_std, \
@@ -125,9 +125,3 @@ def test_moser_field_rejects_mismatched_derivatives():
     other = OneFormField("2xdy", lam.chart, lambda c: np.array([0.0, 2.0 * c[0]]))
     with pytest.raises(DegenerateSystemError):
         moser_field(lam, other, lam.chart.point([0.4, 0.8]))
-
-
-def test_flow_rotation():
-    v = lambda x: np.array([-x[1], x[0]])
-    out = flow(v, np.array([1.0, 0.0]), np.pi / 2, steps=64)
-    assert np.allclose(out, [0.0, 1.0], atol=1e-6)

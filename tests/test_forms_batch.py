@@ -12,6 +12,15 @@ Pfaffians of O(1) entries are held to 1e-12 relative to their scale.  One
 exception was found when the comparison first ran: the oracle Hamiltonian
 is a BLAS ``np.dot``, which may fuse its multiply-adds, so the batched sum
 of products is held to 4 ulps of the values' scale instead of exactly.
+
+The dilation checks and the Moser field are compared with their own
+per-row results (exactly: one row is the same arithmetic in a batch as on
+its own) and with closed forms.  Lie derivatives of 1-forms with linear
+coefficients along linear fields are held to 1e-9 absolute, like ``d``;
+2-form Lie derivatives difference ``d_matrix`` again with the outer step
+``conditions.H`` = 1e-4, so their round-off is divided by 2e-4 once more
+and they are held to ``conditions.DILATION_TOL`` = 1e-6.  These tolerances
+were fixed before the comparison was run.
 """
 
 import numpy as np
@@ -24,6 +33,7 @@ from contactcalc.errors import (DegenerateSystemError, DomainError,
                                 IllConditionedError)
 
 EVAL_TOL = 0.0
+LIE_TOL = 1e-9
 HAM_ULPS = 4
 D_TOL = 1e-9
 FIELD_TOL = 1e-9
@@ -352,6 +362,137 @@ def test_single_point_is_the_one_row_batch(rng, case):
         for got, batch in zip(one, whole):
             assert np.shape(got) == np.shape(batch[i])
             assert np.array_equal(got, batch[i])
+
+
+# ---------------------------------------------------------------------------
+# Dilation checks and the Moser field on batches
+# ---------------------------------------------------------------------------
+
+def _handle_field(x):
+    """Z = -theta d_theta + 2z d_z + (radial / 2 on the beta block), the
+    Liouville field of the handle form."""
+    return np.concatenate([-x[..., :1], 2.0 * x[..., 1:2], 0.5 * x[..., 2:]],
+                          axis=-1)
+
+
+def _t_dt(x):
+    out = np.zeros_like(x)
+    out[..., 0] = x[..., 0]
+    return out
+
+
+def _xdy(n):
+    """x dy on R^2n: the same d as lambda_std(n)."""
+    def ev(c):
+        return np.concatenate([np.zeros_like(c[..., :n]), c[..., :n]], axis=-1)
+    return forms.OneFormField("xdy", darboux_chart(n), ev)
+
+
+DILATIONS = [conditions.check_contact_dilation, conditions.check_two_form_dilation]
+
+
+@pytest.mark.parametrize("check", DILATIONS)
+def test_dilation_batch_is_its_rows(rng, check):
+    lam = forms.lambda_std(2)
+    p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (3, 4)))
+    v = lambda x: 0.5 * x
+    rows = [check(v, lam, ChartPoint(p.chart, x)) for x in p.coords]
+    rep = check(v, lam, p)
+    assert rep.passed and rep.samples == 3 and all(r.samples == 1 for r in rows)
+    assert rep.margin == min(r.margin for r in rows)
+    assert check(v, lam, [ChartPoint(p.chart, x) for x in p.coords]) == rep
+    assert check(v, lam, ChartPoint(p.chart, p.coords[:1])) == rows[0]
+    with pytest.raises(DomainError, match="empty"):
+        check(v, lam, ChartPoint(p.chart, p.coords[:0]))
+    with pytest.raises(DomainError, match="empty"):
+        check(v, lam, [])
+
+
+def test_lie_derivative_batch_is_its_rows(rng):
+    form, p = _points(rng, "handle6", 4)
+    whole = conditions.lie_derivative_one_form(_handle_field, form, p)
+    assert whole.shape == p.coords.shape
+    for i, x in enumerate(p.coords):
+        one = conditions.lie_derivative_one_form(_handle_field, form,
+                                                 ChartPoint(p.chart, x))
+        assert one.shape == x.shape and np.array_equal(one, whole[i])
+        row = conditions.lie_derivative_one_form(_handle_field, form,
+                                                 ChartPoint(p.chart, x[None]))
+        assert np.array_equal(row[0], one)
+
+
+def test_moser_field_batch_is_its_rows():
+    lam = forms.lambda_std(1)
+    # The origin row has beta = beta', so V = 0 there without a solve.
+    p = ChartPoint(lam.chart, np.array([[0.4, 0.8], [0.0, 0.0], [-1.5, 0.3]]))
+    whole = fields.moser_field(lam, _xdy(1), p)
+    rows = [fields.moser_field(lam, _xdy(1), ChartPoint(p.chart, x)) for x in p.coords]
+    assert whole.shape == p.coords.shape
+    assert all(np.array_equal(one, w) for one, w in zip(rows, whole))
+    assert np.array_equal(fields.moser_field(lam, _xdy(1),
+                                             ChartPoint(p.chart, p.coords[:1]))[0],
+                          rows[0])
+    # d(lambda)(V, .) = lambda - x dy = (-y/2, -x/2) with d(lambda) = dx^dy
+    # gives V = (-x/2, y/2).
+    want = np.stack([-0.5 * p.coords[:, 0], 0.5 * p.coords[:, 1]], axis=-1)
+    assert float(np.max(np.abs(whole - want))) <= FIELD_TOL
+    assert np.array_equal(fields.moser_field(lam, lam, p), np.zeros((3, 2)))
+
+
+def test_moser_field_one_mismatched_row_rejects_the_batch():
+    lam = forms.lambda_std(1)
+    # x^3 dy / 3 has d = x^2 dx^dy, equal to d(lambda) only where x^2 = 1.
+    cubic = forms.OneFormField(
+        "x3dy", lam.chart,
+        lambda c: np.stack([np.zeros_like(c[..., 0]), c[..., 0] ** 3 / 3.0], axis=-1))
+    coords = np.array([[1.0, 0.2], [-1.0, 0.5], [1.0, -0.7]])
+    fields.moser_field(lam, cubic, ChartPoint(lam.chart, coords))  # every row is fine
+    coords[1, 0] = 0.5
+    with pytest.raises(DegenerateSystemError):
+        fields.moser_field(lam, cubic, ChartPoint(lam.chart, coords))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [0.5, -1.3, 2.0])
+def test_lie_derivative_of_radial_field_on_lambda_std(rng, n, c):
+    # L_{c x} lambda_std = i_{c x} d(lambda_std) + d(c lambda_std(x))
+    # = 2 c lambda_std, since lambda_std(x) = 0.
+    lam = forms.lambda_std(n)
+    p = ChartPoint(lam.chart, rng.uniform(-2.0, 2.0, (COUNT, 2 * n)))
+    got = conditions.lie_derivative_one_form(lambda x: c * x, lam, p)
+    assert float(np.max(np.abs(got - 2.0 * c * lam.at(p)))) <= LIE_TOL
+
+
+MODELS = {
+    "handle": (forms.handle_form(forms.lambda_std(1)), _box(1.0), _handle_field),
+    "symp": (LIOUVILLE["symp4"][0], _box(1.0, lo=0.5), _t_dt),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("check", DILATIONS)
+def test_liouville_models_are_dilated(rng, model, check):
+    # The handle form -theta dz - 2z dtheta + lambda_std is dilated by its
+    # Liouville field, and t alpha on the symplectization by t d_t.
+    form, draw, field = MODELS[model]
+    p = ChartPoint(form.chart, draw(rng, form.chart, COUNT))
+    rep = check(field, form, p)
+    assert rep.passed and rep.samples == COUNT
+    assert -conditions.DILATION_TOL < rep.margin <= 0.0
+
+
+def test_wrong_field_fails_with_the_closed_form_residual(rng):
+    # L_{0.4 x} lambda_std = 0.8 lambda_std: the 1-form residual is
+    # -0.2 lambda_std, at most 0.1 max |coord|, and the 2-form residual is
+    # -0.2 d(lambda_std), whose entries are 0 and +-0.2.
+    lam = forms.lambda_std(2)
+    p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (COUNT, 4)))
+    v = lambda x: 0.4 * x
+    one = conditions.check_contact_dilation(v, lam, p)
+    two = conditions.check_two_form_dilation(v, lam, p)
+    assert not one.passed and not two.passed
+    assert abs(one.margin + 0.1 * np.max(np.abs(p.coords))) <= LIE_TOL
+    assert abs(two.margin + 0.2) <= conditions.DILATION_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,32 @@ def test_round_trip_byte_exact():
         assert serialize_diagram(parse_diagram(text)) == text
 
 
+@pytest.mark.parametrize("line", ["BASE", "DOTTED", "2HANDLES", "NOTES", "a\nb",
+                                  "trailing\n", "a\rb", "a\x0bb", "a\u2028b"])
+def test_diagram_refuses_base_and_note_lines_that_do_not_parse_back(line):
+    # Each would be read back as a section header or as two lines.
+    with pytest.raises(DomainError, match="line"):
+        branched_cover_diagram(_genus_one_page(), (line,), 2)
+    with pytest.raises(DomainError, match="line"):
+        KirbyDiagram((), (), (), notes=(line,))
+
+
+@pytest.mark.parametrize("label", ["a:b", "a b", "a\tb", "a\nb", ""])
+def test_diagram_refuses_curve_labels_that_do_not_parse_back(label):
+    with pytest.raises(DomainError, match="curve label"):
+        KirbyDiagram((), (), (TwoHandle("h1", (curve(label, 1),), "-1"),))
+
+
+def test_carried_text_parses_back():
+    # Underscores in labels are fine (the copy index follows the last one),
+    # as are blanks, tabs and colons in base and note text.
+    page = PageSpec("g", 1, ((0, 1), (1, 2)), True, ("a_1", "b__c"))
+    d = branched_cover_diagram(page, ("KIRBY 1", "", "x\ty: z"), 3)
+    text = serialize_diagram(d)
+    assert parse_diagram(text) == d
+    assert serialize_diagram(parse_diagram(text)) == text
+
+
 def test_golden_file_stable():
     d = branched_cover_diagram(_genus_one_page(),
                                ("L(2,1) as -2 surgery on unknot",), 2)

@@ -59,6 +59,9 @@ DELETED = {
     # Folded into ``scenario.execute``, the one executor of the CLI and of
     # scenarios; ``Scenario.words`` holds the words themselves.
     "scenario": ["run_suite", "WordDecl"],
+    # Lie derivatives come from Cartan's formula on ``d_matrix``, so the RK4
+    # flow and the 2-form wrapper (with its matrix-callable branch) went.
+    "fields": ["flow", "two_form_matrix"],
 }
 
 

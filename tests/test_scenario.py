@@ -103,6 +103,23 @@ def test_kirby_cover_quoted_base_matches_cli(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "s.kirby").read_bytes() == cli_out.encode()
 
 
+@pytest.mark.parametrize("text", [
+    "page g dim=2 handles=[0:1,1:1] stein=true spheres=[a:b]\nkirby cover g q=2 out=k.txt\n",
+    "page g dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n"
+    "kirby cover g q=2 base=NOTES out=k.txt\n",
+], ids=["colon_label", "header_base"])
+def test_kirby_text_that_would_not_parse_back_is_positioned(tmp_path, monkeypatch,
+                                                            capsys, text):
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+    assert (exc.value.code, exc.value.line, exc.value.col) == (E_SYNTAX, 2, 1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.scn").write_text(text)
+    assert main(["run", "k.scn"]) == 2
+    assert "line 2, col 1: [E_SYNTAX]" in capsys.readouterr().err
+    assert not (tmp_path / "k.txt").exists()
+
+
 @pytest.mark.parametrize("stmt,col", [
     ('kirby cover genus1 q=2 base="L(2,1) as', 29),
     ('kirby cover genus1 q=2 "base=L(2,1)"', 24),
