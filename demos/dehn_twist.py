@@ -13,7 +13,7 @@ from contactcalc.twist import (CotangentPoint, apply_twist,
                                apply_twist_via_generator,
                                boundary_displacement_probe, isotopy_phi,
                                isotopy_psi, make_profile, pullback_two_form,
-                               random_point, twist_square_direct)
+                               random_points, twist_square_direct)
 
 rng = np.random.default_rng(0)
 prof = make_profile(0.4)   # profile angle: pi at the zero section, 2 pi
@@ -25,8 +25,8 @@ out = apply_twist(CotangentPoint(u, np.zeros(3)), prof)
 print("tau(u, 0) =", out.u, out.v)
 
 # ... and nothing happens outside the support.
-far = random_point(rng, 2, 1.0)
-far = CotangentPoint(far.u, far.v / np.linalg.norm(far.v))
+far = random_points(rng, 2, 1.0, 1)
+far = CotangentPoint(far.u, far.v / np.linalg.norm(far.v, axis=-1, keepdims=True))
 moved = apply_twist(far, prof)
 print("displacement at |v| = 1:",
       np.max(np.abs(moved.ambient() - far.ambient())))
@@ -34,29 +34,22 @@ print("displacement at |v| = 1:",
 # Two independent evaluation paths agree: the explicit rotation formula and
 # the closed-form exponential of the plane generator.
 for n in (1, 2, 3, 6):
-    dev = 0.0
-    for _ in range(25):
-        q = random_point(rng, n, 0.9)
-        dev = max(dev, float(np.max(np.abs(
-            apply_twist(q, prof).ambient()
-            - apply_twist_via_generator(q, prof).ambient()))))
+    q = random_points(rng, n, 0.9, 25)
+    dev = np.max(np.abs(apply_twist(q, prof).ambient()
+                        - apply_twist_via_generator(q, prof).ambient()))
     print(f"n={n}: two-path deviation {dev:.2e}")
 
 # The twist is a symplectomorphism: pull back -d(lambda_can) on an
 # orthonormal tangent frame and compare entrywise.
 for n in (1, 2, 3, 6):
-    worst = 0.0
-    for _ in range(10):
-        q = random_point(rng, n, 0.9)
-        worst = max(worst,
-                    pullback_two_form(lambda s: apply_twist(s, prof), q)
-                    .max_deviation)
+    q = random_points(rng, n, 0.9, 10)
+    worst = pullback_two_form(lambda s: apply_twist(s, prof), q).max_deviation
     print(f"n={n}: pullback deviation {worst:.2e}")
 
 # For n = 2 the square of the twist deforms to the identity through the
 # family Phi_t built from the fiberwise almost-complex rotation j_u.
 n = 2
-q = random_point(rng, n, 0.5)
+q = random_points(rng, n, 0.5, 1)
 a = isotopy_phi(1.0, q, prof).ambient()
 b = twist_square_direct(q, prof).ambient()
 print(f"\nPhi_1 vs tau^2: {np.max(np.abs(a - b)):.2e}")

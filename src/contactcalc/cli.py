@@ -26,8 +26,8 @@ from .kirby import serialize_diagram
 from .reports import DEFAULT_SAMPLES, render_report, report_failed
 from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
                        execute, parse_scenario, run_scenario)
-from .surgery import (MonodromyWord, PageSpec, ZERO_SECTION, catalog_M_nk,
-                      disk_cotangent_page, surgery_compose, word)
+from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
+                      surgery_compose, word)
 
 
 def _add_common(p: argparse.ArgumentParser, verifies: bool = False):
@@ -114,9 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "compose":
         total = surgery_compose(list(args.exponents))
-        w = MonodromyWord()
-        for k in args.exponents:
-            w = w * word((ZERO_SECTION, -k))
+        w = word(*((ZERO_SECTION, -k) for k in args.exponents))
         text = (f"coefficients\t{' '.join(map(str, args.exponents))}\t-\tOK\n"
                 f"combined\t{'no surgery' if total is None else total}\t-\tOK\n"
                 f"word\t{w}\t-\tOK\n")

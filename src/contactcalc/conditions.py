@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartPoint, matmul, matvec, stack_points, tangent_frame
+from .charts import (ChartPoint, matmul, matvec, require_same_chart, stack_points,
+                     tangent_frame)
 from .errors import DomainError
 from .forms import OneFormField, central_difference, d_matrix, eval_one_form
 from .reports import ConditionReport
@@ -109,6 +110,7 @@ def lie_derivative_one_form(v: Callable[[np.ndarray], np.ndarray],
                             alpha: OneFormField, p: ChartPoint) -> np.ndarray:
     """L_v alpha = i_v d(alpha) + d(alpha(v)) at each row of p; v maps
     coords (..., dim) to vectors (..., dim)."""
+    require_same_chart(alpha.chart, p.chart)
     x = p.coords
     contraction = matvec(d_matrix(alpha, x).swapaxes(-1, -2), v(x))
     pairing = lambda y: (np.asarray(alpha.evaluator(y)) * v(y)).sum(axis=-1)
@@ -135,6 +137,7 @@ def check_two_form_dilation(v: Callable[[np.ndarray], np.ndarray],
     sample point; L_v omega = d(i_v omega), whose outer derivative has step
     ``H``.  Margin as in ``check_contact_dilation``."""
     p = stack_points(points)
+    require_same_chart(beta.chart, p.chart)
     x = p.coords
     contraction = lambda y: matvec(d_matrix(beta, y).swapaxes(-1, -2), v(y))
     jac = central_difference(contraction, x, np.eye(x.shape[-1]), H)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import ChartPoint, first_bad, matmul, matvec, tangent_frame
+from .charts import ChartPoint, first_bad, matmul, matvec, require_same_chart, tangent_frame
 from .errors import DegenerateSystemError, DomainError, IllConditionedError
 from .forms import OneFormField, central_difference, d_matrix, eval_one_form
 
@@ -55,6 +55,7 @@ def hamiltonian_vector_field(fn: Callable[[np.ndarray], np.ndarray],
                              beta: OneFormField, p: ChartPoint) -> np.ndarray:
     """X_f with df(.) = omega(X_f, .) at each row of p, for omega = d(beta);
     fn maps coords (..., dim) to values (...)."""
+    require_same_chart(beta.chart, p.chart)
     df = central_difference(fn, p.coords, np.eye(p.chart.dim))
     if not np.all(np.isfinite(df)):
         raise DomainError("non-finite derivative of the Hamiltonian")

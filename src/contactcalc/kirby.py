@@ -22,9 +22,8 @@ where a letter is either ``curve:<label>_<copy>:<+|->`` (a core curve in a
 numbered copy, with orientation sign) or ``dotted:<id>`` (a traversal of a
 dotted handle).  Sections with no entries are still emitted.  Handles are
 sorted by id, so serialization is canonical and byte-stable.  A diagram
-refuses base and note lines that are section headers or hold line breaks,
-and curve labels that are empty or hold ':' or whitespace, so that every
-serialized diagram parses back.
+refuses text this grammar cannot carry (docs/kirby_format.md lists it), so
+every serialized diagram parses back.
 """
 
 from __future__ import annotations
@@ -53,12 +52,19 @@ def traversal(dotted_id: str) -> Letter:
     return ("dotted", dotted_id)
 
 
+def _splits(text: str) -> bool:
+    """Whether a tab or a line break would split a field (printable text has none)."""
+    return not text.isprintable() and ("\t" in text or text.splitlines() != [text])
+
+
 @dataclass(frozen=True)
 class DottedHandle:
     id: str
     anchors: tuple[str, str]
 
     def __post_init__(self):
+        if any(map(_splits, (self.id, *self.anchors))) or ":" in self.id:
+            raise DomainError(f"dotted handle {self.id!r}: tab or line break, or ':' in id")
         if self.anchors[0] == self.anchors[1]:
             raise DomainError(f"dotted handle {self.id} has equal anchors")
 
@@ -70,6 +76,8 @@ class TwoHandle:
     coefficient: str
 
     def __post_init__(self):
+        if _splits(self.id) or _splits(self.coefficient):
+            raise DomainError(f"2-handle {self.id!r}: tab or line break in a field")
         if not self.attaching_word:
             raise DomainError(f"2-handle {self.id} has empty attaching word")
         for letter in self.attaching_word:

@@ -9,9 +9,10 @@ supported in the fibers.
 Every map here is batched over leading axes: a ``CotangentPoint`` holds u
 and v of shape (..., n+1), one point per row, and the maps, generators,
 exponentials, tangent frames and pullbacks act row by row and return the
-same leading shape.  A single point (u and v of shape (n+1,)) is the N = 1
-case of the same code.  Norms, inner products and the small matrix products
-are elementwise products summed over the last axis, not BLAS calls.
+same leading shape, and ``random_points`` draws samples as one batch.  A
+single point (u and v of shape (n+1,)) is the N = 1 case of the same code.
+Norms, inner products and the small matrix products are elementwise
+products summed over the last axis, not BLAS calls.
 """
 
 from __future__ import annotations
@@ -92,30 +93,20 @@ def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
     return CotangentPoint(uhat, v - _dot(v, uhat)[..., None] * uhat)
 
 
-def _draw(rng: np.random.Generator, n: int, fiber_radius: float):
-    """One sample (u, v) for ``random_point``, unvalidated."""
-    u = rng.normal(size=n + 1)
-    u /= np.linalg.norm(u)
-    v = rng.normal(size=n + 1)
-    v -= float(np.dot(v, u)) * u
-    norm = np.linalg.norm(v)
-    if norm < 1e-8:
-        return _draw(rng, n, fiber_radius)
-    v *= float(rng.uniform(1e-3, 1.0)) * fiber_radius / norm
-    return u, v
-
-
-def random_point(rng: np.random.Generator, n: int, fiber_radius: float) -> CotangentPoint:
-    """A random point with ||v|| uniform in (0, fiber_radius]."""
-    return CotangentPoint(*_draw(rng, n, fiber_radius))
-
-
 def random_points(rng: np.random.Generator, n: int, fiber_radius: float,
                   count: int) -> CotangentPoint:
-    """``count`` points drawn one after another as by ``random_point`` (so in
-    its RNG order), as one batch of shape (count, n+1)."""
-    us, vs = zip(*(_draw(rng, n, fiber_radius) for _ in range(count)))
-    return CotangentPoint(np.stack(us), np.stack(vs))
+    """``count`` points (count, n+1): u uniform on S^n, v normal to u with ||v||
+    uniform in [1e-3, 1) * fiber_radius.  A projected v under 1e-8 is redrawn."""
+    if n < 1:
+        raise DomainError(f"T*S^n needs n >= 1, got {n}")
+    u = rng.normal(size=(count, n + 1))
+    u /= _norm(u)[:, None]
+    v = np.zeros_like(u)
+    while (short := _norm(v) < 1e-8).any():
+        w = rng.normal(size=(int(short.sum()), n + 1))
+        v[short] = w - _dot(w, u[short])[:, None] * u[short]
+    v *= (rng.uniform(1e-3, 1.0, count) * fiber_radius / _norm(v))[:, None]
+    return CotangentPoint(u, v)
 
 
 @dataclass(frozen=True)

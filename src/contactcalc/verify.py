@@ -89,8 +89,9 @@ def verify_forms(seed: int = 0, tol: float | None = None,
 def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
                  samples: int = DEFAULT_SAMPLES) -> list[ReportLine]:
     """Dehn-twist checks: pullback invariance, endpoint identities,
-    two-path consistency, and the boundary-displacement probe.
-    ``tol=None`` means 1e-5."""
+    two-path consistency, and the boundary-displacement probe.  Each line
+    draws its sample points as one batch (``twist.random_points``) and runs
+    them through the twist maps as one batch.  ``tol=None`` means 1e-5."""
     check_suite_args(seed, samples, tol)
     if n < 1:
         raise DomainError(f"twist sphere dimension n must be >= 1, got {n}")
@@ -100,8 +101,6 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     prof = twist.make_profile(0.4)
     out = []
 
-    # Each line draws its points one by one (random_point's RNG order) and
-    # runs them through the twist maps as one batch.
     q = twist.random_points(rng, n, 0.9, samples)
     dev = twist.pullback_two_form(lambda p: twist.apply_twist(p, prof),
                                   q).max_deviation
@@ -114,8 +113,7 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     out.append(_line(f"twist_zero_section_antipodal_n{n}", dev, 0.0))
 
     q = twist.random_points(rng, n, 1.0, 20)
-    q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True)
-                             * 0.95)
+    q = twist.CotangentPoint(q.u, q.v / twist._norm(q.v)[:, None] * 0.95)
     dev = _worst(twist.apply_twist(q, prof).ambient() - q.ambient())
     out.append(_line(f"twist_identity_outside_eps_n{n}", dev, 1e-12))
 

@@ -38,12 +38,9 @@ def test_criterion_01_twist_symplectomorphism():
     prof = twist.make_profile(0.4)
     start = time.time()
     for n in (1, 2, 3, 6):
-        worst = 0.0
-        for _ in range(50):
-            q = twist.random_point(rng, n, 0.9)
-            res = twist.pullback_two_form(
-                lambda p: twist.apply_twist(p, prof), q)
-            worst = max(worst, res.max_deviation)
+        q = twist.random_points(rng, n, 0.9, 50)
+        worst = twist.pullback_two_form(
+            lambda p: twist.apply_twist(p, prof), q).max_deviation
         assert worst <= 1e-5, f"n={n}: pullback deviation {worst}"
     assert time.time() - start < 5.0
     _report(1, "twist_symplectomorphism")
@@ -57,14 +54,13 @@ def test_criterion_02_twist_endpoints():
         u[0] = 1.0
         out = twist.apply_twist(twist.CotangentPoint(u, np.zeros(n + 1)), prof)
         assert np.array_equal(out.u, -u) and not np.any(out.v)
-        for _ in range(20):
-            q = twist.random_point(rng, n, 1.0)
-            q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v))
-            assert np.max(np.abs(twist.apply_twist(q, prof).ambient()
-                                 - q.ambient())) <= 1e-12
-    for i in range(200):
-        n = (1, 2, 3, 6)[i % 4]
-        q = twist.random_point(rng, n, 0.9)
+        q = twist.random_points(rng, n, 1.0, 20)
+        q = twist.CotangentPoint(
+            q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True))
+        assert np.max(np.abs(twist.apply_twist(q, prof).ambient()
+                             - q.ambient())) <= 1e-12
+    for n in (1, 2, 3, 6):
+        q = twist.random_points(rng, n, 0.9, 50)
         a = twist.apply_twist(q, prof).ambient()
         b = twist.apply_twist_via_generator(q, prof).ambient()
         assert np.max(np.abs(a - b)) <= 1e-10
@@ -75,18 +71,16 @@ def test_criterion_03_square_isotopy(capsys):
     rng = np.random.default_rng(2)
     prof = twist.make_profile(0.4)
     for n in (2, 6):
-        for _ in range(100):
-            q = twist.random_point(rng, n, 0.9)
-            assert np.max(np.abs(
-                twist.isotopy_phi(1.0, q, prof).ambient()
-                - twist.twist_square_direct(q, prof).ambient())) <= 1e-8
-        for _ in range(20):
-            q = twist.random_point(rng, n, 0.9)
-            assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).ambient()
-                                 - q.ambient())) <= 1e-10
-            assert np.max(np.abs(
-                twist.isotopy_psi(1.0, q, prof).ambient()
-                - twist.isotopy_phi(0.0, q, prof).ambient())) <= 1e-10
+        q = twist.random_points(rng, n, 0.9, 100)
+        assert np.max(np.abs(
+            twist.isotopy_phi(1.0, q, prof).ambient()
+            - twist.twist_square_direct(q, prof).ambient())) <= 1e-8
+        q = twist.random_points(rng, n, 0.9, 20)
+        assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).ambient()
+                             - q.ambient())) <= 1e-10
+        assert np.max(np.abs(
+            twist.isotopy_psi(1.0, q, prof).ambient()
+            - twist.isotopy_phi(0.0, q, prof).ambient())) <= 1e-10
         u = np.zeros(n + 1)
         u[0] = 1.0
         zs = twist.CotangentPoint(u, np.zeros(n + 1))

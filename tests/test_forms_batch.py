@@ -27,10 +27,10 @@ import numpy as np
 import pytest
 
 from contactcalc import conditions, fields, forms, verify
-from contactcalc.charts import (Chart, ChartPoint, darboux_chart,
+from contactcalc.charts import (Chart, ChartPoint, cotangent_chart, darboux_chart,
                                 unit_norm_constraint, with_constraints)
-from contactcalc.errors import (DegenerateSystemError, DomainError,
-                                IllConditionedError)
+from contactcalc.errors import (ChartMismatchError, DegenerateSystemError,
+                                DomainError, IllConditionedError)
 
 EVAL_TOL = 0.0
 LIE_TOL = 1e-9
@@ -437,6 +437,30 @@ def test_moser_field_batch_is_its_rows():
     want = np.stack([-0.5 * p.coords[:, 0], 0.5 * p.coords[:, 1]], axis=-1)
     assert float(np.max(np.abs(whole - want))) <= FIELD_TOL
     assert np.array_equal(fields.moser_field(lam, lam, p), np.zeros((3, 2)))
+
+
+def _off_chart(rng):
+    """Two points on cotangent_chart(1): same dimension as lambda_std(1)'s
+    chart, but not that chart."""
+    return ChartPoint(cotangent_chart(1), rng.uniform(-1.0, 1.0, (2, 2)))
+
+
+def test_two_form_dilation_refuses_points_on_another_chart(rng):
+    with pytest.raises(ChartMismatchError):
+        conditions.check_two_form_dilation(lambda x: 0.5 * x, forms.lambda_std(1),
+                                           _off_chart(rng))
+
+
+def test_lie_derivative_refuses_points_on_another_chart(rng):
+    with pytest.raises(ChartMismatchError):
+        conditions.lie_derivative_one_form(lambda x: 0.5 * x, forms.lambda_std(1),
+                                           _off_chart(rng))
+
+
+def test_hamiltonian_field_refuses_points_on_another_chart(rng):
+    with pytest.raises(ChartMismatchError):
+        fields.hamiltonian_vector_field(forms.weinstein_hamiltonian(1, 1),
+                                        forms.lambda_std(1), _off_chart(rng))
 
 
 def test_moser_field_one_mismatched_row_rejects_the_batch():

@@ -71,16 +71,44 @@ def _openblas_dynamic_arch() -> bool:
             and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
 
-@pytest.mark.skipif(not _openblas_dynamic_arch(),
-                    reason="numpy's BLAS is not an x86 OpenBLAS built with "
-                           "DYNAMIC_ARCH, so OPENBLAS_CORETYPE selects nothing")
-@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell"])
-def test_verify_forms_golden_under_openblas_kernels(coretype):
-    # The forms report does not depend on which OpenBLAS kernels run it (the
-    # twist reports still do, so they are not covered here).
+OPENBLAS_GUARD = pytest.mark.skipif(
+    not _openblas_dynamic_arch(),
+    reason="numpy's BLAS is not an x86 OpenBLAS built with DYNAMIC_ARCH, so "
+           "OPENBLAS_CORETYPE selects nothing")
+CORETYPES = ["Prescott", "Sandybridge", "Haswell"]
+
+
+def _run_under_coretype(name: str, coretype: str) -> subprocess.CompletedProcess:
+    """The command of golden ``name`` in a child process whose OpenBLAS runs
+    the ``coretype`` kernels; ``stdout`` is prefixed with its ``exit`` line,
+    as in the golden."""
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-m", "contactcalc.cli", "verify", "forms"],
+    res = subprocess.run([sys.executable, "-m", "contactcalc.cli", *CASES[name]],
                          env=env, capture_output=True, timeout=120)
-    got = f"exit {res.returncode}\n".encode() + res.stdout
-    assert got == (GOLDEN / "verify_forms.out").read_bytes(), res.stderr.decode()
+    res.stdout = f"exit {res.returncode}\n".encode() + res.stdout
+    return res
+
+
+@OPENBLAS_GUARD
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_verify_forms_golden_under_openblas_kernels(coretype):
+    # The forms report does not depend on which OpenBLAS kernels run it.
+    res = _run_under_coretype("verify_forms", coretype)
+    assert res.stdout == (GOLDEN / "verify_forms.out").read_bytes(), res.stderr.decode()
+
+
+@OPENBLAS_GUARD
+@pytest.mark.parametrize("coretype", CORETYPES)
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_verify_twist_golden_under_openblas_kernels(coretype, n):
+    # Every twist line but one is kernel-independent.  The exception is
+    # isotopy_phi1_vs_tau_squared (n = 2, 6 only): isotopy_phi exponentiates
+    # through the LAPACK eigh in mixed_exp, whose last bits depend on the
+    # kernel, so that line is left out of the comparison.
+    res = _run_under_coretype(f"verify_twist_n{n}", coretype)
+    moving = f"isotopy_phi1_vs_tau_squared_n{n}\t".encode()
+    keep = lambda text: b"".join(line for line in text.splitlines(keepends=True)
+                                 if not line.startswith(moving))
+    want = (GOLDEN / f"verify_twist_n{n}.out").read_bytes()
+    assert keep(res.stdout) == keep(want), res.stderr.decode()

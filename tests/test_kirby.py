@@ -125,6 +125,21 @@ def test_diagram_refuses_curve_labels_that_do_not_parse_back(label):
         KirbyDiagram((), (), (TwoHandle("h1", (curve(label, 1),), "-1"),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DottedHandle("d\t1", ("a", "b")),
+    lambda: DottedHandle("d:1", ("a", "b")),  # its letter is dotted:d:1
+    lambda: TwoHandle("h1", (curve("K", 1),), "1\t2"),
+    lambda: DottedHandle("d1", ("a", "b\nNOTES")),
+    lambda: TwoHandle("h\u20281", (curve("K", 1),), "-1"),
+], ids=["dotted-id-tab", "dotted-id-colon", "coefficient-tab",
+        "anchor-newline", "two-handle-id-line-separator"])
+def test_handles_refuse_fields_that_do_not_parse_back(make):
+    # Each field would be split at the tab or line break, or (a dotted id
+    # with ':') make its traversal letter unreadable, on parsing back.
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_carried_text_parses_back():
     # Underscores in labels are fine (the copy index follows the last one),
     # as are blanks, tabs and colons in base and note text.

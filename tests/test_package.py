@@ -62,6 +62,8 @@ DELETED = {
     # Lie derivatives come from Cartan's formula on ``d_matrix``, so the RK4
     # flow and the 2-form wrapper (with its matrix-callable branch) went.
     "fields": ["flow", "two_form_matrix"],
+    # Sample points are drawn as one batch by ``random_points``.
+    "twist": ["random_point"],
 }
 
 
