@@ -29,14 +29,14 @@ far = random_points(rng, 2, 1.0, 1)
 far = CotangentPoint(far.u, far.v / np.linalg.norm(far.v, axis=-1, keepdims=True))
 moved = apply_twist(far, prof)
 print("displacement at |v| = 1:",
-      np.max(np.abs(moved.ambient() - far.ambient())))
+      np.max(np.abs(moved.coords - far.coords)))
 
 # Two independent evaluation paths agree: the explicit rotation formula and
 # the closed-form exponential of the plane generator.
 for n in (1, 2, 3, 6):
     q = random_points(rng, n, 0.9, 25)
-    dev = np.max(np.abs(apply_twist(q, prof).ambient()
-                        - apply_twist_via_generator(q, prof).ambient()))
+    dev = np.max(np.abs(apply_twist(q, prof).coords
+                        - apply_twist_via_generator(q, prof).coords))
     print(f"n={n}: two-path deviation {dev:.2e}")
 
 # The twist is a symplectomorphism: pull back -d(lambda_can) on an
@@ -50,11 +50,11 @@ for n in (1, 2, 3, 6):
 # family Phi_t built from the fiberwise almost-complex rotation j_u.
 n = 2
 q = random_points(rng, n, 0.5, 1)
-a = isotopy_phi(1.0, q, prof).ambient()
-b = twist_square_direct(q, prof).ambient()
+a = isotopy_phi(1.0, q, prof).coords
+b = twist_square_direct(q, prof).coords
 print(f"\nPhi_1 vs tau^2: {np.max(np.abs(a - b)):.2e}")
-print("Psi_0 = id:", np.max(np.abs(isotopy_psi(0.0, q, prof).ambient()
-                                   - q.ambient())))
+print("Psi_0 = id:", np.max(np.abs(isotopy_psi(0.0, q, prof).coords
+                                   - q.coords)))
 
 # The interior-t maps are measured (not asserted) on the boundary |v| = 1.
 probe = boundary_displacement_probe("phi", prof, n, samples=10, seed=0)

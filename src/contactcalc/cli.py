@@ -23,7 +23,7 @@ import sys
 
 from .errors import ContactCalcError, DomainError
 from .kirby import serialize_diagram
-from .reports import DEFAULT_SAMPLES, render_report, report_failed
+from .reports import DEFAULT_SAMPLES, MAX_TWIST_N, render_report, report_failed
 from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
                        execute, parse_scenario, run_scenario)
 from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=["forms", "twist"])
     pv.add_argument("--n", type=int, default=None,
-                    help="sphere dimension (twist only, default 2)")
+                    help=f"sphere dimension (twist only, default 2, at most "
+                         f"{MAX_TWIST_N}: memory is cubic in n)")
     _add_common(pv, verifies=True)
 
     pc = sub.add_parser("compose", help="compose surgery coefficients / twist powers")

@@ -20,6 +20,10 @@ DEFAULT_SAMPLES = 25
 # one batch, so memory grows linearly with them (about 170 MB peak for
 # `verify twist --n 6` at this cap).
 MAX_SAMPLES = 10_000
+# Largest sphere dimension `verify twist` accepts: the pullback line's peak
+# memory grows like samples * (n+1)^3 (about 225 MB at n = 7 and the sample
+# cap), and the paper needs n <= 6.
+MAX_TWIST_N = 7
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ non-fillable catalog entries and the (1/2)-surgery result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import DomainError

@@ -6,23 +6,28 @@ by a profile angle f(||v||) with f(0) = pi and f = 2 pi outside a small
 fiber radius, so it is the antipodal map on the zero section and compactly
 supported in the fibers.
 
-Every map here is batched over leading axes: a ``CotangentPoint`` holds u
-and v of shape (..., n+1), one point per row, and the maps, generators,
-exponentials, tangent frames and pullbacks act row by row and return the
-same leading shape, and ``random_points`` draws samples as one batch.  A
-single point (u and v of shape (n+1,)) is the N = 1 case of the same code.
-Norms, inner products and the small matrix products are elementwise
-products summed over the last axis, not BLAS calls.
+A ``CotangentPoint`` is a ``ChartPoint`` on the constrained chart
+``tstar_chart(n)``, so its validation and its tangent frames
+(``charts.tangent_frame``) are the forms kernel's own.  Every map here is
+batched over leading axes: a point holds u and v of shape (..., n+1), one
+point per row, and the maps, generators, exponentials and pullbacks act row
+by row and return the same leading shape, and ``random_points`` draws
+samples as one batch.  A single point (u and v of shape (n+1,)) is the
+N = 1 case of the same code.  Norms, inner products and the small matrix
+products are elementwise products summed over the last axis, not BLAS
+calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .charts import POINT_TOL, first_bad, matmul, matvec, orthonormal_complement
+from .charts import (Chart, ChartPoint, Constraint, matmul, matvec, tangent_frame,
+                     unit_norm_constraint)
 from .errors import DomainError
 from .forms import central_difference
 from .octonion import cross7_matrix
@@ -40,46 +45,32 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _require_rows(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise DomainError, quoting the first failing row's value, unless every
-    row is ok."""
-    if not ok.all():
-        raise DomainError(message.format(first_bad(values, ok)))
+@functools.cache
+def tstar_chart(n: int) -> Chart:
+    """T*S^n in ambient coordinates (u_0..u_n, v_0..v_n), constrained by
+    ||u||^2 = 1 and <u, v> = 0 in that order."""
+    m = n + 1
+    pairing = Constraint("pairing", lambda x: _dot(x[..., :m], x[..., m:]),
+                         lambda x: np.concatenate([x[..., m:], x[..., :m]], axis=-1))
+    names = tuple(f"u{j}" for j in range(m)) + tuple(f"v{j}" for j in range(m))
+    return Chart(f"T*S{n}", names, (unit_norm_constraint(range(m)), pairing))
 
 
-@dataclass(frozen=True)
-class CotangentPoint:
-    """Points (u, v) of T*S^n in ambient coordinates, one per row of u and v
-    (shape (..., n+1)); every row is validated."""
+class CotangentPoint(ChartPoint):
+    """Points (u, v) of T*S^n, one per row of u and v (shape (..., n+1)):
+    ``ChartPoint``s on ``tstar_chart(n)`` whose ``u`` and ``v`` are views
+    of the two halves of ``coords``."""
 
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+    def __init__(self, u, v):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
         if u.shape != v.shape or u.ndim == 0:
             raise DomainError("u and v must be arrays of equal shape (..., n+1)")
-        nu, nv = _norm(u), _norm(v)
-        _require_rows(np.abs(nu - 1.0) <= POINT_TOL, nu, "||u|| = {} is not 1")
-        _require_rows(np.isfinite(nv), nv, "||v|| = {} is not finite")
-        uv = _dot(u, v)
-        _require_rows(np.abs(uv) <= POINT_TOL * np.maximum(1.0, nv), uv,
-                      "<u,v> = {} is not 0")
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[-1] - 1
-
-    def ambient(self) -> np.ndarray:
-        return np.concatenate([self.u, self.v], axis=-1)
-
-    def __repr__(self):
-        if self.u.ndim > 1:
-            return f"CotangentPoint(n={self.n}, batch={self.u.shape[:-1]})"
-        return f"CotangentPoint(n={self.n}, |v|={float(_norm(self.v)):.4f})"
+        m = u.shape[-1]
+        super().__init__(tstar_chart(m - 1), np.concatenate([u, v], axis=-1))
+        object.__setattr__(self, "n", m - 1)
+        object.__setattr__(self, "u", self.coords[..., :m])
+        object.__setattr__(self, "v", self.coords[..., m:])
 
 
 def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
@@ -268,14 +259,6 @@ def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
 # Numerical pullback of -d(lambda_can)
 # ---------------------------------------------------------------------------
 
-def tstar_tangent_frame(p: CotangentPoint) -> np.ndarray:
-    """Orthonormal frames (columns, shape (..., 2(n+1), 2n)) of
-    T_(u,v) T*S^n inside R^{2(n+1)}."""
-    g1 = np.concatenate([2.0 * p.u, np.zeros_like(p.u)], axis=-1)
-    g2 = np.concatenate([p.v, p.u], axis=-1)
-    return orthonormal_complement(np.stack([g1, g2], axis=-2))
-
-
 @dataclass(frozen=True)
 class PullbackResult:
     frame: np.ndarray = field(repr=False)
@@ -301,18 +284,18 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
     curves in the constraint-tangent directions; ``map_fn`` is called once
     per differencing offset, on the whole batch.
     """
-    frame = tstar_tangent_frame(p)
+    frame = tangent_frame(p)
     m = p.u.shape[-1]
 
     def image(y: np.ndarray) -> np.ndarray:
-        return map_fn(retract(y[..., :m], y[..., m:])).ambient()
+        return map_fn(retract(y[..., :m], y[..., m:])).coords
 
     def minus_dlambda(w: np.ndarray) -> np.ndarray:
         # sum du_i ^ dv_i on the columns (du, dv) of w: du^T dv - dv^T du
         pairing = matmul(np.swapaxes(w[..., :m, :], -1, -2), w[..., m:, :])
         return pairing - np.swapaxes(pairing, -1, -2)
 
-    diff = central_difference(image, p.ambient(), frame)
+    diff = central_difference(image, p.coords, frame)
     return PullbackResult(frame, minus_dlambda(diff), minus_dlambda(frame))
 
 
@@ -345,7 +328,7 @@ def boundary_displacement_probe(family: str, prof: TwistProfile, n: int,
     ts = np.linspace(0.0, 1.0, 11)
     grid = CotangentPoint(np.repeat(q.u[:, None, :], ts.size, axis=1),
                           np.repeat(q.v[:, None, :], ts.size, axis=1))
-    disp = _norm(apply(ts, grid, prof).ambient() - grid.ambient())
+    disp = _norm(apply(ts, grid, prof).coords - grid.coords)
     i, j = np.unravel_index(np.argmax(disp), disp.shape)
     return ProbeReport(family, float(disp[i, j]), float(ts[j]),
                        CotangentPoint(q.u[i], q.v[i]), samples)

@@ -13,8 +13,8 @@ from . import conditions, fields, forms, twist
 from .charts import ChartPoint
 from .errors import DomainError
 # render_report and report_failed are re-exported for callers of this module.
-from .reports import (DEFAULT_SAMPLES, ReportLine, check_suite_args,
-                      render_report, report_failed)
+from .reports import (DEFAULT_SAMPLES, MAX_TWIST_N, ReportLine,
+                      check_suite_args, render_report, report_failed)
 
 
 def _line(metric: str, value: float, tol: float, asserted: bool = True) -> ReportLine:
@@ -93,8 +93,9 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     draws its sample points as one batch (``twist.random_points``) and runs
     them through the twist maps as one batch.  ``tol=None`` means 1e-5."""
     check_suite_args(seed, samples, tol)
-    if n < 1:
-        raise DomainError(f"twist sphere dimension n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_TWIST_N:
+        raise DomainError(
+            f"twist sphere dimension n must be in 1..{MAX_TWIST_N}, got {n}")
     if tol is None:
         tol = 1e-5
     rng = np.random.default_rng(seed)
@@ -114,18 +115,18 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
 
     q = twist.random_points(rng, n, 1.0, 20)
     q = twist.CotangentPoint(q.u, q.v / twist._norm(q.v)[:, None] * 0.95)
-    dev = _worst(twist.apply_twist(q, prof).ambient() - q.ambient())
+    dev = _worst(twist.apply_twist(q, prof).coords - q.coords)
     out.append(_line(f"twist_identity_outside_eps_n{n}", dev, 1e-12))
 
     q = twist.random_points(rng, n, 0.9, samples)
-    dev = _worst(twist.apply_twist(q, prof).ambient()
-                 - twist.apply_twist_via_generator(q, prof).ambient())
+    dev = _worst(twist.apply_twist(q, prof).coords
+                 - twist.apply_twist_via_generator(q, prof).coords)
     out.append(_line(f"twist_two_path_consistency_n{n}", dev, 1e-10))
 
     if n in (2, 6):
         q = twist.random_points(rng, n, 0.9, 20)
-        dev = _worst(twist.isotopy_phi(1.0, q, prof).ambient()
-                     - twist.twist_square_direct(q, prof).ambient())
+        dev = _worst(twist.isotopy_phi(1.0, q, prof).coords
+                     - twist.twist_square_direct(q, prof).coords)
         out.append(_line(f"isotopy_phi1_vs_tau_squared_n{n}", dev, 1e-8))
         probe = twist.boundary_displacement_probe("phi", prof, n, 5, seed)
         out.append(ReportLine(f"boundary_displacement_probe_phi_n{n}",

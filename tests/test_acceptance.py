@@ -57,12 +57,12 @@ def test_criterion_02_twist_endpoints():
         q = twist.random_points(rng, n, 1.0, 20)
         q = twist.CotangentPoint(
             q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True))
-        assert np.max(np.abs(twist.apply_twist(q, prof).ambient()
-                             - q.ambient())) <= 1e-12
+        assert np.max(np.abs(twist.apply_twist(q, prof).coords
+                             - q.coords)) <= 1e-12
     for n in (1, 2, 3, 6):
         q = twist.random_points(rng, n, 0.9, 50)
-        a = twist.apply_twist(q, prof).ambient()
-        b = twist.apply_twist_via_generator(q, prof).ambient()
+        a = twist.apply_twist(q, prof).coords
+        b = twist.apply_twist_via_generator(q, prof).coords
         assert np.max(np.abs(a - b)) <= 1e-10
     _report(2, "twist_endpoints")
 
@@ -73,14 +73,14 @@ def test_criterion_03_square_isotopy(capsys):
     for n in (2, 6):
         q = twist.random_points(rng, n, 0.9, 100)
         assert np.max(np.abs(
-            twist.isotopy_phi(1.0, q, prof).ambient()
-            - twist.twist_square_direct(q, prof).ambient())) <= 1e-8
+            twist.isotopy_phi(1.0, q, prof).coords
+            - twist.twist_square_direct(q, prof).coords)) <= 1e-8
         q = twist.random_points(rng, n, 0.9, 20)
-        assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).ambient()
-                             - q.ambient())) <= 1e-10
+        assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).coords
+                             - q.coords)) <= 1e-10
         assert np.max(np.abs(
-            twist.isotopy_psi(1.0, q, prof).ambient()
-            - twist.isotopy_phi(0.0, q, prof).ambient())) <= 1e-10
+            twist.isotopy_psi(1.0, q, prof).coords
+            - twist.isotopy_phi(0.0, q, prof).coords)) <= 1e-10
         u = np.zeros(n + 1)
         u[0] = 1.0
         zs = twist.CotangentPoint(u, np.zeros(n + 1))

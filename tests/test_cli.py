@@ -112,6 +112,8 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "twist", "--n", "0"],
     ["verify", "twist", "--n", "-1"],
+    # the sphere-dimension cap: memory is cubic in n
+    ["verify", "twist", "--n", "8"],
     ["verify", "forms", "--samples", "0"],
     ["verify", "forms", "--samples", "-1"],
     ["verify", "twist", "--samples", "0"],

@@ -62,8 +62,10 @@ DELETED = {
     # Lie derivatives come from Cartan's formula on ``d_matrix``, so the RK4
     # flow and the 2-form wrapper (with its matrix-callable branch) went.
     "fields": ["flow", "two_form_matrix"],
-    # Sample points are drawn as one batch by ``random_points``.
-    "twist": ["random_point"],
+    # Sample points are drawn as one batch by ``random_points``; a
+    # ``CotangentPoint`` is a ``ChartPoint`` on ``tstar_chart(n)``, so its
+    # tangent frames come from ``charts.tangent_frame``.
+    "twist": ["random_point", "tstar_tangent_frame"],
 }
 
 

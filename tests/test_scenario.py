@@ -237,7 +237,7 @@ def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, stmt):
 
 
 @pytest.mark.parametrize("stmt", ["verify twist n=0", "verify twist n=-1",
-                                  "verify forms samples=0", "verify twist samples=-1",
+                                  "verify twist n=8", "verify forms samples=0", "verify twist samples=-1",
                                   "verify forms samples=10001"])
 def test_bad_counts_are_positioned(stmt):
     s = parse_scenario("\n" + stmt + "\n")

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from contactcalc import twist
-from contactcalc.errors import DomainError
+from contactcalc.charts import ChartPoint, cotangent_chart
+from contactcalc.errors import ChartMismatchError, DomainError
+from contactcalc.forms import OneFormField, eval_one_form
 
 
 def test_cotangent_point_validation():
@@ -18,6 +20,23 @@ def test_cotangent_point_validation():
                  ([1.0, 0.0, 0.0], [0.0, np.nan, 0.0])]:
         with pytest.raises(DomainError):
             twist.CotangentPoint(u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_cotangent_points_are_chart_points(rng, n):
+    # The forms kernel takes twist samples as they are: lambda_can on
+    # tstar_chart(n) has rows (v, 0), and a point of another chart is refused.
+    q = twist.random_points(rng, n, 0.9, 5)
+    assert isinstance(q, ChartPoint) and q.chart is twist.tstar_chart(n)
+    m = n + 1
+    can = OneFormField("lambda_can_tstar", twist.tstar_chart(n),
+                       lambda x: np.concatenate([x[..., m:], np.zeros_like(x[..., m:])],
+                                                axis=-1))
+    assert np.array_equal(eval_one_form(can, q),
+                          np.concatenate([q.v, np.zeros_like(q.v)], axis=-1))
+    other = cotangent_chart(n).point(rng.uniform(-1.0, 1.0, (5, 2 * n)))
+    with pytest.raises(ChartMismatchError):
+        eval_one_form(can, other)
 
 
 def test_retract_projects(rng):
@@ -94,15 +113,15 @@ def test_identity_outside_support(rng):
     q = twist.random_points(rng, 2, 1.0, 10)
     q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True))
     out = twist.apply_twist(q, prof)
-    assert np.max(np.abs(out.ambient() - q.ambient())) < 1e-12
+    assert np.max(np.abs(out.coords - q.coords)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_two_path_consistency(rng, n):
     prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 20)
-    a = twist.apply_twist(q, prof).ambient()
-    b = twist.apply_twist_via_generator(q, prof).ambient()
+    a = twist.apply_twist(q, prof).coords
+    b = twist.apply_twist_via_generator(q, prof).coords
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -165,14 +184,14 @@ def test_isotopy_endpoints(rng, n):
     prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 10)
     # Phi_1 = tau^2
-    a = twist.isotopy_phi(1.0, q, prof).ambient()
-    b = twist.twist_square_direct(q, prof).ambient()
+    a = twist.isotopy_phi(1.0, q, prof).coords
+    b = twist.twist_square_direct(q, prof).coords
     assert np.max(np.abs(a - b)) < 1e-8
     # Psi_0 = id, Psi_1 = Phi_0
-    assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).ambient()
-                         - q.ambient())) < 1e-10
-    assert np.max(np.abs(twist.isotopy_psi(1.0, q, prof).ambient()
-                         - twist.isotopy_phi(0.0, q, prof).ambient())) < 1e-10
+    assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).coords
+                         - q.coords)) < 1e-10
+    assert np.max(np.abs(twist.isotopy_psi(1.0, q, prof).coords
+                         - twist.isotopy_phi(0.0, q, prof).coords)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 6])

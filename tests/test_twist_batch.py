@@ -117,7 +117,7 @@ def _batch(rng, n, count=30, zero_rows=(3,)):
 
 def _gap(batched, oracle, q):
     want = np.array([np.concatenate(oracle(u, v)) for u, v in zip(q.u, q.v)])
-    return float(np.max(np.abs(batched.ambient() - want)))
+    return float(np.max(np.abs(batched.coords - want)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -137,7 +137,7 @@ def test_isotopy_phi_per_row_t_matches_oracle(rng, n):
     prof = twist.make_profile(0.4)
     q = _batch(rng, n)
     t = rng.uniform(size=len(q.u))
-    got = twist.isotopy_phi(t, q, prof).ambient()
+    got = twist.isotopy_phi(t, q, prof).coords
     want = np.array([np.concatenate(oracle_phi(ti, u, v, prof))
                      for ti, u, v in zip(t, q.u, q.v)])
     assert float(np.max(np.abs(got - want))) <= MAP_TOL
@@ -156,11 +156,11 @@ def test_pullback_deviations_match_oracle(rng, n):
 def test_single_point_is_the_one_row_batch(rng):
     prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 6, 0.9, 4)
-    whole = twist.isotopy_phi(0.3, q, prof).ambient()
+    whole = twist.isotopy_phi(0.3, q, prof).coords
     for i in range(4):
         one = twist.isotopy_phi(0.3, twist.CotangentPoint(q.u[i], q.v[i]), prof)
         assert one.u.shape == (7,)
-        assert np.array_equal(one.ambient(), whole[i])
+        assert np.array_equal(one.coords, whole[i])
 
 
 def _bad_rows(rng):

@@ -27,13 +27,14 @@ def _with_nan_row(array):
 def _nan_like(value):
     """A stand-in for a batched kernel result with NaN in sample row ``ROW``
     only.  The suites read arrays directly, twisted points through ``u``,
-    ``v`` and ``ambient()``, and a pullback through ``max_deviation``."""
+    ``v`` and ``coords``, and a pullback through ``max_deviation``.  A
+    ``CotangentPoint`` refuses a NaN row, so a twisted point's stand-in is
+    a plain namespace."""
     if isinstance(value, np.ndarray):
         return _with_nan_row(value)
     if isinstance(value, twist.CotangentPoint):
         u, v = _with_nan_row(value.u), _with_nan_row(value.v)
-        return SimpleNamespace(u=u, v=v,
-                               ambient=lambda: np.concatenate([u, v], axis=-1))
+        return SimpleNamespace(u=u, v=v, coords=np.concatenate([u, v], axis=-1))
     assert isinstance(value, twist.PullbackResult), type(value)
     return twist.PullbackResult(value.frame, _with_nan_row(value.pulled),
                                 value.reference)
