@@ -17,11 +17,11 @@ from contactcalc.surgery import PageSpec, disk_cotangent_page, disk_page
 
 # Each page k-handle becomes an ambient (k+1)-handle of the sum cobordism.
 page = disk_cotangent_page(1)            # D*S^1: one 0- and one 1-handle
-handles = sum_cobordism(page, 2)
+handles = sum_cobordism(page)
 print("D*S^1 page ->", [(h.ambient_dim, h.index) for h in handles])
 
 genus1 = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
-h1 = sum_cobordism(genus1, 2)
+h1 = sum_cobordism(genus1)
 print("genus-1 page ->", sorted(h.index for h in h1),
       "| chi contribution:", euler_characteristic(0, h1))
 print("self-linking of its transverse boundary: sl = -chi =",

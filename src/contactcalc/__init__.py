@@ -35,12 +35,11 @@ _EXPORTS = {
                 "contact_surgery", "disk_cotangent_page", "fibered_manifold",
                 "fillability_propagate", "liouville_sum_openbooks",
                 "reduce_word", "surgery_compose", "word"),
-    "cobordism": ("CobordismSpec", "Handle", "HomologyProfile",
-                  "cabling_genus", "euler_characteristic",
-                  "gysin_sphere_bundle_homology", "hopf_invariant_one_exists",
-                  "not_stein_certificate", "self_linking_liouville",
-                  "stein_homology_check", "sum_cobordism",
-                  "twist_square_smoothly_trivial"),
+    "cobordism": ("Handle", "HomologyProfile", "cabling_genus",
+                  "euler_characteristic", "gysin_sphere_bundle_homology",
+                  "hopf_invariant_one_exists", "not_stein_certificate",
+                  "self_linking_liouville", "stein_homology_check",
+                  "sum_cobordism", "twist_square_smoothly_trivial"),
     "kirby": ("KirbyDiagram", "branched_cover_diagram", "parse_diagram",
               "serialize_diagram", "surgery_cobordism_diagram"),
     "scenario": ("Scenario", "ScenarioError", "parse_scenario", "run_scenario"),

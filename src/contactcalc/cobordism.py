@@ -70,26 +70,6 @@ class HomologyProfile:
 
 
 @dataclass(frozen=True)
-class CobordismSpec:
-    negative_boundary: tuple[str, ...]
-    positive_boundary: str
-    handles: tuple[Handle, ...]
-    exactness: str  # "exact" | "stein_candidate" | "weak"
-
-    def __post_init__(self):
-        dims = {h.ambient_dim for h in self.handles}
-        if len(dims) > 1:
-            raise DomainError(f"mixed ambient dimensions {sorted(dims)}")
-        if self.exactness == "stein_candidate" and self.handles:
-            dim = next(iter(dims))
-            half = dim // 2
-            bad = [h.index for h in self.handles if h.index > half]
-            if bad:
-                raise DomainError(
-                    f"stein_candidate with handle indices {bad} above {half}")
-
-
-@dataclass(frozen=True)
 class SteinObstructionReport:
     conclusive: bool
     degree: Optional[int] = None
@@ -97,16 +77,12 @@ class SteinObstructionReport:
     detail: str = ""
 
 
-def sum_cobordism(page, ambient_half_dim: int) -> list[Handle]:
-    """Handles of the Liouville-sum cobordism: each page k-handle becomes an
-    ambient (k+1)-handle in dimension 2*(ambient_half_dim)."""
+def sum_cobordism(page) -> list[Handle]:
+    """Handles of the Liouville-sum cobordism along a page of dimension 2n:
+    each page k-handle becomes an ambient (k+1)-handle in dimension 2n+2."""
     if not page.handles:
         raise DomainError(f"page {page.name} has no handle decomposition")
-    if ambient_half_dim != page.half_dim + 1:
-        raise DomainError(
-            f"ambient half-dimension must be page half_dim + 1 "
-            f"({page.half_dim + 1}), got {ambient_half_dim}")
-    ambient_dim = 2 * ambient_half_dim
+    ambient_dim = 2 * page.half_dim + 2
     out = []
     for k, count in page.handles:
         for i in range(count):
@@ -120,12 +96,11 @@ def euler_characteristic(base_chi: int, handles: Iterable[Handle]) -> int:
     return base_chi + sum(1 if h.index % 2 == 0 else -1 for h in handles)
 
 
-def stein_homology_check(handles: Sequence[Handle], n: int,
-                         boundary_profile: Optional[HomologyProfile] = None
-                         ) -> ConditionReport:
+def stein_homology_check(handles: Sequence[Handle], n: int) -> ConditionReport:
     """Stein index bound: all handle indices <= n+1 in ambient dimension
-    2n+2 (so H_k of the cobordism agrees with H_k of its positive boundary
-    above degree n+1).  Margin is the worst slack (n+1 - index)."""
+    2n+2 (Weinstein), so H_k of the cobordism agrees with H_k of its
+    positive boundary above degree n+1.  A handle of another ambient
+    dimension is refused.  Margin is the worst slack (n+1 - index)."""
     for h in handles:
         if h.ambient_dim != 2 * n + 2:
             raise DomainError(
@@ -134,10 +109,10 @@ def stein_homology_check(handles: Sequence[Handle], n: int,
     return ConditionReport(margin > -0.5, margin, 0.5, len(handles))
 
 
-def not_stein_certificate(t_dim: int, classes_equal: bool,
-                          base_profile: HomologyProfile) -> SteinObstructionReport:
+def not_stein_certificate(t_dim: int, classes_equal: bool) -> SteinObstructionReport:
     """Homology obstruction for a Liouville sum along a hypersurface
-    containing a (2n-1)-dimensional piece T hit by both embeddings.
+    containing a (2n-1)-dimensional piece T hit by both embeddings, with
+    t_dim = 2n-1 odd and >= 3 (so n >= 2).
 
     If the two embeddings carry the fundamental class of T to the same
     class, the resulting cobordism W gains a degree-2n class:
@@ -146,8 +121,6 @@ def not_stein_certificate(t_dim: int, classes_equal: bool,
     if t_dim % 2 == 0 or t_dim < 3:
         raise DomainError(f"t_dim must be odd and >= 3, got {t_dim}")
     n = (t_dim + 1) // 2
-    if n <= 1:
-        raise DomainError("obstruction needs n > 1")
     if not classes_equal:
         return SteinObstructionReport(False, detail="i1[T] != i2[T]: no claim")
     degree = 2 * n

@@ -207,11 +207,11 @@ def symplectization(alpha: OneFormField) -> OneFormField:
 
 
 def restrict_form(form: OneFormField, chart: Chart) -> OneFormField:
-    """The same ambient formula viewed on a constrained chart of equal
-    ambient dimension (e.g. lambda_std restricted to S^3)."""
-    if chart.dim != form.chart.dim:
+    """The same ambient formula viewed on a constrained chart with the same
+    ambient coordinates (e.g. lambda_std restricted to S^3)."""
+    if chart.coord_names != form.chart.coord_names:
         raise ChartMismatchError(
-            f"cannot restrict {form.form_id}: ambient dims differ "
-            f"({form.chart.dim} vs {chart.dim})")
+            f"cannot restrict {form.form_id}: ambient coordinates differ "
+            f"({','.join(form.chart.coord_names)} vs {','.join(chart.coord_names)})")
     return OneFormField(f"{form.form_id}|{chart.name}", chart, form.evaluator)
 

@@ -9,8 +9,8 @@ Fillability flags are tri-state (True / False / None=unknown).  The
 propagation rules are one-directional: fillable + fillable stays fillable
 (with the Stein case additionally requiring a Stein page, and the weak case
 requiring dimension 3 or a cohomological H^2 condition on the page); absence
-of a theorem never produces False.  False appears only for the explicitly
-non-fillable catalog entries and the (1/2)-surgery result.
+of a theorem never produces False.  False appears only for the catalog
+entry M(n, -1) and the (1/2)-surgery result.
 """
 
 from __future__ import annotations
@@ -273,9 +273,6 @@ class ManifoldDescriptor:
             return False
         return a.page.name == b.page.name and a.word == b.word
 
-    def with_history(self, *events: tuple) -> "ManifoldDescriptor":
-        return replace(self, history=self.history + tuple(events))
-
     def serialize(self) -> str:
         """Deterministic structured text (sorted-key JSON)."""
         def enc(obj):
@@ -311,15 +308,25 @@ def default_open_book_flags(ob: OpenBook) -> FillabilityFlags:
     return FillabilityFlags.unknown()
 
 
-def open_book_descriptor(ob: OpenBook,
-                         flags: Optional[FillabilityFlags] = None) -> ManifoldDescriptor:
-    return ManifoldDescriptor(ob.dim, ob,
-                              flags if flags is not None else default_open_book_flags(ob))
+def open_book_descriptor(ob: OpenBook) -> ManifoldDescriptor:
+    return ManifoldDescriptor(ob.dim, ob, default_open_book_flags(ob))
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+def _sum_flags(f1: FillabilityFlags, f2: FillabilityFlags,
+               result: OpenBook) -> FillabilityFlags:
+    """Flags of a Liouville sum of manifolds flagged f1 and f2 that gives the
+    open book ``result``: propagated along its page, unless its word already
+    certifies more on sight."""
+    certified = default_open_book_flags(result)
+    if certified.stein is True:
+        return certified
+    return fillability_propagate(f1, f2, result.page.stein, result.dim,
+                                 result.page.weak_h2_ok)
+
 
 def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
     """Sum of two open books over the same page: compose the monodromies."""
@@ -327,16 +334,10 @@ def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
         raise DomainError(
             f"Liouville sum needs a shared page: {ob1.page.name} vs {ob2.page.name}")
     composed = OpenBook(ob1.page, ob1.word * ob2.word)
-    flags = fillability_propagate(default_open_book_flags(ob1),
-                                  default_open_book_flags(ob2),
-                                  ob1.page.stein, composed.dim,
-                                  ob1.page.weak_h2_ok)
-    # The composed word may itself certify more than the propagation does.
-    better = default_open_book_flags(composed)
-    if better.stein is True:
-        flags = FillabilityFlags(stein=True)
-    return ManifoldDescriptor(composed.dim, composed, flags).with_history(
-        ("liouville_sum", str(ob1), str(ob2)))
+    flags = _sum_flags(default_open_book_flags(ob1),
+                       default_open_book_flags(ob2), composed)
+    return ManifoldDescriptor(composed.dim, composed, flags,
+                              (("liouville_sum", str(ob1), str(ob2)),))
 
 
 def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
@@ -344,26 +345,18 @@ def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
 
     k=1 is the standard contact sphere, k=0 the boundary of D^2 x D*S^n,
     k=2 the canonical unit cotangent bundle S*S^{n+1}, k=-1 the standard
-    smooth sphere with a non-fillable contact structure.
+    smooth sphere with a non-fillable contact structure.  Only k=-1 has
+    catalog flags; the others' flags are what the word certifies on sight.
     """
     if n < 1:
         raise DomainError("catalog needs n >= 1")
-    page = disk_cotangent_page(n)
-    ob = OpenBook(page, word((ZERO_SECTION, k)))
-    if k == 1:
-        flags, name = FillabilityFlags.all_true(), f"S^{2*n+1}_std"
-    elif k == 0:
-        flags, name = FillabilityFlags(stein=True), f"bd(D2xD*S{n})"
-    elif k == 2:
-        flags, name = FillabilityFlags(stein=True), f"S*S{n+1}_can"
-    elif k == -1:
-        flags, name = FillabilityFlags.all_false(), f"S^{2*n+1}_nonfillable"
-    elif k > 0:
-        flags, name = FillabilityFlags(stein=True), f"M({n},{k})"
-    else:
-        flags, name = FillabilityFlags.unknown(), f"M({n},{k})"
-    return ManifoldDescriptor(2 * n + 1, ob, flags).with_history(
-        ("catalog", name, n, k))
+    ob = OpenBook(disk_cotangent_page(n), word((ZERO_SECTION, k)))
+    names = {1: f"S^{2*n+1}_std", 0: f"bd(D2xD*S{n})", 2: f"S*S{n+1}_can",
+             -1: f"S^{2*n+1}_nonfillable"}
+    flags = (FillabilityFlags.all_false() if k == -1
+             else default_open_book_flags(ob))
+    return ManifoldDescriptor(ob.dim, ob, flags,
+                              (("catalog", names.get(k, f"M({n},{k})"), n, k),))
 
 
 def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
@@ -383,24 +376,18 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
     summand = catalog_M_nk(n, -k)
     if ob is not None and sphere in ob.page.spheres:
-        new_ob = OpenBook(ob.page, ob.word * word((sphere, -k)))
-        flags = fillability_propagate(m.flags, summand.flags, ob.page.stein,
-                                      m.dim, ob.page.weak_h2_ok)
-        better = default_open_book_flags(new_ob)
-        if better.stein is True:
-            flags = FillabilityFlags(stein=True)
-        out = ManifoldDescriptor(m.dim, new_ob, flags, m.history)
+        presentation = OpenBook(ob.page, ob.word * word((sphere, -k)))
+        flags = _sum_flags(m.flags, summand.flags, presentation)
     elif ob is None:
+        presentation = ("glued", f"surgery({sphere},{k})")
         flags = fillability_propagate(m.flags, summand.flags, False, m.dim, None)
-        out = ManifoldDescriptor(m.dim, ("glued", f"surgery({sphere},{k})"),
-                                 flags, m.history)
     else:
         raise DomainError(f"unknown sphere label {sphere!r}")
     if k == 2:
         # (1/2)-surgery: algebraically overtwisted, hence not fillable in
         # any of the four senses.
-        out = replace(out, flags=FillabilityFlags.all_false())
-    return out.with_history(event)
+        flags = FillabilityFlags.all_false()
+    return ManifoldDescriptor(m.dim, presentation, flags, m.history + (event,))
 
 
 def surgery_compose(ks: list[int]) -> Optional[int]:
@@ -425,13 +412,14 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
             f"branched cover supported over open-book pages/bindings only, "
             f"got {hypersurface!r}")
     if q == 1:
-        return m.with_history(("branched_cover", hypersurface, 1, "identity"))
+        return replace(m, history=m.history + (
+            ("branched_cover", hypersurface, 1, "identity"),))
     # Only the last of the q - 1 sums decides the flags, word and history.
     out = liouville_sum_openbooks(OpenBook(ob.page, ob.word ** (q - 1)), ob)
-    return out.with_history(
+    return replace(out, history=out.history + (
         ("branched_cover", hypersurface, q, f"{q - 1} liouville sums"),
         ("cobordism", "exact" if m.flags.exactly else "recorded",
-         f"disjoint union of {q} copies to cover"))
+         f"disjoint union of {q} copies to cover")))
 
 
 def fibered_manifold(page: PageSpec, phi: MonodromyWord,
@@ -440,14 +428,12 @@ def fibered_manifold(page: PageSpec, phi: MonodromyWord,
     one Liouville sum performed on the open book (page, phi o psi), using
     only what the word itself certifies about the base open book."""
     base = OpenBook(page, phi * psi)
-    flags = fillability_propagate(open_book_descriptor(base).flags,
-                                  FillabilityFlags.all_true(), page.stein,
-                                  base.dim, page.weak_h2_ok)
+    flags = _sum_flags(default_open_book_flags(base),
+                       FillabilityFlags.all_true(), base)
     if phi.is_identity() and psi.is_identity():
         label = f"bd({page.name} x D*S1)"
     else:
         label = f"fibered({page.name},{phi},{psi})"
-    return ManifoldDescriptor(base.dim, ("glued", label),
-                              flags).with_history(
+    return ManifoldDescriptor(base.dim, ("glued", label), flags, (
         ("fibered", str(page.name), str(phi), str(psi)),
-        ("liouville_sum_on", str(base)))
+        ("liouville_sum_on", str(base))))

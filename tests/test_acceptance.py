@@ -209,7 +209,7 @@ def test_criterion_07_monoid_flags():
 
 
 def test_criterion_08_cobordism_bookkeeping(capsys):
-    handles = sum_cobordism(disk_cotangent_page(1), 2)
+    handles = sum_cobordism(disk_cotangent_page(1))
     assert sorted(h.index for h in handles) == [1, 2]
     # disk base plus 2m handles of index n+1: chi differs from 1 for m != 0
     n = 2

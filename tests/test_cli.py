@@ -1,10 +1,15 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from contactcalc.cli import main
+from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N
 
 DEMO = pathlib.Path(__file__).parent.parent / "demos" / "branched_cover_l21.scn"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def test_verify_forms_exit_zero(capsys):
@@ -206,3 +211,24 @@ def test_verify_loads_numpy(cli_child):
     res = cli_child(["verify", "forms", "--samples", "3"])
     assert res.status == 0
     assert "numpy" in res.packages
+
+
+def test_largest_twist_input_fits_in_768_mib():
+    # The largest accepted ``verify twist`` input (n = 7, 10 000 samples)
+    # runs with one BLAS thread in a child whose address space is capped at
+    # 768 MiB; its peak is about 225 MB.
+    pytest.importorskip("resource")
+    cap = 768 << 20
+    argv = ["verify", "twist", "--n", str(MAX_TWIST_N),
+            "--samples", str(MAX_SAMPLES)]
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from contactcalc.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr.decode()
+    lines = res.stdout.decode().splitlines()
+    assert lines and all(line.endswith("\tPASS") for line in lines), lines

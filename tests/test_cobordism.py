@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from contactcalc.cobordism import (CobordismSpec, Handle, HomologyProfile,
+from contactcalc.cobordism import (Handle, HomologyProfile,
                                    cabling_genus, euler_characteristic,
                                    gysin_sphere_bundle_homology,
                                    hopf_invariant_one_exists,
@@ -21,31 +21,26 @@ def test_handle_index_bounds():
 
 def test_sum_cobordism_shifts_indices():
     page = disk_cotangent_page(1)  # D*S^1: one 0-handle, one 1-handle
-    handles = sum_cobordism(page, 2)
+    handles = sum_cobordism(page)
     assert sorted(h.index for h in handles) == [1, 2]
     assert all(h.ambient_dim == 4 for h in handles)
 
 
 def test_sum_cobordism_disk_page():
-    handles = sum_cobordism(disk_page(2), 3)
+    handles = sum_cobordism(disk_page(2))
     assert [h.index for h in handles] == [1]
     assert handles[0].ambient_dim == 6
 
 
 def test_sum_cobordism_genus_one_page():
     page = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
-    handles = sum_cobordism(page, 2)
+    handles = sum_cobordism(page)
     assert sorted(h.index for h in handles) == [1, 2, 2]
-
-
-def test_sum_cobordism_dimension_check():
-    with pytest.raises(DomainError):
-        sum_cobordism(disk_cotangent_page(1), 3)
 
 
 def test_euler_characteristic():
     page = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
-    handles = sum_cobordism(page, 2)
+    handles = sum_cobordism(page)
     assert euler_characteristic(0, handles) == 1
     assert euler_characteristic(2, []) == 2
 
@@ -60,15 +55,6 @@ def test_euler_characteristic_additive_and_order_free(indices, base):
         euler_characteristic(base, handles[:split]), handles[split:])
 
 
-def test_cobordism_spec_validation():
-    Handle4 = lambda i: Handle(4, i)
-    CobordismSpec(("m1",), "m2", (Handle4(1), Handle4(2)), "stein_candidate")
-    with pytest.raises(DomainError):
-        CobordismSpec(("m1",), "m2", (Handle4(3),), "stein_candidate")
-    with pytest.raises(DomainError):
-        CobordismSpec(("m1",), "m2", (Handle(4, 1), Handle(6, 1)), "exact")
-
-
 def test_stein_homology_check():
     ok = stein_homology_check([Handle(4, 1), Handle(4, 2)], 1)
     assert ok.passed and ok.margin == 0.0
@@ -79,12 +65,11 @@ def test_stein_homology_check():
 
 
 def test_not_stein_certificate():
-    base = HomologyProfile(((1, ()),))
-    rep = not_stein_certificate(5, True, base)
+    rep = not_stein_certificate(5, True)
     assert rep.conclusive and rep.degree == 6 and rep.rank_increase == 1
-    assert not not_stein_certificate(5, False, base).conclusive
+    assert not not_stein_certificate(5, False).conclusive
     with pytest.raises(DomainError):
-        not_stein_certificate(4, True, base)  # even t_dim
+        not_stein_certificate(4, True)  # even t_dim
 
 
 def test_gysin_rp3():

@@ -98,8 +98,12 @@ def test_restrict_form_chart_checks():
                            "S3_xy")
     r = restrict_form(lambda_std(2), sph)
     assert r.chart.name == "S3_xy"
-    with pytest.raises(ChartMismatchError):
-        restrict_form(lambda_std(1), sphere_chart(4))
+    # a chart of another ambient dimension, or of the same dimension with
+    # other coordinate names (x1..x4 are not the Darboux x1, x2, y1, y2)
+    for form, chart in ((lambda_std(1), sphere_chart(4)),
+                        (lambda_std(2), sphere_chart(4))):
+        with pytest.raises(ChartMismatchError):
+            restrict_form(form, chart)
 
 
 def test_central_difference_exact_on_quadratic(rng):
