@@ -110,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ContactCalcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -19,7 +19,11 @@ other than ``central_difference`` takes a step or tolerance argument.
 Evaluators act on coords of shape (..., dim), one point per row, and return
 covectors of the same shape; ``eval_one_form`` and ``d_matrix`` keep the
 leading shape, so a batch of N points is one call and a single point is the
-case with no leading axis.
+case with no leading axis.  ``central_difference`` stacks the 2k displaced
+copies of a batch on a new leading axis and calls its function once on the
+stack, so every differenced callable (evaluators, Hamiltonians, vector
+fields, maps) must map (..., dim) to (..., out...); a result that drops
+those leading axes is refused with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     vector-valued fn gives the matrix whose column i is that difference.
 
     x may be a batch of points (B..., dim) with one frame (B..., dim, k) per
-    point.  fn is then called once per offset, on the whole batch of
-    displaced points (B..., dim), and returns (B..., out...); the result is
+    point.  fn is called once, on the stack of all 2k displaced batches
+    (2k, B..., dim), and must return (2k, B..., out...); the result is
     (B..., out..., k)."""
     if not 0.0 < step < np.inf:
         raise DomainError(f"bad differencing step {step}")
@@ -78,16 +82,22 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     x = x[..., None, :]
     ys = np.concatenate([x + offsets, x - offsets], axis=-2)  # (B..., 2k, dim)
     ys = ys.transpose((ys.ndim - 2, *range(ys.ndim - 2), ys.ndim - 1))
-    values = np.array([fn(y) for y in ys], dtype=float)
+    values = np.asarray(fn(ys), dtype=float)
+    if values.shape[:ys.ndim - 1] != ys.shape[:-1]:
+        raise DomainError(f"differenced function returned shape {values.shape} "
+                          f"for points of shape {ys.shape}")
     diff = (values[:k] - values[k:]) / (2.0 * step)
     return diff.transpose((*range(1, diff.ndim), 0))
 
 
 def d_matrix(form: OneFormField, x: np.ndarray) -> np.ndarray:
     """Entries of d(form) at raw coords x (..., dim): d_i a_j - d_j a_i, by
-    central differences, shape (..., dim, dim).  The evaluator runs once per
-    differencing offset on the whole batch."""
+    central differences, shape (..., dim, dim).  The evaluator runs once, on
+    all differencing offsets of the whole batch."""
     jac = central_difference(form.evaluator, x, np.eye(x.shape[-1]))  # d a_i / d x_j
+    if jac.shape != x.shape + x.shape[-1:]:
+        raise DomainError(f"evaluator of {form.form_id} returned covectors of shape "
+                          f"{jac.shape[x.ndim - 1:-1]}, not {x.shape[-1:]}")
     if not np.all(np.isfinite(jac)):
         raise DomainError(f"non-finite derivative of {form.form_id}")
     return jac.swapaxes(-1, -2) - jac

@@ -17,11 +17,11 @@ from .errors import DomainError
 # Sample count of the verify suites when no statement or caller sets one.
 DEFAULT_SAMPLES = 25
 # Largest sample count a suite accepts: each line evaluates its samples as
-# one batch, so memory grows linearly with them (about 170 MB peak for
+# one batch, so memory grows linearly with them (about 225 MB peak for
 # `verify twist --n 6` at this cap).
 MAX_SAMPLES = 10_000
 # Largest sphere dimension `verify twist` accepts: the pullback line's peak
-# memory grows like samples * (n+1)^3 (about 225 MB at n = 7 and the sample
+# memory grows like samples * (n+1)^3 (about 285 MB at n = 7 and the sample
 # cap), and the paper needs n <= 6.
 MAX_TWIST_N = 7
 

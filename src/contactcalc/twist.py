@@ -281,8 +281,9 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
     point of p.
 
     The differential is assembled by central differences along retracted
-    curves in the constraint-tangent directions; ``map_fn`` is called once
-    per differencing offset, on the whole batch.
+    curves in the constraint-tangent directions; ``map_fn`` is called once,
+    on one ``CotangentPoint`` holding every differencing offset of the whole
+    batch (leading shape (4n, B...)).
     """
     frame = tangent_frame(p)
     m = p.u.shape[-1]

@@ -213,12 +213,12 @@ def test_verify_loads_numpy(cli_child):
     assert "numpy" in res.packages
 
 
-def test_largest_twist_input_fits_in_768_mib():
-    # The largest accepted ``verify twist`` input (n = 7, 10 000 samples)
-    # runs with one BLAS thread in a child whose address space is capped at
-    # 768 MiB; its peak is about 225 MB.
+def _largest_twist_input(cap_mib):
+    """Run the largest accepted ``verify twist`` input (n = 7, 10 000
+    samples) with one BLAS thread in a child whose address space is capped
+    at ``cap_mib`` MiB."""
     pytest.importorskip("resource")
-    cap = 768 << 20
+    cap = cap_mib << 20
     argv = ["verify", "twist", "--n", str(MAX_TWIST_N),
             "--samples", str(MAX_SAMPLES)]
     code = ("import resource, sys\n"
@@ -227,8 +227,25 @@ def test_largest_twist_input_fits_in_768_mib():
             f"sys.exit(main({argv!r}))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_largest_twist_input_fits_in_768_mib():
+    # Its peak is about 285 MB.
+    res = _largest_twist_input(768)
     assert res.returncode == 0, res.stderr.decode()
     lines = res.stdout.decode().splitlines()
     assert lines and all(line.endswith("\tPASS") for line in lines), lines
+
+
+def test_out_of_memory_is_one_error_line():
+    # 200 MiB of address space holds the interpreter and numpy but not the
+    # largest input's arrays: the run is refused with exit 2, not a traceback.
+    res = _largest_twist_input(200)
+    err = res.stderr.decode()
+    assert res.returncode == 2, err
+    assert res.stdout == b""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines

@@ -157,12 +157,12 @@ def test_theta_invariant_family_volume_independent_of_p():
 
     def family(p):
         def ev(c):
-            th, s = c[0], c[1]
+            th, s = c[..., 0], c[..., 1]
             h = 1e-6
-            z0p = float(rc.z_of(s + h) - rc.z_of(s - h)) / (2 * h)
+            z0p = (rc.z_of(s + h) - rc.z_of(s - h)) / (2 * h)
             e = np.exp(-th)
-            return np.array([-float(rc.z_of(s)) * e, (1.0 - p) * z0p * e,
-                             float(rc.t_of(s)) * e])
+            return np.stack([-rc.z_of(s) * e, (1.0 - p) * z0p * e,
+                             rc.t_of(s) * e], axis=-1)
         return OneFormField(f"alpha_{p}", ch, ev)
 
     pts = [(0.1, 0.3, 0.5), (-0.2, -0.6, 1.0), (0.0, 0.8, -0.4)]

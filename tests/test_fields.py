@@ -59,7 +59,8 @@ def test_hamiltonian_field_of_f_k(rng):
 def test_nan_hamiltonian_fails_closed():
     lam = lambda_std(1)
     with pytest.raises(DomainError, match="non-finite derivative"):
-        hamiltonian_vector_field(lambda c: float("nan"), lam, lam.chart.point([0.3, 0.4]))
+        hamiltonian_vector_field(lambda c: np.full(c.shape[:-1], np.nan), lam,
+                                 lam.chart.point([0.3, 0.4]))
 
 
 def test_reeb_of_collar_form(rng):
@@ -86,7 +87,7 @@ def test_reeb_on_sphere(rng):
 
 def test_reeb_refuses_degenerate():
     ch = darboux_chart(1)
-    zero = OneFormField("zero", ch, lambda c: np.zeros(2))
+    zero = OneFormField("zero", ch, lambda c: np.zeros_like(c))
     with pytest.raises(DegenerateSystemError):
         reeb_vector_field(zero, ch.point([0.3, 0.4]))
 
@@ -94,7 +95,7 @@ def test_reeb_refuses_degenerate():
 def test_liouville_refuses_ill_conditioned():
     ch = darboux_chart(1)
     # closed form: d(const) = 0, singular system
-    const = OneFormField("const", ch, lambda c: np.array([1.0, 1.0]))
+    const = OneFormField("const", ch, lambda c: np.ones_like(c))
     with pytest.raises(IllConditionedError) as exc:
         liouville_vector_field(const, ch.point([0.1, 0.2]))
     assert exc.value.condition_number > 1e10 or not np.isfinite(
@@ -111,8 +112,8 @@ def test_moser_field_solves_difference(rng):
     n = 1
     lam = lambda_std(n)
     # x dy has the same exterior derivative as lambda_std
-    other = OneFormField("xdy", lam.chart,
-                         lambda c: np.array([0.0, c[0]]))
+    other = OneFormField("xdy", lam.chart, lambda c: np.stack(
+        [np.zeros_like(c[..., 0]), c[..., 0]], axis=-1))
     p = lam.chart.point([0.4, 0.8])
     v = moser_field(lam, other, p)
     # d(lam)(V,.) = lam - other = (-y/2, -x/2); with omega = dx^dy,
@@ -122,6 +123,7 @@ def test_moser_field_solves_difference(rng):
 
 def test_moser_field_rejects_mismatched_derivatives():
     lam = lambda_std(1)
-    other = OneFormField("2xdy", lam.chart, lambda c: np.array([0.0, 2.0 * c[0]]))
+    other = OneFormField("2xdy", lam.chart, lambda c: np.stack(
+        [np.zeros_like(c[..., 0]), 2.0 * c[..., 0]], axis=-1))
     with pytest.raises(DegenerateSystemError):
         moser_field(lam, other, lam.chart.point([0.4, 0.8]))

@@ -4,7 +4,7 @@ import pytest
 from contactcalc.charts import darboux_chart, sphere_chart, with_constraints, \
     unit_norm_constraint
 from contactcalc.errors import ChartMismatchError, DomainError
-from contactcalc.forms import (central_difference, d_matrix, dz_plus,
+from contactcalc.forms import (OneFormField, central_difference, d_matrix, dz_plus,
                                handle_form, lambda_can, lambda_std, restrict_form,
                                symplectization, theta_invariant, weinstein,
                                weinstein_hamiltonian)
@@ -114,15 +114,15 @@ def test_central_difference_exact_on_quadratic(rng):
     b = rng.normal(size=3)
     x = rng.normal(size=3)
     directions = rng.normal(size=(3, 2))
-    got = central_difference(lambda y: np.array([y @ a @ y, b @ y]), x,
-                             directions, 1e-3)
+    quad = lambda y: np.stack([((y @ a) * y).sum(axis=-1), y @ b], axis=-1)
+    got = central_difference(quad, x, directions, 1e-3)
     expected = np.stack([2.0 * (a @ x) @ directions, b @ directions])
     assert got.shape == (2, 2)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_central_difference_scalar_fn_shape():
-    got = central_difference(lambda y: float(y[0] * y[1]), np.array([2.0, 3.0, 5.0]),
+    got = central_difference(lambda y: y[..., 0] * y[..., 1], np.array([2.0, 3.0, 5.0]),
                              np.eye(3), 1e-4)
     assert got.shape == (3,)
     assert np.allclose(got, [3.0, 2.0, 0.0], atol=1e-10)
@@ -132,3 +132,31 @@ def test_central_difference_scalar_fn_shape():
 def test_central_difference_rejects_bad_step(step):
     with pytest.raises(DomainError, match="bad differencing step"):
         central_difference(lambda y: y, np.zeros(2), np.eye(2), step)
+
+
+# Evaluators that do not keep the batch: a constant per-point covector, the
+# per-point lambda_std (its rows are the batch's columns), a scalar.
+NOT_BATCHED = [
+    (lambda c: np.array([1.0, 2.0]), r"shape \(2,\) for points of shape \(4, 3, 2\)"),
+    (lambda c: np.array([-0.5 * c[1], 0.5 * c[0]]), r"shape \(2, 3, 2\)"),
+    (lambda c: float(np.sum(c)), r"shape \(\) for points"),
+]
+
+
+@pytest.mark.parametrize("ev,shape", NOT_BATCHED)
+def test_d_matrix_refuses_an_evaluator_that_drops_the_batch(ev, shape):
+    form = OneFormField("per_point", darboux_chart(1), ev)
+    with pytest.raises(DomainError, match=shape):
+        d_matrix(form, np.zeros((3, 2)))
+
+
+def test_central_difference_refuses_a_scalar_for_a_stack():
+    with pytest.raises(DomainError, match=r"shape \(\) for points of shape \(6, 3\)"):
+        central_difference(lambda y: float(np.sum(y)), np.zeros(3), np.eye(3))
+
+
+def test_d_matrix_refuses_covectors_of_the_wrong_length():
+    # Batched, but one component per row on a 2-dimensional chart.
+    form = OneFormField("one_component", darboux_chart(1), lambda c: c[..., :1])
+    with pytest.raises(DomainError, match=r"covectors of shape \(1,\), not \(2,\)"):
+        d_matrix(form, np.zeros((3, 2)))

@@ -21,12 +21,16 @@ coefficients along linear fields are held to 1e-9 absolute, like ``d``;
 ``conditions.H`` = 1e-4, so their round-off is divided by 2e-4 once more
 and they are held to ``conditions.DILATION_TOL`` = 1e-6.  These tolerances
 were fixed before the comparison was run.
+
+``central_difference`` calls its function once, on all 2k offsets stacked.
+It is compared bit for bit with the stencil that called the function once
+per offset, and every differencing caller is held to one call.
 """
 
 import numpy as np
 import pytest
 
-from contactcalc import conditions, fields, forms, verify
+from contactcalc import conditions, fields, forms, twist, verify
 from contactcalc.charts import (Chart, ChartPoint, cotangent_chart, darboux_chart,
                                 unit_norm_constraint, with_constraints)
 from contactcalc.errors import (ChartMismatchError, DegenerateSystemError,
@@ -616,3 +620,104 @@ def test_forms_suite_call_count_is_independent_of_samples(monkeypatch):
     assert few == _forms_calls(monkeypatch, 50)
     assert few["contactcalc.conditions.contact_margin"] == 1
     assert few["contactcalc.fields.reeb_vector_field"] == 1
+
+
+# ---------------------------------------------------------------------------
+# One call per stencil, with the bits of one call per offset
+# ---------------------------------------------------------------------------
+
+def _per_offset_difference(fn, x, directions, step=forms.STEP):
+    """The stencil before it was stacked: fn runs once per offset, on the
+    displaced batch (B..., dim)."""
+    offsets = step * directions.swapaxes(-1, -2)
+    k = offsets.shape[-2]
+    x = x[..., None, :]
+    ys = np.concatenate([x + offsets, x - offsets], axis=-2)
+    ys = ys.transpose((ys.ndim - 2, *range(ys.ndim - 2), ys.ndim - 1))
+    values = np.array([fn(y) for y in ys], dtype=float)
+    diff = (values[:k] - values[k:]) / (2.0 * step)
+    return diff.transpose((*range(1, diff.ndim), 0))
+
+
+def _recording(fn, shapes):
+    """fn, appending the shape of each argument it is called on to shapes."""
+    def recorded(x):
+        shapes.append(x.shape)
+        return fn(x)
+    return recorded
+
+
+@pytest.mark.parametrize("case", sorted(ALL))
+def test_d_matrix_has_the_per_offset_bits(rng, case):
+    form, p = _points(rng, case)
+    jac = _per_offset_difference(form.evaluator, p.coords, np.eye(p.chart.dim))
+    assert np.array_equal(forms.d_matrix(form, p.coords), jac.swapaxes(-1, -2) - jac)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 4)])
+def test_hamiltonian_derivative_has_the_per_offset_bits(rng, n, k):
+    f = forms.weinstein_hamiltonian(n, k)
+    x = rng.uniform(-2.0, 2.0, (COUNT, 2 * n))
+    eye = np.eye(2 * n)
+    assert np.array_equal(forms.central_difference(f, x, eye),
+                          _per_offset_difference(f, x, eye))
+
+
+def _twist_pullback(q):
+    prof = twist.make_profile(0.4)
+    return twist.pullback_two_form(lambda p: twist.apply_twist(p, prof), q).pulled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_pullback_has_the_per_offset_bits(rng, monkeypatch, n):
+    q = twist.random_points(rng, n, 0.9, COUNT)
+    got = _twist_pullback(q)
+    monkeypatch.setattr(twist, "central_difference", _per_offset_difference)
+    assert np.array_equal(got, _twist_pullback(q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7])
+def test_pullback_runs_the_map_once(rng, n):
+    prof, shapes = twist.make_profile(0.4), []
+
+    def twist_map(p):
+        shapes.append(p.coords.shape)
+        return twist.apply_twist(p, prof)
+
+    twist.pullback_two_form(twist_map, twist.random_points(rng, n, 0.9, COUNT))
+    # 2n tangent directions, two offsets each
+    assert shapes == [(4 * n, COUNT, 2 * n + 2)]
+
+
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_d_matrix_runs_the_evaluator_once(rng, dim):
+    shapes = []
+    chart = Chart(f"R{dim}", tuple(f"x{i}" for i in range(dim)))
+    form = forms.OneFormField("roll", chart,
+                              _recording(lambda c: np.roll(c, 1, axis=-1), shapes))
+    forms.d_matrix(form, rng.uniform(-1.0, 1.0, (COUNT, dim)))
+    assert shapes == [(2 * dim, COUNT, dim)]
+
+
+def test_hamiltonian_field_runs_the_hamiltonian_once(rng):
+    lam, shapes = forms.lambda_std(3), []
+    p = ChartPoint(lam.chart, rng.uniform(-2.0, 2.0, (COUNT, 6)))
+    fields.hamiltonian_vector_field(
+        _recording(forms.weinstein_hamiltonian(3, 2), shapes), lam, p)
+    assert shapes == [(12, COUNT, 6)]
+
+
+def test_two_form_dilation_runs_the_outer_contraction_once(rng):
+    # The field runs once per call of the outer contraction; the form's
+    # evaluator runs once inside it, on the nested stack, and once more for
+    # d(beta) at the points.
+    field_shapes, form_shapes = [], []
+    lam = forms.lambda_std(2)
+    form = forms.OneFormField("lambda_std", lam.chart,
+                              _recording(lam.evaluator, form_shapes))
+    p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (COUNT, 4)))
+    rep = conditions.check_two_form_dilation(_recording(lambda x: 0.5 * x, field_shapes),
+                                             form, p)
+    assert rep.passed
+    assert field_shapes == [(8, COUNT, 4)]
+    assert form_shapes == [(8, 8, COUNT, 4), (8, COUNT, 4)]

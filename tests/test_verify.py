@@ -129,6 +129,9 @@ def _twist_calls(monkeypatch, n, samples):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_twist_suite_call_count_is_independent_of_samples(n, monkeypatch):
-    # One batched call per line (and per differencing offset inside the
-    # pullback), however many samples: a per-point loop would scale with them.
-    assert _twist_calls(monkeypatch, n, 5) == _twist_calls(monkeypatch, n, 50)
+    # One batched call per line (and one for all differencing offsets inside
+    # the pullback), however many samples: a per-point loop would scale with
+    # them.
+    calls = _twist_calls(monkeypatch, n, 5)
+    assert calls == _twist_calls(monkeypatch, n, 50)
+    assert calls == {"apply_twist": 4, "pullback_two_form": 1}
