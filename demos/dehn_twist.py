@@ -57,6 +57,6 @@ print("Psi_0 = id:", np.max(np.abs(isotopy_psi(0.0, q, prof).coords
                                    - q.coords)))
 
 # The interior-t maps are measured (not asserted) on the boundary |v| = 1.
-probe = boundary_displacement_probe("phi", prof, n, samples=10, seed=0)
+probe = boundary_displacement_probe(prof, n, samples=10, seed=0)
 print(f"boundary displacement of Phi_t: max {probe.max_displacement:.3f} "
       f"at t = {probe.argmax_t:.2f} (measured only)")

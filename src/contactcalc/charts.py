@@ -10,8 +10,9 @@ of the constraint gradients; no atlas machinery is attempted.
 A ``ChartPoint`` holds one point (coords of shape (dim,)) or a batch of
 points (shape (..., dim), one per row); constraints, tangent frames and the
 kernel built on them (``forms``, ``fields``, ``conditions``) act row by row
-and keep the leading shape.  Small matrix products are elementwise products
-summed over an axis (``matvec``, ``matmul``), not BLAS calls.
+and keep the leading shape.  Inner products, norms and small matrix
+products of rows (``row_dot``, ``row_norm``, ``matvec``, ``matmul``) are
+elementwise products summed over an axis, not BLAS calls.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ import numpy as np
 from .errors import ChartMismatchError, DomainError
 
 POINT_TOL = 1e-8  # how far a point may lie off a constraint locus (and T*S^n)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> for stacks: a and b (..., k) give (...)."""
+    return (a * b).sum(axis=-1)
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """||a|| for stacks: a (..., k) gives (...)."""
+    return np.sqrt(row_dot(a, a))
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ exp(-1/x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,6 @@ def _odd_ramp(s: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class RoundingCurve:
     epsilon: float
-    s: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    t: np.ndarray = field(repr=False)
 
     def z_of(self, s) -> np.ndarray:
         return -self.epsilon * _odd_ramp(np.asarray(s, dtype=float))
@@ -60,10 +57,9 @@ class RoundingCurve:
         return 0.5 + (1.0 - a) * smoothstep(a)
 
 
-def rounding_curve(epsilon: float, samples: int) -> RoundingCurve:
-    """Sample the rounding curve at ``samples`` equispaced parameters.
-
-    The returned curve satisfies, at any sampling density:
+def rounding_curve(epsilon: float) -> RoundingCurve:
+    """The rounding curve for ``epsilon`` > 0, evaluated at any parameters
+    in [-1, 1] by ``z_of`` and ``t_of``.  It satisfies
       (1) (z,t)(-1) = (eps, 1/2) with tangent (0, 1), all higher
           derivatives zero;
       (2) (z,t)(+1) = (-eps, 1/2) with tangent (0, -1), ditto;
@@ -72,10 +68,4 @@ def rounding_curve(epsilon: float, samples: int) -> RoundingCurve:
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if samples < 8:
-        raise DomainError(f"need at least 8 samples, got {samples}")
-    s = np.linspace(-1.0, 1.0, samples)
-    curve = RoundingCurve(epsilon, s, np.empty(0), np.empty(0))
-    z = curve.z_of(s)
-    t = curve.t_of(s)
-    return RoundingCurve(epsilon, s, z, t)
+    return RoundingCurve(epsilon)

@@ -176,16 +176,19 @@ def _kv(tok: Token) -> Optional[tuple[str, str]]:
     return None
 
 
+# A token and its ``_kv`` split, taken once per token of a statement.
+_Split = tuple[Token, Optional[tuple[str, str]]]
+
+
 # A value converter takes (value text, its token, what it is) and returns the
 # converted value or raises a positioned E_SYNTAX.
 _Converter = Callable[[str, Token, str], object]
 
 
-def _parse_kvs(toks: list[Token], keys: dict[str, _Converter], required: set[str],
+def _parse_kvs(toks: list[_Split], keys: dict[str, _Converter], required: set[str],
                stmt: str, head: Token) -> dict[str, object]:
     out: dict[str, object] = {}
-    for tok in toks:
-        pair = _kv(tok)
+    for tok, pair in toks:
         if pair is None:
             raise ScenarioError(E_SYNTAX, tok.line, tok.col,
                                 f"expected key=value in {stmt}, got {tok.text!r}")
@@ -199,7 +202,7 @@ def _parse_kvs(toks: list[Token], keys: dict[str, _Converter], required: set[str
         out[key] = keys[key](val, tok, key)
     missing = required - out.keys()
     if missing:
-        t = toks[0] if toks else head
+        t = toks[0][0] if toks else head
         raise ScenarioError(E_ARITY, t.line, t.col,
                             f"{stmt} missing keys: {', '.join(sorted(missing))}")
     return out
@@ -252,10 +255,11 @@ def _even_dim(val: str, tok: Token, what: str) -> int:
 
 def _parse_page(toks: list[Token]) -> tuple[str, PageSpec]:
     t = toks[0]
-    if len(toks) < 2 or _kv(toks[1]) is not None:
+    rest = [(tok, _kv(tok)) for tok in toks[1:]]
+    if not rest or rest[0][1] is not None:
         raise ScenarioError(E_SYNTAX, t.line, t.col, "page needs a name")
     name = toks[1].text
-    kvs = _parse_kvs(toks[2:], {"dim": _even_dim, "handles": _handles,
+    kvs = _parse_kvs(rest[1:], {"dim": _even_dim, "handles": _handles,
                                 "stein": _bool, "spheres": _bracket_list},
                      {"dim", "handles", "stein"}, "page", t)
     try:
@@ -346,7 +350,8 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
                                     f"{head.text}: '->' must be followed by one name")
             toks, target = toks[:i], toks[-1].text
             break
-    pos = [t for t in toks[1:] if _kv(t) is None]
+    split = [(tok, _kv(tok)) for tok in toks[1:]]
+    pos = [t for t, pair in split if pair is None]
     mode = None
     if head.text in _MODES:
         if not pos:
@@ -366,7 +371,7 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
         if tok.text not in names[kind]:
             raise ScenarioError(E_UNDECLARED, tok.line, tok.col,
                                 f"{kind} {tok.text!r} not declared")
-    kvs = _parse_kvs([t for t in toks[1:] if _kv(t) is not None],
+    kvs = _parse_kvs([tp for tp in split if tp[1] is not None],
                      keys, required, stmt, head)
     if makes != (target is not None):
         raise ScenarioError(E_ARITY, head.line, head.col, f"{stmt} "

@@ -403,7 +403,8 @@ def surgery_compose(ks: list[int]) -> Optional[int]:
 
 def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> ManifoldDescriptor:
     """q-fold cyclic cover branched over the binding: q copies joined by
-    q-1 Liouville sums along pages, so the monodromy becomes the q-th power."""
+    q-1 Liouville sums along pages, so the monodromy becomes the q-th power.
+    The flags are those of a sum of copies of m, and m's history is kept."""
     if q < 1:
         raise DomainError("cover degree must be >= 1")
     ob = m.open_book
@@ -414,12 +415,16 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
     if q == 1:
         return replace(m, history=m.history + (
             ("branched_cover", hypersurface, 1, "identity"),))
-    # Only the last of the q - 1 sums decides the flags, word and history.
-    out = liouville_sum_openbooks(OpenBook(ob.page, ob.word ** (q - 1)), ob)
-    return replace(out, history=out.history + (
+    # The last of the q - 1 sums adds one copy to the other q - 1.
+    rest = OpenBook(ob.page, ob.word ** (q - 1))
+    composed = OpenBook(ob.page, rest.word * ob.word)
+    history = m.history + (
+        ("liouville_sum", str(rest), str(ob)),
         ("branched_cover", hypersurface, q, f"{q - 1} liouville sums"),
         ("cobordism", "exact" if m.flags.exactly else "recorded",
-         f"disjoint union of {q} copies to cover")))
+         f"disjoint union of {q} copies to cover"))
+    return ManifoldDescriptor(composed.dim, composed,
+                              _sum_flags(m.flags, m.flags, composed), history)
 
 
 def fibered_manifold(page: PageSpec, phi: MonodromyWord,

@@ -13,9 +13,14 @@ batched over leading axes: a point holds u and v of shape (..., n+1), one
 point per row, and the maps, generators, exponentials and pullbacks act row
 by row and return the same leading shape, and ``random_points`` draws
 samples as one batch.  A single point (u and v of shape (n+1,)) is the
-N = 1 case of the same code.  Norms, inner products and the small matrix
-products are elementwise products summed over the last axis, not BLAS
-calls.
+N = 1 case of the same code.  Rows are multiplied with the ``charts`` row
+helpers, not BLAS calls.
+
+Every map follows one zero-fiber rule: its formula runs on every row, with
+v-hat set to 0 where ||v|| < ``ZERO_FIBER_THRESHOLD`` (so the plane
+generator is 0 there and every exponential is finite), and one ``np.where``
+then sends those rows to (-u, 0) under the twist and to (u, 0) under tau^2,
+Phi_t and Psi_t.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import (Chart, ChartPoint, Constraint, matmul, matvec, tangent_frame,
-                     unit_norm_constraint)
+from .charts import (Chart, ChartPoint, Constraint, matmul, matvec, row_dot, row_norm,
+                     tangent_frame, unit_norm_constraint)
 from .errors import DomainError
 from .forms import central_difference
 from .octonion import cross7_matrix
@@ -36,21 +41,12 @@ from .rounding import smoothstep
 ZERO_FIBER_THRESHOLD = 1e-12
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise <a, b> over the last axis."""
-    return (a * b).sum(axis=-1)
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(a, a))
-
-
 @functools.cache
 def tstar_chart(n: int) -> Chart:
     """T*S^n in ambient coordinates (u_0..u_n, v_0..v_n), constrained by
     ||u||^2 = 1 and <u, v> = 0 in that order."""
     m = n + 1
-    pairing = Constraint("pairing", lambda x: _dot(x[..., :m], x[..., m:]),
+    pairing = Constraint("pairing", lambda x: row_dot(x[..., :m], x[..., m:]),
                          lambda x: np.concatenate([x[..., m:], x[..., :m]], axis=-1))
     names = tuple(f"u{j}" for j in range(m)) + tuple(f"v{j}" for j in range(m))
     return Chart(f"T*S{n}", names, (unit_norm_constraint(range(m)), pairing))
@@ -77,11 +73,11 @@ def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
     """Project nearby ambient data back onto T*S^n, row by row."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = _norm(u)[..., None]
+    nu = row_norm(u)[..., None]
     if not np.all(nu >= 0.5):
         raise DomainError("point too far from T*S^n to retract")
     uhat = u / nu
-    return CotangentPoint(uhat, v - _dot(v, uhat)[..., None] * uhat)
+    return CotangentPoint(uhat, v - row_dot(v, uhat)[..., None] * uhat)
 
 
 def random_points(rng: np.random.Generator, n: int, fiber_radius: float,
@@ -91,12 +87,12 @@ def random_points(rng: np.random.Generator, n: int, fiber_radius: float,
     if n < 1:
         raise DomainError(f"T*S^n needs n >= 1, got {n}")
     u = rng.normal(size=(count, n + 1))
-    u /= _norm(u)[:, None]
+    u /= row_norm(u)[:, None]
     v = np.zeros_like(u)
-    while (short := _norm(v) < 1e-8).any():
+    while (short := row_norm(v) < 1e-8).any():
         w = rng.normal(size=(int(short.sum()), n + 1))
-        v[short] = w - _dot(w, u[short])[:, None] * u[short]
-    v *= (rng.uniform(1e-3, 1.0, count) * fiber_radius / _norm(v))[:, None]
+        v[short] = w - row_dot(w, u[short])[:, None] * u[short]
+    v *= (rng.uniform(1e-3, 1.0, count) * fiber_radius / row_norm(v))[:, None]
     return CotangentPoint(u, v)
 
 
@@ -134,17 +130,19 @@ class SkewGenerator:
             raise DomainError("generator does not satisfy A^3 = -A")
 
 
+def _plane(u: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+    return vhat[..., :, None] * u[..., None, :] - u[..., :, None] * vhat[..., None, :]
+
+
 def plane_generator(u: np.ndarray, v: np.ndarray) -> SkewGenerator:
     """A = vhat u^T - u vhat^T: rotates the oriented (u, vhat) plane and
     annihilates its orthogonal complement."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    norm = _norm(v)[..., None]
+    norm = row_norm(v)[..., None]
     if not np.all(norm > ZERO_FIBER_THRESHOLD):
         raise DomainError("plane generator undefined on the zero fiber")
-    vhat = v / norm
-    return SkewGenerator(vhat[..., :, None] * u[..., None, :]
-                         - u[..., :, None] * vhat[..., None, :])
+    return SkewGenerator(_plane(u, v / norm))
 
 
 def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
@@ -180,54 +178,37 @@ def mixed_exp(matrix: np.ndarray) -> np.ndarray:
                    np.swapaxes(v, -1, -2).conj()).real
 
 
+def _fiber(p: CotangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fiber norms ||v|| and the zero-fiber mask of the rows of p (shape
+    (..., 1) each), and v-hat = v / ||v||, 0 on the zero fiber."""
+    norm = row_norm(p.v)[..., None]
+    zero = norm < ZERO_FIBER_THRESHOLD
+    return norm, zero, np.where(zero, 0.0, p.v / np.where(zero, 1.0, norm))
+
+
 def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau_n(u, v): rotate (u, v) by f(||v||) in the (u, v-hat) plane."""
-    norm = _norm(p.v)[..., None]
-    zero = norm < ZERO_FIBER_THRESHOLD
+    norm, zero, vhat = _fiber(p)
     theta = prof.f(norm)
-    vhat = p.v / np.where(zero, 1.0, norm)
     c, s = np.cos(theta), np.sin(theta)
-    u_new = np.where(zero, -p.u, c * p.u + s * vhat)
-    v_new = np.where(zero, 0.0, -norm * s * p.u + c * p.v)
-    return CotangentPoint(u_new, v_new)
-
-
-def _rotate(p: CotangentPoint, rotation: Callable[..., np.ndarray],
-            zero_sign: float, *row_params, fiber_only: bool = False) -> CotangentPoint:
-    """Apply per-row rotation matrices to the rows of p off the zero fiber.
-
-    ``rotation(u, v, norm, *params)`` receives those rows (shape (k, n+1)),
-    their fiber norms and the matching entries of each ``row_params`` value
-    (broadcast to p's batch shape), and returns (k, n+1, n+1) rotations.  They
-    act on v, and on u too unless ``fiber_only``.  A zero-fiber row goes to
-    (zero_sign u, 0).
-    """
-    m = p.u.shape[-1]
-    u, v = p.u.reshape(-1, m), p.v.reshape(-1, m)
-    norm = _norm(v)
-    moving = norm >= ZERO_FIBER_THRESHOLD
-    out_u, out_v = zero_sign * u, np.zeros_like(v)
-    if np.any(moving):
-        batch = p.u.shape[:-1]
-        params = [np.broadcast_to(np.asarray(x, dtype=float), batch).reshape(-1)[moving]
-                  for x in row_params]
-        rot = rotation(u[moving], v[moving], norm[moving], *params)
-        if not fiber_only:
-            out_u[moving] = matvec(rot, u[moving])
-        out_v[moving] = matvec(rot, v[moving])
-    return CotangentPoint(out_u.reshape(p.u.shape), out_v.reshape(p.v.shape))
+    return CotangentPoint(np.where(zero, -p.u, c * p.u + s * vhat),
+                          np.where(zero, 0.0, -norm * s * p.u + c * p.v))
 
 
 def apply_twist_via_generator(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """Second evaluation path: (e^(f A) u, e^(f A) v) with A the plane generator."""
-    return _rotate(p, lambda u, v, norm: generator_exp(plane_generator(u, v),
-                                                       prof.f(norm)), -1.0)
+    norm, zero, vhat = _fiber(p)
+    rot = generator_exp(SkewGenerator(_plane(p.u, vhat)), prof.f(norm[..., 0]))
+    return CotangentPoint(np.where(zero, -p.u, matvec(rot, p.u)),
+                          np.where(zero, 0.0, matvec(rot, p.v)))
 
 
 def twist_square_direct(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau^2 in one step: e^(2 f v_u) applied to both components."""
-    return _rotate(p, lambda u, v, norm: generator_exp(plane_generator(u, v),
-                                                       2.0 * prof.f(norm)), 1.0)
+    norm, zero, vhat = _fiber(p)
+    rot = generator_exp(SkewGenerator(_plane(p.u, vhat)), 2.0 * prof.f(norm[..., 0]))
+    return CotangentPoint(np.where(zero, p.u, matvec(rot, p.u)),
+                          np.where(zero, 0.0, matvec(rot, p.v)))
 
 
 def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
@@ -235,14 +216,13 @@ def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     the zero section is sent to itself.  t is one time or one per row."""
     if p.n not in (2, 6):
         raise DomainError(f"isotopy_phi needs n in {{2,6}}, got {p.n}")
-
-    def rotation(u, v, norm, t):
-        j = almost_complex_generator(u, p.n).matrix
-        a = plane_generator(u, v).matrix
-        t = t[:, None, None]
-        return mixed_exp((2.0 * prof.f(norm))[:, None, None] * ((1.0 - t) * j + t * a))
-
-    return _rotate(p, rotation, 1.0, t)
+    norm, zero, vhat = _fiber(p)
+    j = almost_complex_generator(p.u, p.n).matrix
+    a = SkewGenerator(_plane(p.u, vhat)).matrix
+    t = np.asarray(t, dtype=float)[..., None, None]
+    rot = mixed_exp((2.0 * prof.f(norm))[..., None] * ((1.0 - t) * j + t * a))
+    return CotangentPoint(np.where(zero, p.u, matvec(rot, p.u)),
+                          np.where(zero, 0.0, matvec(rot, p.v)))
 
 
 def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
@@ -250,9 +230,10 @@ def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     t is one time or one per row."""
     if p.n not in (2, 6):
         raise DomainError(f"isotopy_psi needs n in {{2,6}}, got {p.n}")
-    return _rotate(p, lambda u, v, norm, t: generator_exp(
-        almost_complex_generator(u, p.n), t * 2.0 * prof.f(norm)), 1.0, t,
-        fiber_only=True)
+    norm, zero, _ = _fiber(p)
+    rot = generator_exp(almost_complex_generator(p.u, p.n),
+                        np.asarray(t, dtype=float) * 2.0 * prof.f(norm[..., 0]))
+    return CotangentPoint(p.u, np.where(zero, 0.0, matvec(rot, p.v)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,34 +283,27 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Measured maximum displacement of boundary points under an isotopy."""
+    """Measured maximum displacement of boundary points under Phi_t."""
 
-    family: str
     max_displacement: float
     argmax_t: float
-    argmax_point: CotangentPoint
-    samples: int
 
 
-def boundary_displacement_probe(family: str, prof: TwistProfile, n: int,
-                                samples: int, seed: int = 0) -> ProbeReport:
-    """Max ||family_t(p) - p|| over ||v|| = 1 boundary points and the
+def boundary_displacement_probe(prof: TwistProfile, n: int, samples: int,
+                                seed: int = 0) -> ProbeReport:
+    """Max ||Phi_t(p) - p|| over ||v|| = 1 boundary points and the
     11-point t-grid 0, 0.1, ..., 1, evaluated as one batch.
 
     Reports the measurement only; whether intermediate-t maps fix the
     boundary is deliberately not asserted anywhere in this package.
     """
-    if family not in ("phi", "psi"):
-        raise DomainError(f"unknown family {family!r}")
     if samples < 1:
         raise DomainError(f"the probe needs at least one sample, got {samples}")
-    apply = isotopy_phi if family == "phi" else isotopy_psi
     q = random_points(np.random.default_rng(seed), n, 1.0, samples)
-    q = CotangentPoint(q.u, q.v / _norm(q.v)[:, None])  # push to ||v|| = 1
+    q = CotangentPoint(q.u, q.v / row_norm(q.v)[:, None])  # push to ||v|| = 1
     ts = np.linspace(0.0, 1.0, 11)
     grid = CotangentPoint(np.repeat(q.u[:, None, :], ts.size, axis=1),
                           np.repeat(q.v[:, None, :], ts.size, axis=1))
-    disp = _norm(apply(ts, grid, prof).coords - grid.coords)
+    disp = row_norm(isotopy_phi(ts, grid, prof).coords - grid.coords)
     i, j = np.unravel_index(np.argmax(disp), disp.shape)
-    return ProbeReport(family, float(disp[i, j]), float(ts[j]),
-                       CotangentPoint(q.u[i], q.v[i]), samples)
+    return ProbeReport(float(disp[i, j]), float(ts[j]))

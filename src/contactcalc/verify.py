@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import conditions, fields, forms, twist
-from .charts import ChartPoint
+from .charts import ChartPoint, row_norm
 from .errors import DomainError
 # render_report and report_failed are re-exported for callers of this module.
 from .reports import (DEFAULT_SAMPLES, MAX_TWIST_N, ReportLine,
@@ -114,7 +114,7 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     out.append(_line(f"twist_zero_section_antipodal_n{n}", dev, 0.0))
 
     q = twist.random_points(rng, n, 1.0, 20)
-    q = twist.CotangentPoint(q.u, q.v / twist._norm(q.v)[:, None] * 0.95)
+    q = twist.CotangentPoint(q.u, q.v / row_norm(q.v)[:, None] * 0.95)
     dev = _worst(twist.apply_twist(q, prof).coords - q.coords)
     out.append(_line(f"twist_identity_outside_eps_n{n}", dev, 1e-12))
 
@@ -128,7 +128,7 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
         dev = _worst(twist.isotopy_phi(1.0, q, prof).coords
                      - twist.twist_square_direct(q, prof).coords)
         out.append(_line(f"isotopy_phi1_vs_tau_squared_n{n}", dev, 1e-8))
-        probe = twist.boundary_displacement_probe("phi", prof, n, 5, seed)
+        probe = twist.boundary_displacement_probe(prof, n, 5, seed)
         out.append(ReportLine(f"boundary_displacement_probe_phi_n{n}",
                               probe.max_displacement, float("inf"),
                               True, asserted=False))

@@ -88,7 +88,7 @@ def test_criterion_03_square_isotopy(capsys):
             out = twist.isotopy_phi(float(t), zs, prof)
             assert np.allclose(out.u, u) and not np.any(out.v)
         # Probe only: reported, never asserted.
-        probe = twist.boundary_displacement_probe("phi", prof, n, 5, seed=0)
+        probe = twist.boundary_displacement_probe(prof, n, 5, seed=0)
         print(f"  probe phi n={n}: max boundary displacement "
               f"{probe.max_displacement:.3f} at t={probe.argmax_t:.2f} "
               f"(reported, not asserted)")
@@ -133,7 +133,7 @@ def test_criterion_04_model_forms():
 
 def test_criterion_05_rounding_curve():
     eps = 0.3
-    rc = rounding_curve(eps, 1000)
+    rc = rounding_curve(eps)
     h = 1e-5
     # (1),(2): endpoints with flat z and unit-slope t, to 1e-8
     assert abs(float(rc.z_of(-1.0)) - eps) <= 1e-8

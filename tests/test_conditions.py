@@ -152,7 +152,7 @@ def test_theta_invariant_family_volume_independent_of_p():
     # The perturbed collar family: on the rounded-corner piece the form is
     # e^(-theta) (-z0 dtheta + (1-p) z0' ds + t0 dw); its volume coefficient
     # must not depend on p.
-    rc = rounding_curve(0.3, 64)
+    rc = rounding_curve(0.3)
     ch = Chart("theta_s_w", ("theta", "s", "w"))
 
     def family(p):

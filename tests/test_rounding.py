@@ -18,7 +18,7 @@ def test_smoothstep_range_and_flat_ends():
 
 def test_rounding_curve_endpoints():
     eps = 0.3
-    rc = rounding_curve(eps, 100)
+    rc = rounding_curve(eps)
     assert rc.z_of(-1.0) == pytest.approx(eps)
     assert rc.z_of(1.0) == pytest.approx(-eps)
     assert rc.t_of(-1.0) == pytest.approx(0.5)
@@ -32,7 +32,7 @@ def test_rounding_curve_endpoints():
 
 
 def test_rounding_curve_symmetry():
-    rc = rounding_curve(0.2, 64)
+    rc = rounding_curve(0.2)
     s = np.linspace(-1, 1, 101)
     assert np.allclose(rc.z_of(-s), -rc.z_of(s), atol=1e-15)
     assert np.allclose(rc.t_of(-s), rc.t_of(s), atol=1e-15)
@@ -40,7 +40,7 @@ def test_rounding_curve_symmetry():
 
 def test_rounding_curve_positivity():
     eps = 0.25
-    rc = rounding_curve(eps, 1000)
+    rc = rounding_curve(eps)
     h = 1e-6
     s = np.linspace(-1 + h, 1 - h, 999)
     zp = (rc.z_of(s + h) - rc.z_of(s - h)) / (2 * h)
@@ -51,6 +51,4 @@ def test_rounding_curve_positivity():
 
 def test_rounding_curve_validation():
     with pytest.raises(DomainError):
-        rounding_curve(0.0, 100)
-    with pytest.raises(DomainError):
-        rounding_curve(0.1, 4)
+        rounding_curve(0.0)

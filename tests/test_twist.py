@@ -216,9 +216,7 @@ def test_isotopies_reject_bad_dimension(rng):
 
 def test_boundary_probe_reports():
     prof = twist.make_profile(0.4)
-    rep = twist.boundary_displacement_probe("phi", prof, 2, 3, seed=1)
-    assert rep.family == "phi"
-    assert rep.samples == 3
+    rep = twist.boundary_displacement_probe(prof, 2, 3, seed=1)
     assert np.isfinite(rep.max_displacement)
     with pytest.raises(DomainError):
-        twist.boundary_displacement_probe("chi", prof, 2, 3)
+        twist.boundary_displacement_probe(prof, 2, 0)

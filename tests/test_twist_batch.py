@@ -79,6 +79,13 @@ def oracle_phi(t, u, v, prof):
     return rot @ u, rot @ v
 
 
+def oracle_psi(t, u, v, prof):
+    norm = np.linalg.norm(v)
+    if norm < twist.ZERO_FIBER_THRESHOLD:
+        return u.copy(), np.zeros_like(v)
+    return u.copy(), _gen_exp(_j(u), t * 2.0 * float(prof.f(norm))) @ v
+
+
 def oracle_pullback_deviation(u, v, prof):
     m = u.size
     rows = np.stack([np.concatenate([2.0 * u, np.zeros(m)]), np.concatenate([v, u])])
@@ -107,11 +114,14 @@ def oracle_pullback_deviation(u, v, prof):
 # Comparisons
 # ---------------------------------------------------------------------------
 
-def _batch(rng, n, count=30, zero_rows=(3,)):
-    """Random points, with zero fibers in ``zero_rows`` to exercise that branch."""
+def _batch(rng, n, count=30, zero_rows=(3,), tiny_rows=(5,)):
+    """Random points, with v = 0 in ``zero_rows`` and 0 < ||v|| <
+    ZERO_FIBER_THRESHOLD in ``tiny_rows``, to exercise the zero-fiber rule."""
     q = twist.random_points(rng, n, 0.9, count)
     v = q.v.copy()
     v[list(zero_rows)] = 0.0
+    tiny = list(tiny_rows)
+    v[tiny] *= 0.1 * twist.ZERO_FIBER_THRESHOLD / np.linalg.norm(v[tiny], axis=-1)[:, None]
     return twist.CotangentPoint(q.u, v)
 
 
@@ -141,6 +151,37 @@ def test_isotopy_phi_per_row_t_matches_oracle(rng, n):
     want = np.array([np.concatenate(oracle_phi(ti, u, v, prof))
                      for ti, u, v in zip(t, q.u, q.v)])
     assert float(np.max(np.abs(got - want))) <= MAP_TOL
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_isotopy_psi_per_row_t_matches_oracle(rng, n):
+    prof = twist.make_profile(0.4)
+    q = _batch(rng, n)
+    t = rng.uniform(size=len(q.u))
+    got = twist.isotopy_psi(t, q, prof).coords
+    want = np.array([np.concatenate(oracle_psi(ti, u, v, prof))
+                     for ti, u, v in zip(t, q.u, q.v)])
+    assert float(np.max(np.abs(got - want))) <= MAP_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_zero_fiber_rows_map_exactly(rng, n):
+    # v = 0 (row 3) and 0 < ||v|| < ZERO_FIBER_THRESHOLD (row 5) both count
+    # as the zero fiber: the twist sends them to (-u, 0), the others to (u, 0).
+    prof = twist.make_profile(0.4)
+    q = _batch(rng, n)
+    assert 0.0 < np.linalg.norm(q.v[5]) < twist.ZERO_FIBER_THRESHOLD
+    t = rng.uniform(size=len(q.u))
+    maps = {-1.0: [twist.apply_twist(q, prof),
+                   twist.apply_twist_via_generator(q, prof)],
+            1.0: [twist.twist_square_direct(q, prof)]}
+    if n in (2, 6):
+        maps[1.0] += [twist.isotopy_phi(t, q, prof), twist.isotopy_psi(t, q, prof)]
+    for sign, images in maps.items():
+        for image in images:
+            for row in (3, 5):
+                assert np.array_equal(image.u[row], sign * q.u[row])
+                assert np.array_equal(image.v[row], np.zeros(n + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
