@@ -46,10 +46,19 @@ class MonodromyWord:
         return reduce_word(MonodromyWord.raw(self.letters + other.letters))
 
     def __pow__(self, k: int) -> "MonodromyWord":
-        # Free reduction is confluent, so one reduction of the |k|-fold
-        # concatenation equals the iterated product, in O(|k| |w|).
-        base = self if k >= 0 else self.inverse()
-        return reduce_word(MonodromyWord.raw(base.letters * abs(k)))
+        # w = c r c^-1 with r cyclically reduced: its first and last letters
+        # carry different labels, or it is one letter a^e.  So r^|k| is r
+        # repeated, or a^(|k| e), and w^k = c r^k c^-1 costs O(|w| + |w^k|).
+        letters = (self if k >= 0 else self.inverse()).letters
+        i, j, tail = 0, len(letters), ()
+        while not tail and j - i > 1 and letters[i][0] == letters[j - 1][0]:
+            (label, e1), (_, e2) = letters[i], letters[j - 1]
+            i, j = i + 1, j - 1
+            tail = ((label, e1 + e2),) if e1 + e2 else ()
+        r = letters[i:j] + tail
+        rk = ((r[0][0], r[0][1] * abs(k)),) if len(r) == 1 else r * abs(k)
+        c_inv = tuple((lab, -exp) for lab, exp in reversed(letters[:i]))
+        return reduce_word(MonodromyWord.raw(letters[:i] + rk + c_inv))
 
     def inverse(self) -> "MonodromyWord":
         return MonodromyWord(tuple((lab, -exp) for lab, exp in reversed(self.letters)))

@@ -16,6 +16,12 @@ samples as one batch.  A single point (u and v of shape (n+1,)) is the
 N = 1 case of the same code.  Rows are multiplied with the ``charts`` row
 helpers, not BLAS calls.
 
+The generators are plain skew arrays of shape (..., n+1, n+1), built from a
+``CotangentPoint``: the plane generator v_u and the fiberwise j_u, the cross
+product with u (one ``octonion.cross_matrix`` for n = 2 and n = 6).  Both
+satisfy A^3 = -A because the point's validation holds ||u|| = 1 and
+<u, v> = 0, so ``generator_exp`` takes the closed form without re-checking.
+
 Every map follows one zero-fiber rule: its formula runs on every row, with
 v-hat set to 0 where ||v|| < ``ZERO_FIBER_THRESHOLD`` (so the plane
 generator is 0 there and every exponential is finite), and one ``np.where``
@@ -35,7 +41,7 @@ from .charts import (Chart, ChartPoint, Constraint, matmul, matvec, row_dot, row
                      tangent_frame, unit_norm_constraint)
 from .errors import DomainError
 from .forms import central_difference
-from .octonion import cross7_matrix
+from .octonion import cross_matrix
 from .rounding import smoothstep
 
 ZERO_FIBER_THRESHOLD = 1e-12
@@ -114,58 +120,40 @@ def make_profile(epsilon: float) -> TwistProfile:
     return TwistProfile(epsilon, f)
 
 
-@dataclass(frozen=True)
-class SkewGenerator:
-    """Skew matrices (shape (..., n+1, n+1)) generating either the fiberwise
-    almost-complex rotation j_u or the rotation v_u of the (u, v-hat) plane."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", a)
-        if not np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-12:
-            raise DomainError("generator is not skew-symmetric")
-        if not np.max(np.abs(matmul(matmul(a, a), a) + a)) <= 1e-10:
-            raise DomainError("generator does not satisfy A^3 = -A")
+def _fiber(p: CotangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fiber norms ||v|| and the zero-fiber mask of the rows of p (shape
+    (..., 1) each), and v-hat = v / ||v||, 0 on the zero fiber."""
+    norm = row_norm(p.v)[..., None]
+    zero = norm < ZERO_FIBER_THRESHOLD
+    return norm, zero, np.where(zero, 0.0, p.v / np.where(zero, 1.0, norm))
 
 
 def _plane(u: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     return vhat[..., :, None] * u[..., None, :] - u[..., :, None] * vhat[..., None, :]
 
 
-def plane_generator(u: np.ndarray, v: np.ndarray) -> SkewGenerator:
-    """A = vhat u^T - u vhat^T: rotates the oriented (u, vhat) plane and
-    annihilates its orthogonal complement."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    norm = row_norm(v)[..., None]
-    if not np.all(norm > ZERO_FIBER_THRESHOLD):
+def plane_generator(p: CotangentPoint) -> np.ndarray:
+    """v_u = vhat u^T - u vhat^T (shape (..., n+1, n+1)): rotates the
+    oriented (u, vhat) plane and annihilates its orthogonal complement."""
+    _, zero, vhat = _fiber(p)
+    if zero.any():
         raise DomainError("plane generator undefined on the zero fiber")
-    return SkewGenerator(_plane(u, v / norm))
+    return _plane(p.u, vhat)
 
 
-def almost_complex_generator(u: np.ndarray, n: int) -> SkewGenerator:
-    """j_u = cross product with u: the 3-dimensional cross product for n=2,
-    the octonionic 7-dimensional one for n=6."""
-    u = np.asarray(u, dtype=float)
-    if n == 2:
-        ux, uy, uz = np.moveaxis(u, -1, 0)
-        zero = np.zeros_like(ux)
-        m = np.stack([np.stack([zero, -uz, uy], axis=-1),
-                      np.stack([uz, zero, -ux], axis=-1),
-                      np.stack([-uy, ux, zero], axis=-1)], axis=-2)
-    elif n == 6:
-        m = cross7_matrix(u)
-    else:
-        raise DomainError(f"almost-complex generator needs n in {{2,6}}, got {n}")
-    return SkewGenerator(m)
+def almost_complex_generator(p: CotangentPoint) -> np.ndarray:
+    """j_u = cross product with u (shape (..., n+1, n+1)): the
+    3-dimensional cross product for n=2, the octonionic 7-dimensional one
+    for n=6."""
+    if p.n not in (2, 6):
+        raise DomainError(f"almost-complex generator needs n in {{2,6}}, got {p.n}")
+    return cross_matrix(p.u)
 
 
-def generator_exp(gen: SkewGenerator, theta) -> np.ndarray:
-    """e^(theta A) in closed form, valid because A^3 = -A; theta is one
-    angle or one per generator of the stack."""
-    a = gen.matrix
+def generator_exp(a: np.ndarray, theta) -> np.ndarray:
+    """e^(theta A) = I + sin(theta) A + (1 - cos(theta)) A^2 for skew A with
+    A^3 = -A, as the generators above are on T*S^n; theta is one angle or
+    one per generator of the stack."""
     theta = np.asarray(theta, dtype=float)[..., None, None]
     return np.eye(a.shape[-1]) + np.sin(theta) * a + (1.0 - np.cos(theta)) * matmul(a, a)
 
@@ -178,14 +166,6 @@ def mixed_exp(matrix: np.ndarray) -> np.ndarray:
                    np.swapaxes(v, -1, -2).conj()).real
 
 
-def _fiber(p: CotangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fiber norms ||v|| and the zero-fiber mask of the rows of p (shape
-    (..., 1) each), and v-hat = v / ||v||, 0 on the zero fiber."""
-    norm = row_norm(p.v)[..., None]
-    zero = norm < ZERO_FIBER_THRESHOLD
-    return norm, zero, np.where(zero, 0.0, p.v / np.where(zero, 1.0, norm))
-
-
 def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau_n(u, v): rotate (u, v) by f(||v||) in the (u, v-hat) plane."""
     norm, zero, vhat = _fiber(p)
@@ -195,32 +175,33 @@ def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
                           np.where(zero, 0.0, -norm * s * p.u + c * p.v))
 
 
-def apply_twist_via_generator(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
-    """Second evaluation path: (e^(f A) u, e^(f A) v) with A the plane generator."""
+def _plane_rotation(p: CotangentPoint, prof: TwistProfile, k: int) -> CotangentPoint:
+    """e^(k f v_u) applied to both components; the zero section goes to
+    (-1)^k u."""
     norm, zero, vhat = _fiber(p)
-    rot = generator_exp(SkewGenerator(_plane(p.u, vhat)), prof.f(norm[..., 0]))
-    return CotangentPoint(np.where(zero, -p.u, matvec(rot, p.u)),
+    rot = generator_exp(_plane(p.u, vhat), k * prof.f(norm[..., 0]))
+    return CotangentPoint(np.where(zero, (-1) ** k * p.u, matvec(rot, p.u)),
                           np.where(zero, 0.0, matvec(rot, p.v)))
+
+
+def apply_twist_via_generator(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+    """Second evaluation path of tau: e^(f v_u) applied to both components."""
+    return _plane_rotation(p, prof, 1)
 
 
 def twist_square_direct(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """tau^2 in one step: e^(2 f v_u) applied to both components."""
-    norm, zero, vhat = _fiber(p)
-    rot = generator_exp(SkewGenerator(_plane(p.u, vhat)), 2.0 * prof.f(norm[..., 0]))
-    return CotangentPoint(np.where(zero, p.u, matvec(rot, p.u)),
-                          np.where(zero, 0.0, matvec(rot, p.v)))
+    return _plane_rotation(p, prof, 2)
 
 
 def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """Phi_t: e^(2 f ((1-t) j_u + t v_u)) applied to both components;
     the zero section is sent to itself.  t is one time or one per row."""
-    if p.n not in (2, 6):
-        raise DomainError(f"isotopy_phi needs n in {{2,6}}, got {p.n}")
+    j = almost_complex_generator(p)
     norm, zero, vhat = _fiber(p)
-    j = almost_complex_generator(p.u, p.n).matrix
-    a = SkewGenerator(_plane(p.u, vhat)).matrix
     t = np.asarray(t, dtype=float)[..., None, None]
-    rot = mixed_exp((2.0 * prof.f(norm))[..., None] * ((1.0 - t) * j + t * a))
+    a = (1.0 - t) * j + t * _plane(p.u, vhat)
+    rot = mixed_exp((2.0 * prof.f(norm))[..., None] * a)
     return CotangentPoint(np.where(zero, p.u, matvec(rot, p.u)),
                           np.where(zero, 0.0, matvec(rot, p.v)))
 
@@ -228,11 +209,9 @@ def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
 def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
     """Psi_t: fiberwise rotation (u, e^(t 2 f j_u) v); Psi_0 = id, Psi_1 = Phi_0.
     t is one time or one per row."""
-    if p.n not in (2, 6):
-        raise DomainError(f"isotopy_psi needs n in {{2,6}}, got {p.n}")
+    j = almost_complex_generator(p)
     norm, zero, _ = _fiber(p)
-    rot = generator_exp(almost_complex_generator(p.u, p.n),
-                        np.asarray(t, dtype=float) * 2.0 * prof.f(norm[..., 0]))
+    rot = generator_exp(j, np.asarray(t, dtype=float) * 2.0 * prof.f(norm[..., 0]))
     return CotangentPoint(p.u, np.where(zero, 0.0, matvec(rot, p.v)))
 
 

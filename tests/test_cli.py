@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -213,14 +214,11 @@ def test_verify_loads_numpy(cli_child):
     assert "numpy" in res.packages
 
 
-def _largest_twist_input(cap_mib):
-    """Run the largest accepted ``verify twist`` input (n = 7, 10 000
-    samples) with one BLAS thread in a child whose address space is capped
-    at ``cap_mib`` MiB."""
+def _capped_run(argv, cap_mib):
+    """Run ``main(argv)`` with one BLAS thread in a child whose address space
+    is capped at ``cap_mib`` MiB."""
     pytest.importorskip("resource")
     cap = cap_mib << 20
-    argv = ["verify", "twist", "--n", str(MAX_TWIST_N),
-            "--samples", str(MAX_SAMPLES)]
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
             "from contactcalc.cli import main\n"
@@ -229,6 +227,13 @@ def _largest_twist_input(cap_mib):
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, timeout=120)
+
+
+def _largest_twist_input(cap_mib):
+    """The largest accepted ``verify twist`` input (n = 7, 10 000 samples)
+    under an address-space cap of ``cap_mib`` MiB."""
+    return _capped_run(["verify", "twist", "--n", str(MAX_TWIST_N),
+                        "--samples", str(MAX_SAMPLES)], cap_mib)
 
 
 def test_largest_twist_input_fits_in_768_mib():
@@ -249,3 +254,12 @@ def test_out_of_memory_is_one_error_line():
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
+def test_huge_cover_degree_fits_in_256_mib():
+    # The q-fold cover's monodromy is w^q, one letter here: the power is
+    # built in O(|w| + |w^q|), not as a q-letter concatenation.
+    res = _capped_run(["cover", "--n", "1", "--q", "1000000000"], 256)
+    assert res.returncode == 0, res.stderr.decode()
+    word = json.loads(res.stdout)["presentation"]["word"]
+    assert word == [["zero_section", 1000000000]]

@@ -25,6 +25,7 @@ CASES = {
     "verify_twist_n2": ["verify", "twist", "--n", "2"],
     "verify_twist_n3": ["verify", "twist", "--n", "3"],
     "verify_twist_n6": ["verify", "twist", "--n", "6"],
+    "verify_twist_n7": ["verify", "twist", "--n", "7"],
     "run_branched_cover_l21": ["run", str(ROOT / "demos" / "branched_cover_l21.scn")],
     "kirby_cover_q2": ["kirby", "cover", "--q", "2"],
     "kirby_surgery_k-1": ["kirby", "surgery", "--k", "-1"],
@@ -100,7 +101,7 @@ def test_verify_forms_golden_under_openblas_kernels(coretype):
 
 @OPENBLAS_GUARD
 @pytest.mark.parametrize("coretype", CORETYPES)
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 def test_verify_twist_golden_under_openblas_kernels(coretype, n):
     # Every twist line but one is kernel-independent.  The exception is
     # isotopy_phi1_vs_tau_squared (n = 2, 6 only): isotopy_phi exponentiates

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactcalc.octonion import _CROSS7, cross7_matrix
+from contactcalc.octonion import _CROSS3, _CROSS7, cross_matrix
 
 
 # Reference product: Cayley-Dickson doubling of the quaternions, an octonion
@@ -40,7 +40,7 @@ def _imaginary(a):
 
 
 def _cross7(a, b):
-    return cross7_matrix(a) @ b
+    return cross_matrix(a) @ b
 
 
 def test_table_is_the_cayley_dickson_product():
@@ -48,6 +48,14 @@ def test_table_is_the_cayley_dickson_product():
         for j in range(7):
             product = _octonion_multiply(_unit(i + 1), _unit(j + 1))
             assert np.array_equal(_CROSS7[i, j], product[1:]), (i + 1, j + 1)
+
+
+def test_cross3_table_is_the_quaternion_product():
+    # e_a x e_b for imaginary quaternion units, (e1, e2, e3) = (i, j, k).
+    for i in range(3):
+        for j in range(3):
+            product = _quat_mul(_unit(i + 1)[:4], _unit(j + 1)[:4])
+            assert np.array_equal(_CROSS3[i, j], product[1:]), (i + 1, j + 1)
 
 
 def test_octonion_identity_element():
@@ -90,7 +98,7 @@ def test_cross7_double_product_identity(rng):
 def test_cross7_matrix_agrees_and_cubes(rng):
     u = rng.normal(size=7)
     u /= np.linalg.norm(u)
-    m = cross7_matrix(u)
+    m = cross_matrix(u)
     w = rng.normal(size=7)
     assert np.allclose(m @ w, _octonion_multiply(_imaginary(u), _imaginary(w))[1:])
     assert np.max(np.abs(m + m.T)) < 1e-12

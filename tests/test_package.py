@@ -56,7 +56,9 @@ def test_export_count():
 DELETED = {
     "forms": ["SkewMatrixAtPoint", "exterior_derivative"],
     "charts": ["orthogonality_constraint", "euclidean_chart", "load_sample_file"],
-    "octonion": ["octonion_multiply", "cross7"],
+    "octonion": ["octonion_multiply", "cross7",
+                 # one ``cross_matrix`` serves R^3 and R^7
+                 "cross7_matrix"],
     "surgery": ["fillability_inherit"],
     # Folded into ``scenario.execute``, the one executor of the CLI and of
     # scenarios; ``Scenario.words`` holds the words themselves.
@@ -67,7 +69,10 @@ DELETED = {
     # Sample points are drawn as one batch by ``random_points``; a
     # ``CotangentPoint`` is a ``ChartPoint`` on ``tstar_chart(n)``, so its
     # tangent frames come from ``charts.tangent_frame``.
-    "twist": ["random_point", "tstar_tangent_frame"],
+    "twist": ["random_point", "tstar_tangent_frame",
+              # Generators are plain arrays; the point's validation is the
+              # check that makes A^3 = -A hold.
+              "SkewGenerator"],
     # No command, demo or benchmark built one; its two refusals are the
     # ambient-dimension check and the index bound of ``stein_homology_check``.
     "cobordism": ["CobordismSpec"],

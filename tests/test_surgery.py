@@ -57,10 +57,13 @@ def test_word_power_matches_iterated_product(k):
         assert w ** k == _iterated_power(w, k)
 
 
-def test_word_power_reduces_once(monkeypatch):
-    # One reduction of the 40-fold concatenation, not 40 growing ones.
+def test_word_power_reduces_its_conjugate_form_once(monkeypatch):
+    # w = c r c^-1 with c = a and r = b^2, so w^k = a b^(2k) a^-1: one
+    # reduction of three letters, whatever k is, not of the |k|-fold
+    # concatenation.
     w = word(("a", 1), ("b", 2), ("a", -1))
-    want = word(("a", 1), ("b", 80), ("a", -1))
+    want = [word(("a", 1), ("b", 80), ("a", -1)),
+            word(("a", 1), ("b", -2 * 10 ** 9), ("a", -1))]
     calls = []
 
     def counted(raw):
@@ -68,9 +71,8 @@ def test_word_power_reduces_once(monkeypatch):
         return reduce_word(raw)
 
     monkeypatch.setattr(surgery, "reduce_word", counted)
-    got = w ** 40
-    assert calls == [120]
-    assert got == want
+    assert [w ** 40, w ** -10 ** 9] == want
+    assert calls == [3, 3]
 
 
 def test_word_rejects_unreduced_construction():
@@ -103,6 +105,13 @@ def test_word_multiplication_associative(a, b, c):
     wb = reduce_word(MonodromyWord.raw(tuple(b)))
     wc = reduce_word(MonodromyWord.raw(tuple(c)))
     assert (wa * wb) * wc == wa * (wb * wc)
+
+
+@given(_letters, st.integers(-6, 6))
+def test_word_power_is_the_reduced_concatenation(letters, k):
+    w = reduce_word(MonodromyWord.raw(tuple(letters)))
+    base = w if k >= 0 else w.inverse()
+    assert w ** k == reduce_word(MonodromyWord.raw(base.letters * abs(k)))
 
 
 @given(_letters)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contactcalc import twist
-from contactcalc.charts import ChartPoint, cotangent_chart
+from contactcalc.charts import POINT_TOL, ChartPoint, cotangent_chart
 from contactcalc.errors import ChartMismatchError, DomainError
 from contactcalc.forms import OneFormField, eval_one_form
 
@@ -133,21 +133,53 @@ def test_pullback_preserves_minus_dlambda_can(rng, n):
     assert res.max_deviation < 1e-5
 
 
-def test_plane_generator_properties(rng):
-    q = twist.random_points(rng, 3, 0.5, 1)
-    gen = twist.plane_generator(q.u, q.v)
-    a = gen.matrix
+def _assert_generator(a):
+    assert np.max(np.abs(a + np.swapaxes(a, -1, -2))) == 0.0
     assert np.max(np.abs(a @ a @ a + a)) < 1e-12
-    with pytest.raises(DomainError):
-        twist.plane_generator(q.u, np.zeros(4))
+
+
+def test_plane_generator_properties(rng):
+    for n in (1, 2, 3, 6, 7):
+        q = twist.random_points(rng, n, 0.5, 20)
+        a = twist.plane_generator(q)
+        assert a.shape == (20, n + 1, n + 1)
+        _assert_generator(a)
+        with pytest.raises(DomainError):
+            twist.plane_generator(twist.CotangentPoint(q.u, np.zeros_like(q.v)))
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_almost_complex_generator_properties(rng, n):
+    q = twist.random_points(rng, n, 0.5, 20)
+    j = twist.almost_complex_generator(q)
+    assert j.shape == (20, n + 1, n + 1)
+    _assert_generator(j)
+    assert np.max(np.abs(np.einsum("...ij,...j->...i", j, q.u))) < 1e-15
 
 
 def test_generator_exp_matches_expm(rng):
     q = twist.random_points(rng, 2, 0.5, 1)
-    gen = twist.plane_generator(q.u, q.v)
+    a = twist.plane_generator(q)
     theta = 1.234
-    assert np.allclose(twist.generator_exp(gen, theta),
-                       twist.mixed_exp(theta * gen.matrix), atol=1e-12)
+    assert np.allclose(twist.generator_exp(a, theta),
+                       twist.mixed_exp(theta * a), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_points_inside_point_tol_are_accepted(n):
+    # ||u||^2 - 1 = 5e-9 lies inside POINT_TOL: the chart accepts the point,
+    # and so do the maps that exponentiate a generator built on it.
+    prof = twist.make_profile(0.4)
+    u = np.zeros(n + 1)
+    u[0] = np.sqrt(1.0 + 5e-9)
+    v = np.zeros(n + 1)
+    v[1] = 0.22  # f(||v||) = 1.6 pi, inside the twist's support
+    p = twist.CotangentPoint(u, v)
+    assert 0.0 < abs(u @ u - 1.0) <= POINT_TOL
+    tau = twist.apply_twist(p, prof).coords
+    assert np.max(np.abs(twist.apply_twist_via_generator(p, prof).coords - tau)) < 1e-7
+    for image in (twist.isotopy_phi(0.5, p, prof), twist.isotopy_psi(0.5, p, prof)):
+        assert isinstance(image, twist.CotangentPoint) and image.u.shape == (n + 1,)
 
 
 def _taylor_expm(m: np.ndarray) -> np.ndarray:
@@ -171,8 +203,8 @@ def test_mixed_exp_matches_taylor_oracle(rng, n):
     prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 20)
     t = rng.uniform(size=20)[:, None, None]
-    j = twist.almost_complex_generator(q.u, n).matrix
-    a = twist.plane_generator(q.u, q.v).matrix
+    j = twist.almost_complex_generator(q)
+    a = twist.plane_generator(q)
     f = prof.f(np.linalg.norm(q.v, axis=-1))[:, None, None]
     m = 2.0 * f * ((1.0 - t) * j + t * a)
     oracle = np.stack([_taylor_expm(mi) for mi in m])
@@ -209,6 +241,8 @@ def test_isotopies_reject_bad_dimension(rng):
     prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 3, 0.5, 1)
     with pytest.raises(DomainError):
+        twist.almost_complex_generator(q)
+    with pytest.raises(DomainError):
         twist.isotopy_phi(0.5, q, prof)
     with pytest.raises(DomainError):
         twist.isotopy_psi(0.5, q, prof)
@@ -220,3 +254,81 @@ def test_boundary_probe_reports():
     assert np.isfinite(rep.max_displacement)
     with pytest.raises(DomainError):
         twist.boundary_displacement_probe(prof, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry oracles: the derivations of the cross-product tables, and the
+# groups the twist maps and isotopies commute with.  Group elements are
+# exponentiated by the Taylor oracle above, not by the package's own
+# exponentials.
+# ---------------------------------------------------------------------------
+
+def _derivations(table: np.ndarray) -> np.ndarray:
+    """A basis of the linear maps D with D(x X y) = Dx X y + x X Dy for the
+    product x X y of ``table``, as a stack of matrices."""
+    m = table.shape[0]
+    eye = np.eye(m)
+    # The coefficient of D[a, b] in the e_k component of the defect at (e_i, e_j).
+    defect = (np.einsum("ijb,ka->ijkab", table, eye)
+              - np.einsum("bi,ajk->ijkab", eye, table)
+              - np.einsum("bj,iak->ijkab", eye, table)).reshape(m ** 3, m * m)
+    _, s, vt = np.linalg.svd(defect)
+    return vt[int(np.sum(s > 1e-10)):].reshape(-1, m, m)
+
+
+@pytest.mark.parametrize("m,dim", [(3, 3), (7, 14)])
+def test_cross_table_derivations_are_so3_and_g2(m, dim):
+    from contactcalc.octonion import _CROSS3, _CROSS7
+    ders = _derivations({3: _CROSS3, 7: _CROSS7}[m])
+    assert ders.shape == (dim, m, m)
+    assert np.max(np.abs(ders + np.swapaxes(ders, -1, -2))) < 1e-12
+
+
+def _random_rotation(rng, m, basis=None):
+    """e^S for S a random skew m x m matrix, or a random combination of the
+    matrices in ``basis``."""
+    if basis is None:
+        s = rng.normal(size=(m, m))
+        s = s - s.T
+    else:
+        s = np.einsum("k,kij->ij", rng.normal(size=len(basis)), basis)
+    return _taylor_expm(s)
+
+
+def _equivariance_gap(map_fn, g, q):
+    """max |map(g.q) - g.map(q)| for the diagonal action g.(u, v) = (gu, gv)."""
+    act = lambda p: twist.CotangentPoint(p.u @ g.T, p.v @ g.T)
+    return float(np.max(np.abs(map_fn(act(q)).coords - act(map_fn(q)).coords)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+def test_twist_maps_commute_with_rotations(rng, n):
+    prof = twist.make_profile(0.4)
+    q = twist.random_points(rng, n, 0.5, 20)
+    g = _random_rotation(rng, n + 1)
+    for map_fn in (twist.apply_twist, twist.apply_twist_via_generator,
+                   twist.twist_square_direct):
+        assert _equivariance_gap(lambda p: map_fn(p, prof), g, q) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_isotopies_commute_with_the_table_automorphisms(rng, n):
+    # G_2 at n = 6 and SO(3) at n = 2, from the derivations of the table.
+    from contactcalc.octonion import _CROSS3, _CROSS7
+    prof = twist.make_profile(0.4)
+    q = twist.random_points(rng, n, 0.35, 20)
+    t = rng.uniform(size=20)
+    g = _random_rotation(rng, n + 1, _derivations({2: _CROSS3, 6: _CROSS7}[n]))
+    for iso in (twist.isotopy_phi, twist.isotopy_psi):
+        assert _equivariance_gap(lambda p: iso(t, p, prof), g, q) < 1e-12
+
+
+def test_isotopies_do_not_commute_with_generic_so7(rng):
+    # j_u is the octonionic cross product, which a generic rotation of R^7
+    # does not preserve; tau^2 = Phi_1 commutes with every rotation.
+    prof = twist.make_profile(0.4)
+    q = twist.random_points(rng, 6, 0.35, 20)
+    g = _random_rotation(rng, 7)
+    for iso in (twist.isotopy_phi, twist.isotopy_psi):
+        assert _equivariance_gap(lambda p: iso(0.5, p, prof), g, q) > 1e-2
+    assert _equivariance_gap(lambda p: twist.isotopy_phi(1.0, p, prof), g, q) < 1e-12

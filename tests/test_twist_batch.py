@@ -231,7 +231,7 @@ def test_plane_generator_rejects_one_zero_fiber(rng):
     v = q.v.copy()
     v[4] = 0.0
     with pytest.raises(DomainError):
-        twist.plane_generator(q.u, v)
+        twist.plane_generator(twist.CotangentPoint(q.u, v))
 
 
 def test_retract_rejects_one_far_row(rng):
