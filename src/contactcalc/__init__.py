@@ -26,10 +26,9 @@ _EXPORTS = {
               "lambda_can", "weinstein", "weinstein_hamiltonian",
               "handle_form", "dz_plus", "theta_invariant"),
     "rounding": ("rounding_curve", "smoothstep"),
-    "twist": ("CotangentPoint", "TwistProfile", "apply_twist",
-              "almost_complex_generator", "boundary_displacement_probe",
-              "isotopy_phi", "isotopy_psi", "make_profile", "plane_generator",
-              "pullback_two_form"),
+    "twist": ("CotangentPoint", "apply_twist", "almost_complex_generator",
+              "boundary_displacement_probe", "isotopy_phi", "isotopy_psi",
+              "plane_generator", "pullback_two_form"),
     "surgery": ("FillabilityFlags", "ManifoldDescriptor", "MonodromyWord",
                 "OpenBook", "PageSpec", "branched_cover", "catalog_M_nk",
                 "contact_surgery", "disk_cotangent_page", "fibered_manifold",

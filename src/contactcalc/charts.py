@@ -62,7 +62,7 @@ class Constraint:
     grad: Callable[[np.ndarray], np.ndarray]
 
 
-def unit_norm_constraint(indices: Sequence[int], name: str = "unit_norm") -> Constraint:
+def unit_norm_constraint(indices: Sequence[int]) -> Constraint:
     """Constraint ||x[indices]||^2 - 1 = 0 (a sphere factor in ambient coords)."""
     idx = list(indices)
 
@@ -74,7 +74,7 @@ def unit_norm_constraint(indices: Sequence[int], name: str = "unit_norm") -> Con
         g[..., idx] = 2.0 * x[..., idx]
         return g
 
-    return Constraint(name, value, grad)
+    return Constraint("unit_norm", value, grad)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ Grammar (one statement per line; '#' starts a comment; blank lines skipped):
     verify twist [n=<int>] [samples=<int>]
 
 ``parse_scenario`` reads each statement once.  Declarations fill the
-scenario's pages, words and open books; each command becomes a frozen record
+scenario's pages, words and open books, each name declared once: a
+redeclaration, or an open book named like an earlier command's target, is an
+E_SYNTAX error at the name (command targets may be rebound: commands run in
+statement order).  Each command becomes a frozen record
 (``Sum``, ``Surgery``, ``Cover``, ``Fibered``, ``Kirby``, ``Verify``).  Argument
 counts, keys, names, and integer and boolean values are all checked at parse
 time, so a malformed statement is reported before any statement runs or
@@ -383,6 +386,14 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
     return record(*args, **kvs, line=head.line, col=head.col)
 
 
+def _declare_once(name: str, names, what: str, tok: Token) -> None:
+    """Refuse a second declaration, positioned at ``tok``: commands read the
+    declarations after the whole file is parsed, so none may change."""
+    if name in names:
+        raise ScenarioError(E_SYNTAX, tok.line, tok.col,
+                            f"{what} {name!r} is already declared")
+
+
 def parse_scenario(text: str) -> Scenario:
     s = Scenario()
     declared: set[str] = set()   # open books and command targets so far
@@ -394,11 +405,15 @@ def parse_scenario(text: str) -> Scenario:
         head = toks[0]
         if head.text == "page":
             name, page = _parse_page(toks)
+            _declare_once(name, s.pages, "page", toks[1])
             s.pages[name] = page
         elif head.text == "word":
-            name, s.words[name], letter_tokens[name] = _parse_word(toks)
+            name, w, tokens = _parse_word(toks)
+            _declare_once(name, s.words, "word", toks[1])
+            s.words[name], letter_tokens[name] = w, tokens
         elif head.text == "openbook":
             name, ob = _parse_openbook(s, toks, letter_tokens)
+            _declare_once(name, declared, "open book or command target", toks[1])
             s.openbooks[name] = ob
             declared.add(name)
         elif head.text in ("sum", "surgery", "cover", "fibered", "kirby", "verify"):

@@ -257,11 +257,11 @@ def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
-    """A symbolic contact manifold: open-book or catalog presentation,
-    fillability flags, and an operation history."""
+    """A symbolic contact manifold: an open book or a glued label, fillability
+    flags, and an operation history (which holds a catalog manifold's name)."""
 
     dim: int
-    presentation: object  # OpenBook | ("catalog", name) | ("glued", label)
+    presentation: object  # OpenBook | ("glued", label)
     flags: FillabilityFlags
     history: tuple[tuple, ...] = ()
 

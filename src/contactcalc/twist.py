@@ -1,10 +1,11 @@
 """Generalized Dehn twists on T*S^n and the square-trivializing isotopies.
 
 Points of T*S^n are pairs (u, v) in R^{n+1} x R^{n+1} with ||u|| = 1 and
-<u, v> = 0.  The twist rotates the oriented plane spanned by u and v/||v||
-by a profile angle f(||v||) with f(0) = pi and f = 2 pi outside a small
-fiber radius, so it is the antipodal map on the zero section and compactly
-supported in the fibers.
+<u, v> = 0.  The twist tau rotates the oriented plane spanned by u and
+v/||v|| by the angle f(||v||) = pi + pi smoothstep(||v|| / EPSILON), so it is
+the antipodal map on the zero section and the identity for ||v|| >= EPSILON
+= 0.4.  Its isotopy class depends on neither f nor EPSILON, so both are
+fixed: every map below is a function of the point alone.
 
 A ``CotangentPoint`` is a ``ChartPoint`` on the constrained chart
 ``tstar_chart(n)``, so its validation and its tangent frames
@@ -45,6 +46,8 @@ from .octonion import cross_matrix
 from .rounding import smoothstep
 
 ZERO_FIBER_THRESHOLD = 1e-12
+EPSILON = 0.4
+PROBE_SAMPLES = 5
 
 
 @functools.cache
@@ -102,22 +105,9 @@ def random_points(rng: np.random.Generator, n: int, fiber_radius: float,
     return CotangentPoint(u, v)
 
 
-@dataclass(frozen=True)
-class TwistProfile:
-    """Profile angle f with f(0)=pi, nondecreasing, f=2pi for x >= epsilon."""
-
-    epsilon: float
-    f: Callable[[float], float] = field(repr=False)
-
-
-def make_profile(epsilon: float) -> TwistProfile:
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0,1), got {epsilon}")
-
-    def f(x):
-        return np.pi + np.pi * smoothstep(np.asarray(x, dtype=float) / epsilon)
-
-    return TwistProfile(epsilon, f)
+def profile(x) -> np.ndarray:
+    """The twist's angle f(x): pi at 0, nondecreasing, 2 pi for x >= EPSILON."""
+    return np.pi + np.pi * smoothstep(np.asarray(x, dtype=float) / EPSILON)
 
 
 def _fiber(p: CotangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,52 +156,52 @@ def mixed_exp(matrix: np.ndarray) -> np.ndarray:
                    np.swapaxes(v, -1, -2).conj()).real
 
 
-def apply_twist(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def apply_twist(p: CotangentPoint) -> CotangentPoint:
     """tau_n(u, v): rotate (u, v) by f(||v||) in the (u, v-hat) plane."""
     norm, zero, vhat = _fiber(p)
-    theta = prof.f(norm)
+    theta = profile(norm)
     c, s = np.cos(theta), np.sin(theta)
     return CotangentPoint(np.where(zero, -p.u, c * p.u + s * vhat),
                           np.where(zero, 0.0, -norm * s * p.u + c * p.v))
 
 
-def _plane_rotation(p: CotangentPoint, prof: TwistProfile, k: int) -> CotangentPoint:
+def _plane_rotation(p: CotangentPoint, k: int) -> CotangentPoint:
     """e^(k f v_u) applied to both components; the zero section goes to
     (-1)^k u."""
     norm, zero, vhat = _fiber(p)
-    rot = generator_exp(_plane(p.u, vhat), k * prof.f(norm[..., 0]))
+    rot = generator_exp(_plane(p.u, vhat), k * profile(norm[..., 0]))
     return CotangentPoint(np.where(zero, (-1) ** k * p.u, matvec(rot, p.u)),
                           np.where(zero, 0.0, matvec(rot, p.v)))
 
 
-def apply_twist_via_generator(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def apply_twist_via_generator(p: CotangentPoint) -> CotangentPoint:
     """Second evaluation path of tau: e^(f v_u) applied to both components."""
-    return _plane_rotation(p, prof, 1)
+    return _plane_rotation(p, 1)
 
 
-def twist_square_direct(p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def twist_square_direct(p: CotangentPoint) -> CotangentPoint:
     """tau^2 in one step: e^(2 f v_u) applied to both components."""
-    return _plane_rotation(p, prof, 2)
+    return _plane_rotation(p, 2)
 
 
-def isotopy_phi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def isotopy_phi(t, p: CotangentPoint) -> CotangentPoint:
     """Phi_t: e^(2 f ((1-t) j_u + t v_u)) applied to both components;
     the zero section is sent to itself.  t is one time or one per row."""
     j = almost_complex_generator(p)
     norm, zero, vhat = _fiber(p)
     t = np.asarray(t, dtype=float)[..., None, None]
     a = (1.0 - t) * j + t * _plane(p.u, vhat)
-    rot = mixed_exp((2.0 * prof.f(norm))[..., None] * a)
+    rot = mixed_exp((2.0 * profile(norm))[..., None] * a)
     return CotangentPoint(np.where(zero, p.u, matvec(rot, p.u)),
                           np.where(zero, 0.0, matvec(rot, p.v)))
 
 
-def isotopy_psi(t, p: CotangentPoint, prof: TwistProfile) -> CotangentPoint:
+def isotopy_psi(t, p: CotangentPoint) -> CotangentPoint:
     """Psi_t: fiberwise rotation (u, e^(t 2 f j_u) v); Psi_0 = id, Psi_1 = Phi_0.
     t is one time or one per row."""
     j = almost_complex_generator(p)
     norm, zero, _ = _fiber(p)
-    rot = generator_exp(j, np.asarray(t, dtype=float) * 2.0 * prof.f(norm[..., 0]))
+    rot = generator_exp(j, np.asarray(t, dtype=float) * 2.0 * profile(norm[..., 0]))
     return CotangentPoint(p.u, np.where(zero, 0.0, matvec(rot, p.v)))
 
 
@@ -268,21 +258,18 @@ class ProbeReport:
     argmax_t: float
 
 
-def boundary_displacement_probe(prof: TwistProfile, n: int, samples: int,
-                                seed: int = 0) -> ProbeReport:
-    """Max ||Phi_t(p) - p|| over ||v|| = 1 boundary points and the
-    11-point t-grid 0, 0.1, ..., 1, evaluated as one batch.
+def boundary_displacement_probe(n: int, seed: int = 0) -> ProbeReport:
+    """Max ||Phi_t(p) - p|| over ``PROBE_SAMPLES`` ||v|| = 1 boundary points
+    and the 11-point t-grid 0, 0.1, ..., 1, evaluated as one batch.
 
     Reports the measurement only; whether intermediate-t maps fix the
     boundary is deliberately not asserted anywhere in this package.
     """
-    if samples < 1:
-        raise DomainError(f"the probe needs at least one sample, got {samples}")
-    q = random_points(np.random.default_rng(seed), n, 1.0, samples)
+    q = random_points(np.random.default_rng(seed), n, 1.0, PROBE_SAMPLES)
     q = CotangentPoint(q.u, q.v / row_norm(q.v)[:, None])  # push to ||v|| = 1
     ts = np.linspace(0.0, 1.0, 11)
     grid = CotangentPoint(np.repeat(q.u[:, None, :], ts.size, axis=1),
                           np.repeat(q.v[:, None, :], ts.size, axis=1))
-    disp = row_norm(isotopy_phi(ts, grid, prof).coords - grid.coords)
+    disp = row_norm(isotopy_phi(ts, grid).coords - grid.coords)
     i, j = np.unravel_index(np.argmax(disp), disp.shape)
     return ProbeReport(float(disp[i, j]), float(ts[j]))

@@ -35,12 +35,11 @@ def _report(num, name):
 
 def test_criterion_01_twist_symplectomorphism():
     rng = np.random.default_rng(0)
-    prof = twist.make_profile(0.4)
     start = time.time()
     for n in (1, 2, 3, 6):
         q = twist.random_points(rng, n, 0.9, 50)
         worst = twist.pullback_two_form(
-            lambda p: twist.apply_twist(p, prof), q).max_deviation
+            twist.apply_twist, q).max_deviation
         assert worst <= 1e-5, f"n={n}: pullback deviation {worst}"
     assert time.time() - start < 5.0
     _report(1, "twist_symplectomorphism")
@@ -48,47 +47,45 @@ def test_criterion_01_twist_symplectomorphism():
 
 def test_criterion_02_twist_endpoints():
     rng = np.random.default_rng(1)
-    prof = twist.make_profile(0.4)
     for n in (1, 2, 3, 6):
         u = np.zeros(n + 1)
         u[0] = 1.0
-        out = twist.apply_twist(twist.CotangentPoint(u, np.zeros(n + 1)), prof)
+        out = twist.apply_twist(twist.CotangentPoint(u, np.zeros(n + 1)))
         assert np.array_equal(out.u, -u) and not np.any(out.v)
         q = twist.random_points(rng, n, 1.0, 20)
         q = twist.CotangentPoint(
             q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True))
-        assert np.max(np.abs(twist.apply_twist(q, prof).coords
+        assert np.max(np.abs(twist.apply_twist(q).coords
                              - q.coords)) <= 1e-12
     for n in (1, 2, 3, 6):
         q = twist.random_points(rng, n, 0.9, 50)
-        a = twist.apply_twist(q, prof).coords
-        b = twist.apply_twist_via_generator(q, prof).coords
+        a = twist.apply_twist(q).coords
+        b = twist.apply_twist_via_generator(q).coords
         assert np.max(np.abs(a - b)) <= 1e-10
     _report(2, "twist_endpoints")
 
 
 def test_criterion_03_square_isotopy(capsys):
     rng = np.random.default_rng(2)
-    prof = twist.make_profile(0.4)
     for n in (2, 6):
         q = twist.random_points(rng, n, 0.9, 100)
         assert np.max(np.abs(
-            twist.isotopy_phi(1.0, q, prof).coords
-            - twist.twist_square_direct(q, prof).coords)) <= 1e-8
+            twist.isotopy_phi(1.0, q).coords
+            - twist.twist_square_direct(q).coords)) <= 1e-8
         q = twist.random_points(rng, n, 0.9, 20)
-        assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).coords
+        assert np.max(np.abs(twist.isotopy_psi(0.0, q).coords
                              - q.coords)) <= 1e-10
         assert np.max(np.abs(
-            twist.isotopy_psi(1.0, q, prof).coords
-            - twist.isotopy_phi(0.0, q, prof).coords)) <= 1e-10
+            twist.isotopy_psi(1.0, q).coords
+            - twist.isotopy_phi(0.0, q).coords)) <= 1e-10
         u = np.zeros(n + 1)
         u[0] = 1.0
         zs = twist.CotangentPoint(u, np.zeros(n + 1))
         for t in np.linspace(0.0, 1.0, 11):
-            out = twist.isotopy_phi(float(t), zs, prof)
+            out = twist.isotopy_phi(float(t), zs)
             assert np.allclose(out.u, u) and not np.any(out.v)
         # Probe only: reported, never asserted.
-        probe = twist.boundary_displacement_probe(prof, n, 5, seed=0)
+        probe = twist.boundary_displacement_probe(n, seed=0)
         print(f"  probe phi n={n}: max boundary displacement "
               f"{probe.max_displacement:.3f} at t={probe.argmax_t:.2f} "
               f"(reported, not asserted)")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from contactcalc import cli
 from contactcalc.cli import main
 from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N
 
@@ -254,6 +255,19 @@ def test_out_of_memory_is_one_error_line():
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
+@pytest.mark.parametrize("exc,err", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("cannot allocate"), "error: out of memory: cannot allocate\n"),
+], ids=["no_reason", "reason"])
+def test_out_of_memory_message(monkeypatch, capsys, exc, err):
+    def execute(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "execute", execute)
+    assert main(["cover", "--n", "1", "--q", "2"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_huge_cover_degree_fits_in_256_mib():

@@ -664,8 +664,7 @@ def test_hamiltonian_derivative_has_the_per_offset_bits(rng, n, k):
 
 
 def _twist_pullback(q):
-    prof = twist.make_profile(0.4)
-    return twist.pullback_two_form(lambda p: twist.apply_twist(p, prof), q).pulled
+    return twist.pullback_two_form(twist.apply_twist, q).pulled
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -678,11 +677,11 @@ def test_pullback_has_the_per_offset_bits(rng, monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7])
 def test_pullback_runs_the_map_once(rng, n):
-    prof, shapes = twist.make_profile(0.4), []
+    shapes = []
 
     def twist_map(p):
         shapes.append(p.coords.shape)
-        return twist.apply_twist(p, prof)
+        return twist.apply_twist(p)
 
     twist.pullback_two_form(twist_map, twist.random_points(rng, n, 0.9, COUNT))
     # 2n tangent directions, two offsets each

@@ -24,10 +24,9 @@ EXPORTED = {
               "lambda_can", "weinstein", "weinstein_hamiltonian",
               "handle_form", "dz_plus", "theta_invariant"],
     "rounding": ["rounding_curve", "smoothstep"],
-    "twist": ["CotangentPoint", "TwistProfile", "apply_twist",
-              "almost_complex_generator", "boundary_displacement_probe",
-              "isotopy_phi", "isotopy_psi", "make_profile", "plane_generator",
-              "pullback_two_form"],
+    "twist": ["CotangentPoint", "apply_twist", "almost_complex_generator",
+              "boundary_displacement_probe", "isotopy_phi", "isotopy_psi",
+              "plane_generator", "pullback_two_form"],
     "surgery": ["FillabilityFlags", "ManifoldDescriptor", "MonodromyWord",
                 "OpenBook", "PageSpec", "branched_cover", "catalog_M_nk",
                 "contact_surgery", "disk_cotangent_page", "fibered_manifold",
@@ -46,7 +45,7 @@ PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
 def test_export_count():
-    assert len(PAIRS) == len(contactcalc.__all__) == 70
+    assert len(PAIRS) == len(contactcalc.__all__) == 68
 
 
 # Kernel and calculus entry points no command, scenario, demo or benchmark
@@ -72,7 +71,10 @@ DELETED = {
     "twist": ["random_point", "tstar_tangent_frame",
               # Generators are plain arrays; the point's validation is the
               # check that makes A^3 = -A hold.
-              "SkewGenerator"],
+              "SkewGenerator",
+              # The twist is one map: its profile is ``twist.profile`` with
+              # the fixed fiber radius ``twist.EPSILON``.
+              "TwistProfile", "make_profile"],
     # No command, demo or benchmark built one; its two refusals are the
     # ambient-dimension check and the index bound of ``stein_homology_check``.
     "cobordism": ["CobordismSpec"],
@@ -151,13 +153,14 @@ def test_submodule_import_and_version():
 
 
 KERNEL_MODULES = ("forms", "fields", "conditions", "twist", "charts")
-NUMERICAL_SETTINGS = {"step", "h", "tolerance", "orientation"}
+NUMERICAL_SETTINGS = {"step", "h", "tolerance", "orientation", "prof", "samples"}
 
 
 @pytest.mark.parametrize("module", KERNEL_MODULES)
 def test_kernel_takes_no_step_or_tolerance(module):
-    """Steps and tolerances are module constants; only the stencil itself,
-    ``forms.central_difference``, takes a step."""
+    """Steps, tolerances, the twist profile and the probe's sample count are
+    module constants; only the stencil itself, ``forms.central_difference``,
+    takes a step."""
     mod = importlib.import_module(f"contactcalc.{module}")
     settable = []
     for name, fn in vars(mod).items():

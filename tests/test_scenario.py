@@ -253,6 +253,48 @@ def test_sum_reads_declared_open_books():
     assert status == 0 and "sum:m\ta b^2\t-\tOK" in report
 
 
+REDECLARED = """page p dim=2 handles=[0:1,1:1] stein=true spheres=[a]
+word w1 = a
+word w2 = a^5
+openbook b = (p, w1)
+cover b q=2 over=binding -> c
+"""
+
+
+@pytest.mark.parametrize("stmt,col", [
+    ("page p dim=2 handles=[0:1,1:3] stein=true spheres=[a,x,y]", 6),
+    ("word w1 = a^7", 6),
+    ("openbook b = (p, w2)", 10),
+    ("openbook c = (p, w2)", 10),   # the name of the cover's target
+], ids=["page", "word", "open_book", "open_book_named_like_a_target"])
+def test_names_are_declared_once(stmt, col):
+    e = _err(REDECLARED + stmt + "\n")
+    assert (e.code, e.line, e.col) == (E_SYNTAX, 6, col)
+    assert "is already declared" in str(e)
+
+
+@pytest.mark.parametrize("rest,line", [
+    # Every later declaration rebinds a name an earlier command reads.
+    ("fibered p w1 w1 -> f\nkirby cover p q=2\nopenbook b = (p, w2)\n"
+     "word w1 = a^7\npage p dim=2 handles=[0:1,1:3] stein=true spheres=[a,x,y]\n", 8),
+    ("openbook c = (p, w2)\ncover c q=1 over=binding -> d\n", 6),
+], ids=["page_word_and_open_book", "open_book_after_target"])
+def test_redeclaring_scenarios_exit_2(tmp_path, monkeypatch, capsys, rest, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "redeclare.scn").write_text(REDECLARED + rest)
+    assert main(["run", "redeclare.scn"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: line {line}, col 10: [E_SYNTAX]")
+
+
+def test_targets_may_be_rebound():
+    text = REDECLARED + "cover c q=3 over=binding -> c\nverify equal c c\n"
+    report, status, _ = run_scenario(parse_scenario(text))
+    assert status == 0
+    assert report.splitlines()[:2] == ["cover:c\ta^2\t-\tOK", "cover:c\ta^6\t-\tOK"]
+
+
 def test_targets_usable_downstream():
     text = DECLS + """
 sum ob1 ob2 -> m

@@ -92,44 +92,38 @@ def test_random_points_reject_zero_sphere(rng):
 
 
 def test_profile_endpoints():
-    prof = twist.make_profile(0.4)
-    assert float(prof.f(0.0)) == pytest.approx(np.pi)
-    assert float(prof.f(0.4)) == pytest.approx(2 * np.pi)
-    assert float(prof.f(1.0)) == pytest.approx(2 * np.pi)
-    with pytest.raises(DomainError):
-        twist.make_profile(1.5)
+    assert float(twist.profile(0.0)) == pytest.approx(np.pi)
+    assert float(twist.profile(twist.EPSILON)) == pytest.approx(2 * np.pi)
+    assert float(twist.profile(1.0)) == pytest.approx(2 * np.pi)
+    assert np.all(np.diff(twist.profile(np.linspace(0.0, 1.0, 201))) >= 0.0)
 
 
 def test_zero_section_antipodal():
-    prof = twist.make_profile(0.4)
     u = np.array([0.0, 1.0, 0.0])
-    out = twist.apply_twist(twist.CotangentPoint(u, np.zeros(3)), prof)
+    out = twist.apply_twist(twist.CotangentPoint(u, np.zeros(3)))
     assert np.allclose(out.u, -u)
     assert np.allclose(out.v, 0.0)
 
 
 def test_identity_outside_support(rng):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 2, 1.0, 10)
     q = twist.CotangentPoint(q.u, q.v / np.linalg.norm(q.v, axis=-1, keepdims=True))
-    out = twist.apply_twist(q, prof)
+    out = twist.apply_twist(q)
     assert np.max(np.abs(out.coords - q.coords)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_two_path_consistency(rng, n):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 20)
-    a = twist.apply_twist(q, prof).coords
-    b = twist.apply_twist_via_generator(q, prof).coords
+    a = twist.apply_twist(q).coords
+    b = twist.apply_twist_via_generator(q).coords
     assert np.max(np.abs(a - b)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_pullback_preserves_minus_dlambda_can(rng, n):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 10)
-    res = twist.pullback_two_form(lambda p: twist.apply_twist(p, prof), q)
+    res = twist.pullback_two_form(twist.apply_twist, q)
     assert res.max_deviation < 1e-5
 
 
@@ -169,16 +163,15 @@ def test_generator_exp_matches_expm(rng):
 def test_points_inside_point_tol_are_accepted(n):
     # ||u||^2 - 1 = 5e-9 lies inside POINT_TOL: the chart accepts the point,
     # and so do the maps that exponentiate a generator built on it.
-    prof = twist.make_profile(0.4)
     u = np.zeros(n + 1)
     u[0] = np.sqrt(1.0 + 5e-9)
     v = np.zeros(n + 1)
     v[1] = 0.22  # f(||v||) = 1.6 pi, inside the twist's support
     p = twist.CotangentPoint(u, v)
     assert 0.0 < abs(u @ u - 1.0) <= POINT_TOL
-    tau = twist.apply_twist(p, prof).coords
-    assert np.max(np.abs(twist.apply_twist_via_generator(p, prof).coords - tau)) < 1e-7
-    for image in (twist.isotopy_phi(0.5, p, prof), twist.isotopy_psi(0.5, p, prof)):
+    tau = twist.apply_twist(p).coords
+    assert np.max(np.abs(twist.apply_twist_via_generator(p).coords - tau)) < 1e-7
+    for image in (twist.isotopy_phi(0.5, p), twist.isotopy_psi(0.5, p)):
         assert isinstance(image, twist.CotangentPoint) and image.u.shape == (n + 1,)
 
 
@@ -200,12 +193,11 @@ def _taylor_expm(m: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [2, 6])
 def test_mixed_exp_matches_taylor_oracle(rng, n):
     # The isotopy generators 2 f(|v|) ((1-t) j_u + t v_u), as isotopy_phi builds them.
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 20)
     t = rng.uniform(size=20)[:, None, None]
     j = twist.almost_complex_generator(q)
     a = twist.plane_generator(q)
-    f = prof.f(np.linalg.norm(q.v, axis=-1))[:, None, None]
+    f = twist.profile(np.linalg.norm(q.v, axis=-1))[:, None, None]
     m = 2.0 * f * ((1.0 - t) * j + t * a)
     oracle = np.stack([_taylor_expm(mi) for mi in m])
     assert np.max(np.abs(twist.mixed_exp(m) - oracle)) <= 1e-12
@@ -213,47 +205,41 @@ def test_mixed_exp_matches_taylor_oracle(rng, n):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_isotopy_endpoints(rng, n):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 10)
     # Phi_1 = tau^2
-    a = twist.isotopy_phi(1.0, q, prof).coords
-    b = twist.twist_square_direct(q, prof).coords
+    a = twist.isotopy_phi(1.0, q).coords
+    b = twist.twist_square_direct(q).coords
     assert np.max(np.abs(a - b)) < 1e-8
     # Psi_0 = id, Psi_1 = Phi_0
-    assert np.max(np.abs(twist.isotopy_psi(0.0, q, prof).coords
+    assert np.max(np.abs(twist.isotopy_psi(0.0, q).coords
                          - q.coords)) < 1e-10
-    assert np.max(np.abs(twist.isotopy_psi(1.0, q, prof).coords
-                         - twist.isotopy_phi(0.0, q, prof).coords)) < 1e-10
+    assert np.max(np.abs(twist.isotopy_psi(1.0, q).coords
+                         - twist.isotopy_phi(0.0, q).coords)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_phi_fixes_zero_section(n):
-    prof = twist.make_profile(0.4)
     u = np.zeros(n + 1)
     u[-1] = 1.0
     q = twist.CotangentPoint(u, np.zeros(n + 1))
     for t in np.linspace(0.0, 1.0, 11):
-        out = twist.isotopy_phi(float(t), q, prof)
+        out = twist.isotopy_phi(float(t), q)
         assert np.allclose(out.u, u) and np.allclose(out.v, 0.0)
 
 
 def test_isotopies_reject_bad_dimension(rng):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 3, 0.5, 1)
     with pytest.raises(DomainError):
         twist.almost_complex_generator(q)
     with pytest.raises(DomainError):
-        twist.isotopy_phi(0.5, q, prof)
+        twist.isotopy_phi(0.5, q)
     with pytest.raises(DomainError):
-        twist.isotopy_psi(0.5, q, prof)
+        twist.isotopy_psi(0.5, q)
 
 
 def test_boundary_probe_reports():
-    prof = twist.make_profile(0.4)
-    rep = twist.boundary_displacement_probe(prof, 2, 3, seed=1)
+    rep = twist.boundary_displacement_probe(2, seed=1)
     assert np.isfinite(rep.max_displacement)
-    with pytest.raises(DomainError):
-        twist.boundary_displacement_probe(prof, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +289,29 @@ def _equivariance_gap(map_fn, g, q):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 def test_twist_maps_commute_with_rotations(rng, n):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.5, 20)
     g = _random_rotation(rng, n + 1)
     for map_fn in (twist.apply_twist, twist.apply_twist_via_generator,
                    twist.twist_square_direct):
-        assert _equivariance_gap(lambda p: map_fn(p, prof), g, q) < 1e-12
+        assert _equivariance_gap(map_fn, g, q) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_isotopies_commute_with_the_table_automorphisms(rng, n):
     # G_2 at n = 6 and SO(3) at n = 2, from the derivations of the table.
     from contactcalc.octonion import _CROSS3, _CROSS7
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.35, 20)
     t = rng.uniform(size=20)
     g = _random_rotation(rng, n + 1, _derivations({2: _CROSS3, 6: _CROSS7}[n]))
     for iso in (twist.isotopy_phi, twist.isotopy_psi):
-        assert _equivariance_gap(lambda p: iso(t, p, prof), g, q) < 1e-12
+        assert _equivariance_gap(lambda p: iso(t, p), g, q) < 1e-12
 
 
 def test_isotopies_do_not_commute_with_generic_so7(rng):
     # j_u is the octonionic cross product, which a generic rotation of R^7
     # does not preserve; tau^2 = Phi_1 commutes with every rotation.
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 6, 0.35, 20)
     g = _random_rotation(rng, 7)
     for iso in (twist.isotopy_phi, twist.isotopy_psi):
-        assert _equivariance_gap(lambda p: iso(0.5, p, prof), g, q) > 1e-2
-    assert _equivariance_gap(lambda p: twist.isotopy_phi(1.0, p, prof), g, q) < 1e-12
+        assert _equivariance_gap(lambda p: iso(0.5, p), g, q) > 1e-2
+    assert _equivariance_gap(lambda p: twist.isotopy_phi(1.0, p), g, q) < 1e-12

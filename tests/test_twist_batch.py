@@ -45,48 +45,48 @@ def _mixed_exp(m):
     return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
-def oracle_twist(u, v, prof):
+def oracle_twist(u, v):
     norm = np.linalg.norm(v)
     if norm < twist.ZERO_FIBER_THRESHOLD:
         return -u, np.zeros_like(v)
-    theta = float(prof.f(norm))
+    theta = float(twist.profile(norm))
     c, s = np.cos(theta), np.sin(theta)
     return c * u + s * (v / norm), -norm * s * u + c * v
 
 
-def oracle_via_generator(u, v, prof):
+def oracle_via_generator(u, v):
     norm = np.linalg.norm(v)
     if norm < twist.ZERO_FIBER_THRESHOLD:
         return -u, np.zeros_like(v)
-    rot = _gen_exp(_plane(u, v), float(prof.f(norm)))
+    rot = _gen_exp(_plane(u, v), float(twist.profile(norm)))
     return rot @ u, rot @ v
 
 
-def oracle_square(u, v, prof):
+def oracle_square(u, v):
     norm = np.linalg.norm(v)
     if norm < twist.ZERO_FIBER_THRESHOLD:
         return u.copy(), np.zeros_like(v)
-    rot = _gen_exp(_plane(u, v), 2.0 * float(prof.f(norm)))
+    rot = _gen_exp(_plane(u, v), 2.0 * float(twist.profile(norm)))
     return rot @ u, rot @ v
 
 
-def oracle_phi(t, u, v, prof):
+def oracle_phi(t, u, v):
     norm = np.linalg.norm(v)
     if norm < twist.ZERO_FIBER_THRESHOLD:
         return u.copy(), np.zeros_like(v)
-    m = 2.0 * float(prof.f(norm)) * ((1.0 - t) * _j(u) + t * _plane(u, v))
+    m = 2.0 * float(twist.profile(norm)) * ((1.0 - t) * _j(u) + t * _plane(u, v))
     rot = _mixed_exp(m)
     return rot @ u, rot @ v
 
 
-def oracle_psi(t, u, v, prof):
+def oracle_psi(t, u, v):
     norm = np.linalg.norm(v)
     if norm < twist.ZERO_FIBER_THRESHOLD:
         return u.copy(), np.zeros_like(v)
-    return u.copy(), _gen_exp(_j(u), t * 2.0 * float(prof.f(norm))) @ v
+    return u.copy(), _gen_exp(_j(u), t * 2.0 * float(twist.profile(norm))) @ v
 
 
-def oracle_pullback_deviation(u, v, prof):
+def oracle_pullback_deviation(u, v):
     m = u.size
     rows = np.stack([np.concatenate([2.0 * u, np.zeros(m)]), np.concatenate([v, u])])
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -95,8 +95,7 @@ def oracle_pullback_deviation(u, v, prof):
     def image(y):
         nu = np.linalg.norm(y[:m])
         uhat = y[:m] / nu
-        return np.concatenate(oracle_twist(uhat, y[m:] - np.dot(y[m:], uhat) * uhat,
-                                           prof))
+        return np.concatenate(oracle_twist(uhat, y[m:] - np.dot(y[m:], uhat) * uhat))
 
     x = np.concatenate([u, v])
     cols = [(image(x + STEP * d) - image(x - STEP * d)) / (2.0 * STEP)
@@ -132,34 +131,31 @@ def _gap(batched, oracle, q):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_twist_maps_match_per_point_oracle(rng, n):
-    prof = twist.make_profile(0.4)
     q = _batch(rng, n)
-    assert _gap(twist.apply_twist(q, prof),
-                lambda u, v: oracle_twist(u, v, prof), q) <= MAP_TOL
-    assert _gap(twist.apply_twist_via_generator(q, prof),
-                lambda u, v: oracle_via_generator(u, v, prof), q) <= MAP_TOL
-    assert _gap(twist.twist_square_direct(q, prof),
-                lambda u, v: oracle_square(u, v, prof), q) <= MAP_TOL
+    assert _gap(twist.apply_twist(q),
+                oracle_twist, q) <= MAP_TOL
+    assert _gap(twist.apply_twist_via_generator(q),
+                oracle_via_generator, q) <= MAP_TOL
+    assert _gap(twist.twist_square_direct(q),
+                oracle_square, q) <= MAP_TOL
 
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_isotopy_phi_per_row_t_matches_oracle(rng, n):
-    prof = twist.make_profile(0.4)
     q = _batch(rng, n)
     t = rng.uniform(size=len(q.u))
-    got = twist.isotopy_phi(t, q, prof).coords
-    want = np.array([np.concatenate(oracle_phi(ti, u, v, prof))
+    got = twist.isotopy_phi(t, q).coords
+    want = np.array([np.concatenate(oracle_phi(ti, u, v))
                      for ti, u, v in zip(t, q.u, q.v)])
     assert float(np.max(np.abs(got - want))) <= MAP_TOL
 
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_isotopy_psi_per_row_t_matches_oracle(rng, n):
-    prof = twist.make_profile(0.4)
     q = _batch(rng, n)
     t = rng.uniform(size=len(q.u))
-    got = twist.isotopy_psi(t, q, prof).coords
-    want = np.array([np.concatenate(oracle_psi(ti, u, v, prof))
+    got = twist.isotopy_psi(t, q).coords
+    want = np.array([np.concatenate(oracle_psi(ti, u, v))
                      for ti, u, v in zip(t, q.u, q.v)])
     assert float(np.max(np.abs(got - want))) <= MAP_TOL
 
@@ -168,15 +164,14 @@ def test_isotopy_psi_per_row_t_matches_oracle(rng, n):
 def test_zero_fiber_rows_map_exactly(rng, n):
     # v = 0 (row 3) and 0 < ||v|| < ZERO_FIBER_THRESHOLD (row 5) both count
     # as the zero fiber: the twist sends them to (-u, 0), the others to (u, 0).
-    prof = twist.make_profile(0.4)
     q = _batch(rng, n)
     assert 0.0 < np.linalg.norm(q.v[5]) < twist.ZERO_FIBER_THRESHOLD
     t = rng.uniform(size=len(q.u))
-    maps = {-1.0: [twist.apply_twist(q, prof),
-                   twist.apply_twist_via_generator(q, prof)],
-            1.0: [twist.twist_square_direct(q, prof)]}
+    maps = {-1.0: [twist.apply_twist(q),
+                   twist.apply_twist_via_generator(q)],
+            1.0: [twist.twist_square_direct(q)]}
     if n in (2, 6):
-        maps[1.0] += [twist.isotopy_phi(t, q, prof), twist.isotopy_psi(t, q, prof)]
+        maps[1.0] += [twist.isotopy_phi(t, q), twist.isotopy_psi(t, q)]
     for sign, images in maps.items():
         for image in images:
             for row in (3, 5):
@@ -186,20 +181,18 @@ def test_zero_fiber_rows_map_exactly(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_pullback_deviations_match_oracle(rng, n):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, n, 0.9, 20)
-    got = twist.pullback_two_form(lambda p: twist.apply_twist(p, prof), q).deviations
-    want = np.array([oracle_pullback_deviation(u, v, prof) for u, v in zip(q.u, q.v)])
+    got = twist.pullback_two_form(twist.apply_twist, q).deviations
+    want = np.array([oracle_pullback_deviation(u, v) for u, v in zip(q.u, q.v)])
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want))) <= PULLBACK_TOL
 
 
 def test_single_point_is_the_one_row_batch(rng):
-    prof = twist.make_profile(0.4)
     q = twist.random_points(rng, 6, 0.9, 4)
-    whole = twist.isotopy_phi(0.3, q, prof).coords
+    whole = twist.isotopy_phi(0.3, q).coords
     for i in range(4):
-        one = twist.isotopy_phi(0.3, twist.CotangentPoint(q.u[i], q.v[i]), prof)
+        one = twist.isotopy_phi(0.3, twist.CotangentPoint(q.u[i], q.v[i]))
         assert one.u.shape == (7,)
         assert np.array_equal(one.coords, whole[i])
 

@@ -61,7 +61,7 @@ def _poison(monkeypatch, owner, name, nth, counts):
     monkeypatch.setattr(owner, name, poisoned)
 
 
-def _is_outside_eps(q, prof):
+def _is_outside_eps(q):
     # Only the identity-outside-epsilon line twists points with |v| = 0.95.
     return bool(np.all(np.abs(np.linalg.norm(q.v, axis=-1) - 0.95) < 1e-12))
 
