@@ -19,17 +19,18 @@ Grammar (one statement per line; '#' starts a comment; blank lines skipped):
 
 ``parse_scenario`` reads each statement once.  Declarations fill the
 scenario's pages, words and open books, each name declared once: a
-redeclaration, or an open book named like an earlier command's target, is an
-E_SYNTAX error at the name (command targets may be rebound: commands run in
-statement order).  Each command becomes a frozen record
-(``Sum``, ``Surgery``, ``Cover``, ``Fibered``, ``Kirby``, ``Verify``).  Argument
-counts, keys, names, and integer and boolean values are all checked at parse
-time, so a malformed statement is reported before any statement runs or
-writes a file.  ``execute`` runs one record and returns its result: a
-``ManifoldDescriptor`` (sum, surgery, cover, fibered), a ``KirbyDiagram``, a
-bool (verify equal) or report lines (verify forms|twist); the CLI's
-subcommands run their records through it too.  ``run_scenario`` executes the
-records in order and renders each result as report lines.
+redeclaration, an open book named like an earlier command's target, or a
+command target named like an open book, is an E_SYNTAX error at the name (a
+command target may be rebound: commands run in statement order).  Each command
+becomes a frozen record (``Sum``, ``Surgery``, ``Cover``, ``Fibered``,
+``Kirby``, ``Verify``).  Argument counts, keys, names, and integer and boolean
+values are all checked at parse time, so a malformed statement is reported
+before any statement runs or writes a file.  ``execute`` runs one record and
+returns its result: a ``ManifoldDescriptor`` (sum, surgery, cover, fibered), a
+``KirbyDiagram``, a bool (verify equal) or report lines (verify forms|twist);
+the CLI's subcommands run their records through it too.  ``run_scenario``
+executes the records in order and renders each result as report lines; each
+``out=`` path is written once, with the text of its last statement.
 
 A key=value value may be double-quoted to hold blanks or '#'
 (``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ContactCalcError
 from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
@@ -68,8 +69,7 @@ class ScenarioError(ContactCalcError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -304,12 +304,14 @@ def _parse_openbook(s: Scenario, toks: list[Token],
         raise ScenarioError(E_SYNTAX, t.line, t.col,
                             "openbook syntax: openbook <name> = (<page>, <word>)")
     name, page_name, word_name = m.groups()
-    if page_name not in s.pages:
-        raise ScenarioError(E_UNDECLARED, t.line, t.col,
-                            f"page {page_name!r} not declared")
-    if word_name not in s.words:
-        raise ScenarioError(E_UNDECLARED, t.line, t.col,
-                            f"word {word_name!r} not declared")
+    for group, names, what in ((2, s.pages, "page"), (3, s.words, "word")):
+        if m.group(group) not in names:
+            pos = m.start(group)   # into ``text``; find its token's column
+            for tok in toks[1:]:
+                if pos < len(tok.text):
+                    raise ScenarioError(E_UNDECLARED, tok.line, tok.col + pos,
+                                        f"{what} {m.group(group)!r} not declared")
+                pos -= len(tok.text) + 1
     page, w = s.pages[page_name], s.words[word_name]
     for label, _ in w.letters:
         if label not in page.spheres:
@@ -351,7 +353,7 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
             if i != len(toks) - 2:
                 raise ScenarioError(E_SYNTAX, tok.line, tok.col,
                                     f"{head.text}: '->' must be followed by one name")
-            toks, target = toks[:i], toks[-1].text
+            toks, target = toks[:i], toks[-1]
             break
     split = [(tok, _kv(tok)) for tok in toks[1:]]
     pos = [t for t, pair in split if pair is None]
@@ -380,8 +382,9 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
         raise ScenarioError(E_ARITY, head.line, head.col, f"{stmt} "
                             + ("needs '-> <name>'" if makes else "takes no '-> <name>'"))
     if makes:
-        kvs["target"] = target
-        declared.add(target)
+        _declare_once(target.text, s.openbooks, "open book", target)
+        kvs["target"] = target.text
+        declared.add(target.text)
     args = [t.text for t in pos] if mode is None else [mode] + [t.text for t in pos]
     return record(*args, **kvs, line=head.line, col=head.col)
 
@@ -471,9 +474,10 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
     byte-stable for fixed inputs and seed.  ``tol=None`` keeps each verify
     suite's own tolerance.  A negative seed, a sample count below 1 or a NaN
     or negative ``tol`` raises ``DomainError`` before any statement runs,
-    whether or not the scenario runs a suite.  ``out=`` files are written,
-    in statement order, only after the last statement has run, so a run
-    that raises leaves none behind.
+    whether or not the scenario runs a suite.  ``out=`` files are written
+    once every statement has run (a run that raises leaves none), each path
+    once with its last text, in the order of the paths' last statements, so
+    ``a`` and an alias ``./a`` end alike; all ``out=`` paths are returned.
     """
     check_suite_args(seed, samples, tol)
     env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
@@ -512,7 +516,8 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
             raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,
                                 f"{type(cmd).__name__.lower()} failed: {exc}") from exc
 
-    for path, text in files:
+    last = {path: i for i, (path, _) in enumerate(files)}  # each path's last write
+    for path, text in (files[i] for i in sorted(last.values())):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return ("".join(line + "\n" for line in lines), (1 if failed else 0),

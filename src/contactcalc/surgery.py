@@ -3,7 +3,8 @@ branched covers, fibered manifolds, and fillability flags.
 
 Monodromy words are formal products of labeled Dehn-twist generators; only
 free reduction is imposed (no braid or chain relations), so word equality is
-a sufficient — not necessary — criterion for equality of open books.
+a sufficient — not necessary — criterion for equality of open books.  Every
+``MonodromyWord`` is freely reduced; products cancel only where two words meet.
 
 Fillability flags are tri-state (True / False / None=unknown).  The
 propagation rules are one-directional: fillable + fillable stays fillable
@@ -43,7 +44,12 @@ class MonodromyWord:
                 raise DomainError("word is not freely reduced; use reduce_word")
 
     def __mul__(self, other: "MonodromyWord") -> "MonodromyWord":
-        return reduce_word(MonodromyWord.raw(self.letters + other.letters))
+        a, b, i, j = self.letters, other.letters, len(self.letters), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            i, j, exp = i - 1, j + 1, a[i - 1][1] + b[j][1]
+            if exp:
+                return MonodromyWord.raw(a[:i] + ((b[j - 1][0], exp),) + b[j:])
+        return MonodromyWord.raw(a[:i] + b[j:])
 
     def __pow__(self, k: int) -> "MonodromyWord":
         # w = c r c^-1 with r cyclically reduced: its first and last letters
@@ -61,7 +67,7 @@ class MonodromyWord:
         return reduce_word(MonodromyWord.raw(letters[:i] + rk + c_inv))
 
     def inverse(self) -> "MonodromyWord":
-        return MonodromyWord(tuple((lab, -exp) for lab, exp in reversed(self.letters)))
+        return MonodromyWord.raw((lab, -exp) for lab, exp in reversed(self.letters))
 
     def labels(self) -> set[str]:
         return {lab for lab, _ in self.letters}
@@ -74,7 +80,7 @@ class MonodromyWord:
 
     @staticmethod
     def raw(letters: Iterable[tuple[str, int]]) -> "MonodromyWord":
-        """Bypass the reducedness check (internal; used before reduction)."""
+        """Bypass the reducedness check (internal; reduced or about to be)."""
         w = object.__new__(MonodromyWord)
         object.__setattr__(w, "letters", tuple(letters))
         return w
@@ -92,15 +98,13 @@ def word(*letters: tuple[str, int]) -> MonodromyWord:
 
 def reduce_word(w: MonodromyWord) -> MonodromyWord:
     """Canonical free reduction: merge adjacent equal labels, drop zeros."""
-    stack: list[list] = []
+    stack: list[tuple[str, int]] = []
     for label, exp in w.letters:
         if stack and stack[-1][0] == label:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        elif exp != 0:
-            stack.append([label, exp])
-    return MonodromyWord(tuple((lab, exp) for lab, exp in stack))
+            exp += stack.pop()[1]
+        if exp != 0:
+            stack.append((label, exp))
+    return MonodromyWord.raw(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +366,14 @@ def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
     ob = OpenBook(disk_cotangent_page(n), word((ZERO_SECTION, k)))
     names = {1: f"S^{2*n+1}_std", 0: f"bd(D2xD*S{n})", 2: f"S*S{n+1}_can",
              -1: f"S^{2*n+1}_nonfillable"}
-    flags = (FillabilityFlags.all_false() if k == -1
-             else default_open_book_flags(ob))
-    return ManifoldDescriptor(ob.dim, ob, flags,
+    return ManifoldDescriptor(ob.dim, ob, _catalog_flags(k),
                               (("catalog", names.get(k, f"M({n},{k})"), n, k),))
+
+
+def _catalog_flags(k: int) -> FillabilityFlags:
+    """Flags of M(n, k): all false at k = -1, Stein for k >= 0, else unknown."""
+    return (FillabilityFlags.all_false() if k == -1
+            else FillabilityFlags(stein=True if k >= 0 else None))
 
 
 def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
@@ -382,14 +390,16 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
         raise DomainError("surgery coefficient k must be nonzero")
     ob = m.open_book
     n = (m.dim - 1) // 2
+    if n < 1:
+        raise DomainError("catalog needs n >= 1")
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
-    summand = catalog_M_nk(n, -k)
+    summand = _catalog_flags(-k)
     if ob is not None and sphere in ob.page.spheres:
         presentation = OpenBook(ob.page, ob.word * word((sphere, -k)))
-        flags = _sum_flags(m.flags, summand.flags, presentation)
+        flags = _sum_flags(m.flags, summand, presentation)
     elif ob is None:
         presentation = ("glued", f"surgery({sphere},{k})")
-        flags = fillability_propagate(m.flags, summand.flags, False, m.dim, None)
+        flags = fillability_propagate(m.flags, summand, False, m.dim, None)
     else:
         raise DomainError(f"unknown sphere label {sphere!r}")
     if k == 2:

@@ -1,6 +1,8 @@
 import pytest
 
+from contactcalc import scenario
 from contactcalc.cli import main
+from contactcalc.kirby import branched_cover_diagram, serialize_diagram
 from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED,
                                   ScenarioError, parse_scenario, run_scenario)
 
@@ -68,6 +70,32 @@ def test_kirby_command_counts_and_out(tmp_path):
     assert "kirby:two_handles\t2\t-\tOK" in report
     assert len(files) == 1
     assert (tmp_path / "d.kirby").read_text().startswith("KIRBY 1")
+
+
+def test_each_out_path_ends_with_its_last_statement(tmp_path):
+    # ./a.kirby names the same file as a.kirby; the last statement wins.
+    text = DECLS + ("kirby cover genus1 q=2 out=a.kirby\n"
+                    "kirby cover genus1 q=3 out=./a.kirby\n"
+                    "kirby cover genus1 q=4 out=a.kirby\n")
+    s = parse_scenario(text)
+    _, status, files = run_scenario(s, out_dir=str(tmp_path))
+    assert status == 0
+    assert files == [f"{tmp_path}/a.kirby", f"{tmp_path}/./a.kirby", f"{tmp_path}/a.kirby"]
+    want = serialize_diagram(branched_cover_diagram(s.pages["genus1"], (), 4))
+    assert (tmp_path / "a.kirby").read_text() == want
+
+
+def test_repeated_out_path_is_opened_once(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "open", recording_open, raising=False)
+    text = DECLS + "kirby cover genus1 q=2 out=d.kirby\n" * 5
+    _, _, files = run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+    assert len(files) == 5 and opened == [f"{tmp_path}/d.kirby"]
 
 
 def test_kirby_cover_rejects_non_surface_page(tmp_path, monkeypatch, capsys):
@@ -158,7 +186,20 @@ def test_error_unknown_statement_position():
 
 def test_error_undeclared_page():
     e = _err("word w = a\nopenbook ob = (ghost, w)\n")
-    assert e.code == E_UNDECLARED and e.line == 2
+    assert (e.code, e.line, e.col) == (E_UNDECLARED, 2, 16)   # at 'ghost'
+
+
+@pytest.mark.parametrize("stmt,col,what", [
+    ("openbook ob = (p, ghost)", 19, "word"),
+    ("openbook ob = ( ghost , w )", 17, "page"),
+    ("openbook ob=(p,ghost)", 16, "word"),
+    ("openbook ghost = (ghost, w)", 19, "page"),
+], ids=["word", "spaced_page", "one_token_word", "named_like_the_page"])
+def test_error_undeclared_openbook_parts_at_the_name(stmt, col, what):
+    e = _err("page p dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n"
+             f"word w = a\n{stmt}\n")
+    assert (e.code, e.line, e.col) == (E_UNDECLARED, 3, col)
+    assert f"{what} 'ghost' not declared" in str(e)
 
 
 @pytest.mark.parametrize("letters,col", [
@@ -246,11 +287,18 @@ def test_bad_counts_are_positioned(stmt):
     assert (exc.value.code, exc.value.line, exc.value.col) == (E_SYNTAX, 2, 1)
 
 
-def test_sum_reads_declared_open_books():
-    # A target reusing an open-book name does not change what `sum` reads.
-    text = DECLS + "fibered genus1 ta tb2 -> ob1\nsum ob1 ob2 -> m\n"
-    report, status, _ = run_scenario(parse_scenario(text))
-    assert status == 0 and "sum:m\ta b^2\t-\tOK" in report
+@pytest.mark.parametrize("stmt,col", [
+    ("fibered genus1 ta tb2 -> ob1", 26),
+    ("sum ob1 ob2 -> ob1", 16),
+    ("surgery ob2 sphere=b k=1 -> ob1", 29),
+    ("cover ob1 q=3 over=binding -> ob1", 31),
+], ids=["fibered", "sum", "surgery", "cover"])
+def test_targets_may_not_name_open_books(stmt, col):
+    # Otherwise one name would be two manifolds: `sum` reads the declared
+    # open book, every other command the latest target.
+    e = _err(DECLS + stmt + "\n")
+    assert (e.code, e.line, e.col) == (E_SYNTAX, 8, col)
+    assert "open book 'ob1' is already declared" in str(e)
 
 
 REDECLARED = """page p dim=2 handles=[0:1,1:1] stein=true spheres=[a]

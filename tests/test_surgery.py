@@ -121,6 +121,32 @@ def test_word_inverse_cancels(letters):
     assert (w.inverse() * w).is_identity()
 
 
+def _reduced(letters):
+    return reduce_word(MonodromyWord.raw(tuple(letters)))
+
+
+@given(_letters, _letters, _letters)
+def test_product_equals_the_reduced_concatenation(x, y, z):
+    # a = x y against y^-1 z cancels at least y at the seam (all of b when z
+    # is empty), against a^-1 everything, and against z whatever meets.
+    a = _reduced(x + y)
+    for b in (_reduced([(lab, -e) for lab, e in reversed(y)] + z), a.inverse(),
+              _reduced(z)):
+        out = a * b
+        assert out == reduce_word(MonodromyWord.raw(a.letters + b.letters))
+        assert MonodromyWord(out.letters) == out   # passes the public check
+
+
+def test_product_does_not_reduce(monkeypatch):
+    calls = []
+    monkeypatch.setattr(surgery, "reduce_word", lambda w: calls.append(w))
+    a = MonodromyWord((("a", 2), ("b", 1), ("c", -1)))
+    b = MonodromyWord((("c", 1), ("b", -1), ("a", 3), ("c", 1)))
+    assert a * b == MonodromyWord((("a", 5), ("c", 1)))
+    assert (a * a.inverse()).is_identity() and a * MonodromyWord() == a
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Pages and open books
 # ---------------------------------------------------------------------------
@@ -212,6 +238,29 @@ def test_catalog_special_values():
     assert catalog_M_nk(2, 2).flags.stein is True
     assert catalog_M_nk(2, 3).flags.stein is True
     assert catalog_M_nk(2, -3).flags == FillabilityFlags.unknown()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalog_flags_rule_matches_the_catalog(n):
+    for k in range(-4, 5):
+        assert surgery._catalog_flags(k) == catalog_M_nk(n, k).flags
+
+
+def test_surgery_builds_no_catalog_manifold(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("contact_surgery built M(n, k)")
+
+    monkeypatch.setattr(surgery, "catalog_M_nk", refuse)
+    for k in (-3, -2, -1, 1, 2, 3):
+        contact_surgery(catalog_M_nk(2, 1), ZERO_SECTION, k)
+        contact_surgery(fibered_manifold(disk_page(1), MonodromyWord(), MonodromyWord()),
+                        "s", k)
+
+
+def test_surgery_keeps_the_catalog_refusal():
+    glued = ManifoldDescriptor(1, ("glued", "x"), FillabilityFlags.unknown())
+    with pytest.raises(DomainError, match="catalog needs n >= 1"):
+        contact_surgery(glued, "s", 1)
 
 
 def test_liouville_sum_composes_words():
