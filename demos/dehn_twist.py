@@ -12,8 +12,8 @@ import numpy as np
 from contactcalc.twist import (CotangentPoint, apply_twist,
                                apply_twist_via_generator,
                                boundary_displacement_probe, isotopy_phi,
-                               isotopy_psi, pullback_two_form, random_points,
-                               twist_square_direct)
+                               isotopy_psi, plane_generator, pullback_two_form,
+                               random_points, twist_square_direct)
 
 # The twist's profile angle is pi at the zero section and 2 pi outside the
 # fiber radius twist.EPSILON = 0.4.
@@ -32,12 +32,17 @@ print("displacement at |v| = 1:",
       np.max(np.abs(moved.coords - far.coords)))
 
 # Two independent evaluation paths agree: the explicit rotation formula and
-# the closed-form exponential of the plane generator.
+# the closed-form exponential of the plane generator A, which satisfies
+# A^3 = -A.
+cubic = 0.0
 for n in (1, 2, 3, 6):
     q = random_points(rng, n, 0.9, 25)
     dev = np.max(np.abs(apply_twist(q).coords
                         - apply_twist_via_generator(q).coords))
     print(f"n={n}: two-path deviation {dev:.2e}")
+    a = plane_generator(q)
+    cubic = max(cubic, np.max(np.abs(a @ a @ a + a)))
+print(f"plane generators: max |A^3 + A| {cubic:.2e}")
 
 # The twist is a symplectomorphism: pull back -d(lambda_can) on an
 # orthonormal tangent frame and compare entrywise.

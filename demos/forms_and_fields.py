@@ -8,7 +8,7 @@ derivatives, and checks contact positivity on a few charts.
 
 import numpy as np
 
-from contactcalc import (check_contact_condition, dz_plus,
+from contactcalc import (check_contact_condition, dz_plus, eval_one_form,
                          hamiltonian_vector_field, lambda_can, lambda_std,
                          liouville_vector_field, reeb_vector_field, weinstein,
                          weinstein_hamiltonian)
@@ -23,7 +23,7 @@ n = 2
 # half the radial field.
 lam = lambda_std(n)
 p = lam.chart.point(rng.uniform(-1, 1, 2 * n))
-print("lambda_std at", p.coords, "->", lam.at(p))
+print("lambda_std at", p.coords, "->", eval_one_form(lam, p))
 print("Liouville field:", liouville_vector_field(lam, p))
 print("half radial:    ", 0.5 * p.coords)
 

@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names the package exports from it.
 _EXPORTS = {
-    "charts": ("Chart", "ChartPoint", "darboux_chart", "cotangent_chart",
-               "sphere_chart"),
-    "conditions": ("check_contact_condition", "check_contact_dilation",
-                   "check_two_form_dilation"),
+    "charts": ("Chart", "ChartPoint", "darboux_chart", "cotangent_chart"),
+    "conditions": ("check_contact_condition", "check_contact_dilation"),
     "reports": ("ConditionReport",),
     "fields": ("hamiltonian_vector_field", "liouville_vector_field",
-               "moser_field", "reeb_vector_field"),
+               "reeb_vector_field"),
     "forms": ("OneFormField", "eval_one_form", "d_matrix", "lambda_std",
               "lambda_can", "weinstein", "weinstein_hamiltonian",
               "handle_form", "dz_plus", "theta_invariant"),
@@ -34,11 +32,11 @@ _EXPORTS = {
                 "contact_surgery", "disk_cotangent_page", "fibered_manifold",
                 "fillability_propagate", "liouville_sum_openbooks",
                 "reduce_word", "surgery_compose", "word"),
-    "cobordism": ("Handle", "HomologyProfile", "cabling_genus",
-                  "euler_characteristic", "gysin_sphere_bundle_homology",
-                  "hopf_invariant_one_exists", "not_stein_certificate",
-                  "self_linking_liouville", "stein_homology_check",
-                  "sum_cobordism", "twist_square_smoothly_trivial"),
+    "cobordism": ("Handle", "HomologyProfile", "euler_characteristic",
+                  "gysin_sphere_bundle_homology", "hopf_invariant_one_exists",
+                  "not_stein_certificate", "self_linking_liouville",
+                  "stein_homology_check", "sum_cobordism",
+                  "twist_square_smoothly_trivial"),
     "kirby": ("KirbyDiagram", "branched_cover_diagram", "parse_diagram",
               "serialize_diagram", "surgery_cobordism_diagram"),
     "scenario": ("Scenario", "ScenarioError", "parse_scenario", "run_scenario"),

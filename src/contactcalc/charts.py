@@ -119,14 +119,6 @@ def cotangent_chart(n: int) -> Chart:
     return Chart(f"R{2 * n}_qp", tuple(names))
 
 
-def sphere_chart(ambient_dim: int) -> Chart:
-    """The unit sphere S^{ambient_dim-1} in ambient coordinates, oriented as
-    the boundary of the (oriented) ambient ball via outward-normal-first."""
-    names = tuple(f"x{j}" for j in range(1, ambient_dim + 1))
-    return Chart(f"S{ambient_dim - 1}", names,
-                 (unit_norm_constraint(range(ambient_dim)),))
-
-
 def with_constraints(chart: Chart, constraints: Sequence[Constraint],
                      name: str) -> Chart:
     """A constrained version of a chart, inheriting its orientation: the

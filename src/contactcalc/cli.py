@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("surgery", help="contact (1/k)-surgery on M(n,1)")
     ps.add_argument("--n", type=int, default=1)
     ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--sphere", type=str, default=ZERO_SECTION)
     ps.add_argument("--param", type=str, default="std")
     _add_common(ps)
 
@@ -149,7 +148,7 @@ def _dispatch(args) -> int:
 
     if args.command == "surgery":
         env["m"] = catalog_M_nk(args.n, 1)
-        cmd = Surgery("m", args.sphere, args.k, "m", param=args.param)
+        cmd = Surgery("m", ZERO_SECTION, args.k, "m", param=args.param)
     elif args.command == "cover":
         env["m"] = catalog_M_nk(args.n, args.power)
         cmd = Cover("m", args.q, "m")

@@ -187,16 +187,6 @@ def twist_square_smoothly_trivial(n: int) -> bool:
     return direct
 
 
-def cabling_genus(g: int, q: int) -> tuple[int, int]:
-    """(genus, class multiplier) of the q-cable of a genus-g symplectic
-    surface: genus q(g-1)+1 in class q times the original."""
-    if g < 1:
-        raise DomainError("cabling construction requires genus >= 1")
-    if q < 1:
-        raise DomainError("cable multiplicity must be positive")
-    return q * (g - 1) + 1, q
-
-
 def self_linking_liouville(chi: int) -> int:
     """Self-linking number of the transverse boundary of a Liouville
     surface: sl = -chi."""

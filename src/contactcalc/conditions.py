@@ -1,4 +1,4 @@
-"""Sampled condition checks: contact positivity and dilation equations.
+"""Sampled condition checks: contact positivity and the dilation equation.
 
 The top-form coefficient of alpha ^ (d alpha)^n on the chart (or
 tangent-frame) basis is the Pfaffian of the bordered skew matrix
@@ -10,10 +10,10 @@ any number of points (one per row) and eliminates all their Pfaffians at
 once, pivoting row by row, so ``check_contact_condition`` is one call for the
 whole sample set.
 
-The dilation checks are batched the same way.  Lie derivatives come from
+The dilation check is batched the same way.  Its Lie derivative comes from
 Cartan's formula on the ``d_matrix`` path: L_v alpha = i_v d(alpha) +
-d(alpha(v)), and on a closed 2-form d(beta), L_v d(beta) = d(i_v d(beta)),
-whose outer derivative is a central difference with step ``H``.
+d(alpha(v)).  L_v alpha = alpha implies L_v d(alpha) = d(alpha), since L_v
+commutes with d, so no separate 2-form check is needed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import DomainError
 from .forms import OneFormField, central_difference, d_matrix, eval_one_form
 from .reports import ConditionReport
 
-H = 1e-4              # outer differencing step of the 2-form Lie derivative
 DILATION_TOL = 1e-6   # largest residual a dilation check passes
 
 
@@ -125,21 +124,6 @@ def check_contact_dilation(v: Callable[[np.ndarray], np.ndarray],
     as in ``check_contact_condition``; the margin is -max |residual| (NaN,
     and so FAIL, if any residual is NaN)."""
     p = stack_points(points)
-    residual = lie_derivative_one_form(v, alpha, p) - alpha.at(p)
+    residual = lie_derivative_one_form(v, alpha, p) - eval_one_form(alpha, p)
     return _report(-float(np.max(np.abs(residual))), DILATION_TOL, p)
 
-
-def check_two_form_dilation(v: Callable[[np.ndarray], np.ndarray],
-                            beta: OneFormField,
-                            points: ChartPoint | Sequence[ChartPoint]
-                            ) -> ConditionReport:
-    """L_v omega = omega for omega = d(beta), checked entrywise at every
-    sample point; L_v omega = d(i_v omega), whose outer derivative has step
-    ``H``.  Margin as in ``check_contact_dilation``."""
-    p = stack_points(points)
-    require_same_chart(beta.chart, p.chart)
-    x = p.coords
-    contraction = lambda y: matvec(d_matrix(beta, y).swapaxes(-1, -2), v(y))
-    jac = central_difference(contraction, x, np.eye(x.shape[-1]), H)
-    residual = jac.swapaxes(-1, -2) - jac - d_matrix(beta, x)
-    return _report(-float(np.max(np.abs(residual))), DILATION_TOL, p)

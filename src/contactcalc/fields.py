@@ -4,16 +4,15 @@ Conventions:
   * Liouville field:     d(beta)(X, .) = beta
   * Hamiltonian field:   df(.) = omega(X_f, .)
   * Reeb field:          alpha(R) = 1,  d(alpha)(R, .) = 0
-  * Moser field:         d(beta)(V, .) = beta - beta'
 
 Every solve is batched: a ``ChartPoint`` holding N points (coords
 (N, dim)) gives N fields (N, dim) from one stacked ``cond``/``solve``
-(Liouville, Hamiltonian, Moser) or one stacked pseudo-inverse (Reeb), and a
-single point is the case with no leading axis.  The 2-forms are the
-``d_matrix`` of a primitive 1-form.  All solves are dense; a batch in which
-any system has condition number above ``COND_MAX``, any Reeb system a
-residual above ``RESIDUAL_TOL``, or any Moser pair mismatched derivatives,
-is refused as a whole rather than silently returning garbage.
+(Liouville, Hamiltonian) or one stacked pseudo-inverse (Reeb), and a single
+point is the case with no leading axis.  The 2-forms are the ``d_matrix`` of
+a primitive 1-form.  All solves are dense; a batch in which any system has
+condition number above ``COND_MAX``, or any Reeb system a residual above
+``RESIDUAL_TOL``, is refused as a whole rather than silently returning
+garbage.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import DegenerateSystemError, DomainError, IllConditionedError
 from .forms import OneFormField, central_difference, d_matrix, eval_one_form
 
 COND_MAX = 1e10
-RESIDUAL_TOL = 1e-6  # largest Reeb lstsq residual and Moser d(beta) mismatch
+RESIDUAL_TOL = 1e-6  # largest Reeb lstsq residual
 
 
 def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -87,19 +86,3 @@ def reeb_vector_field(alpha: OneFormField, p: ChartPoint) -> np.ndarray:
             f"reeb_vector_field({alpha.form_id}): residual {first_bad(resid, ok):.3e}")
     return matvec(frame, c) if p.chart.constraints else c
 
-
-def moser_field(beta: OneFormField, beta_prime: OneFormField,
-                p: ChartPoint) -> np.ndarray:
-    """V with d(beta)(V, .) = beta - beta' at each row of p, requiring
-    d(beta) = d(beta') there; V = 0 on rows where beta = beta'."""
-    m = d_matrix(beta, p.coords)
-    mismatch = np.max(np.abs(m - d_matrix(beta_prime, p.coords)), axis=(-2, -1))
-    ok = mismatch <= RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    if not ok.all():
-        raise DegenerateSystemError(
-            f"moser_field: d(beta) != d(beta') (mismatch {first_bad(mismatch, ok):.3e})")
-    rhs = eval_one_form(beta, p) - eval_one_form(beta_prime, p)
-    live = np.any(rhs, axis=-1)
-    out = np.zeros_like(rhs)
-    out[live] = _checked_solve(m[live].swapaxes(-1, -2), rhs[live], "moser_field")
-    return out

@@ -5,16 +5,16 @@ this module comes from differentiation (central differences with the fixed
 spatial step ``STEP`` = 1e-5, O(step^2) accurate on the smooth catalog
 formulas).
 
-``central_difference`` is the package's single differencing stencil and the
-one place a step is validated.  ``d_matrix`` differentiates forms with it,
+``central_difference`` is the package's single differencing stencil, always
+with step ``STEP``.  ``d_matrix`` differentiates forms with it,
 ``fields.hamiltonian_vector_field`` differentiates the Hamiltonian,
-``conditions`` differentiates the pairing alpha(v) and the contraction
-i_v d(beta) (the Lie derivatives of the dilation checks, by Cartan's
-formula), and ``twist.pullback_two_form`` takes the differential of a map
-along a tangent frame.  Steps and tolerances are module constants (``STEP``
-here, ``H`` and ``DILATION_TOL`` in ``conditions``, ``RESIDUAL_TOL`` and
-``COND_MAX`` in ``fields``, ``POINT_TOL`` in ``charts``): no kernel function
-other than ``central_difference`` takes a step or tolerance argument.
+``conditions`` differentiates the pairing alpha(v) (the Lie derivative of
+the dilation check, by Cartan's formula), and ``twist.pullback_two_form``
+takes the differential of a map along a tangent frame.  Steps and
+tolerances are module constants (``STEP`` here, ``DILATION_TOL`` in
+``conditions``, ``RESIDUAL_TOL`` and ``COND_MAX`` in ``fields``,
+``POINT_TOL`` in ``charts``): no kernel function takes a step or tolerance
+argument.
 
 Evaluators act on coords of shape (..., dim), one point per row, and return
 covectors of the same shape; ``eval_one_form`` and ``d_matrix`` keep the
@@ -49,9 +49,6 @@ class OneFormField:
     chart: Chart
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def at(self, p: ChartPoint) -> np.ndarray:
-        return eval_one_form(self, p)
-
 
 def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
     """Covector components of ``form`` at the rows of ``p``, shape
@@ -66,18 +63,16 @@ def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:
 
 
 def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                       directions: np.ndarray, step: float = STEP) -> np.ndarray:
+                       directions: np.ndarray) -> np.ndarray:
     """Derivatives of ``fn`` at x along the columns d_i of ``directions``:
-    entry [..., i] is (fn(x + step d_i) - fn(x - step d_i)) / (2 step), so a
+    entry [..., i] is (fn(x + STEP d_i) - fn(x - STEP d_i)) / (2 STEP), so a
     vector-valued fn gives the matrix whose column i is that difference.
 
     x may be a batch of points (B..., dim) with one frame (B..., dim, k) per
     point.  fn is called once, on the stack of all 2k displaced batches
     (2k, B..., dim), and must return (2k, B..., out...); the result is
     (B..., out..., k)."""
-    if not 0.0 < step < np.inf:
-        raise DomainError(f"bad differencing step {step}")
-    offsets = step * directions.swapaxes(-1, -2)
+    offsets = STEP * directions.swapaxes(-1, -2)
     k = offsets.shape[-2]
     x = x[..., None, :]
     ys = np.concatenate([x + offsets, x - offsets], axis=-2)  # (B..., 2k, dim)
@@ -86,7 +81,7 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     if values.shape[:ys.ndim - 1] != ys.shape[:-1]:
         raise DomainError(f"differenced function returned shape {values.shape} "
                           f"for points of shape {ys.shape}")
-    diff = (values[:k] - values[k:]) / (2.0 * step)
+    diff = (values[:k] - values[k:]) / (2.0 * STEP)
     return diff.transpose((*range(1, diff.ndim), 0))
 
 

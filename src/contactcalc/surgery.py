@@ -262,7 +262,9 @@ def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """A symbolic contact manifold: an open book or a glued label, fillability
-    flags, and an operation history (which holds a catalog manifold's name)."""
+    flags, and an operation history (which holds a catalog manifold's name).
+    History entries may hold open books and words; ``serialize`` formats
+    them, so a construction that is never serialized never formats them."""
 
     dim: int
     presentation: object  # OpenBook | ("glued", label)
@@ -350,7 +352,7 @@ def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
     flags = _sum_flags(default_open_book_flags(ob1),
                        default_open_book_flags(ob2), composed)
     return ManifoldDescriptor(composed.dim, composed, flags,
-                              (("liouville_sum", str(ob1), str(ob2)),))
+                              (("liouville_sum", ob1, ob2),))
 
 
 def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
@@ -438,7 +440,7 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
     rest = OpenBook(ob.page, ob.word ** (q - 1))
     composed = OpenBook(ob.page, rest.word * ob.word)
     history = m.history + (
-        ("liouville_sum", str(rest), str(ob)),
+        ("liouville_sum", rest, ob),
         ("branched_cover", hypersurface, q, f"{q - 1} liouville sums"),
         ("cobordism", "exact" if m.flags.exactly else "recorded",
          f"disjoint union of {q} copies to cover"))
@@ -459,5 +461,5 @@ def fibered_manifold(page: PageSpec, phi: MonodromyWord,
     else:
         label = f"fibered({page.name},{phi},{psi})"
     return ManifoldDescriptor(base.dim, ("glued", label), flags, (
-        ("fibered", str(page.name), str(phi), str(psi)),
-        ("liouville_sum_on", str(base))))
+        ("fibered", page.name, phi, psi),
+        ("liouville_sum_on", base)))

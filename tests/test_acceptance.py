@@ -16,10 +16,13 @@ from contactcalc.charts import darboux_chart, unit_norm_constraint, \
 from contactcalc.cli import main
 from contactcalc.cobordism import (euler_characteristic,
                                    gysin_sphere_bundle_homology, Handle,
-                                   sum_cobordism, twist_square_smoothly_trivial)
+                                   not_stein_certificate, sum_cobordism,
+                                   twist_square_smoothly_trivial)
+from contactcalc.errors import DomainError
 from contactcalc.fields import (hamiltonian_vector_field,
                                 liouville_vector_field, reeb_vector_field)
-from contactcalc.forms import dz_plus, lambda_std, restrict_form, weinstein, \
+from contactcalc.forms import d_matrix, dz_plus, handle_form, lambda_std, \
+    restrict_form, symplectization, theta_invariant, weinstein, \
     weinstein_hamiltonian
 from contactcalc.kirby import branched_cover_diagram, parse_diagram, \
     serialize_diagram
@@ -266,3 +269,65 @@ def test_criterion_11_cli(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err and "col" in err
     _report(11, "cli")
+
+
+def test_criterion_12_connect_sum_local_model():
+    # The local model of the Liouville connect sum (Weinstein 1991) over
+    # beta = lambda_std(n): the handle form -theta dz - 2z dtheta + beta, its
+    # Liouville field, the theta-invariant sheets -+eps dtheta + beta, and
+    # the symplectization t alpha of alpha = dz + beta.
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        beta = lambda_std(n)
+        handle = handle_form(beta)
+        c = rng.uniform(-1.0, 1.0, (25, 2 * n + 2))
+        theta, z, xy = c[:, :1], c[:, 1:2], c[:, 2:]
+        # d(lambda) = dtheta^dz + sum dx_j^dy_j, to 1e-9 (round-off / 2e-5)
+        omega = np.zeros((2 * n + 2, 2 * n + 2))
+        omega[0, 1] = 1.0
+        omega[2 + np.arange(n), 2 + n + np.arange(n)] = 1.0
+        omega -= omega.T
+        assert np.max(np.abs(d_matrix(handle, c) - omega)) <= 1e-9
+        # Liouville field -theta d_theta + 2z d_z + (x, y)/2, to 1e-8
+        want = np.concatenate([-theta, 2.0 * z, 0.5 * xy], axis=-1)
+        got = liouville_vector_field(handle, handle.chart.point(c))
+        assert np.max(np.abs(got - want)) <= 1e-8
+        # ... which dilates the handle form: L_Z lambda = lambda
+        z_field = lambda x: np.concatenate(
+            [-x[..., :1], 2.0 * x[..., 1:2], 0.5 * x[..., 2:]], axis=-1)
+        rep = conditions.check_contact_dilation(z_field, handle,
+                                                handle.chart.point(c))
+        assert rep.passed and rep.margin >= -1e-9
+        # On the z = +-eps sheet the contact margin is -sheet * eps, to 1e-9
+        for eps in (0.1, 0.5):
+            for sheet in (1, -1):
+                form = theta_invariant(beta, eps, sheet)
+                margin = conditions.contact_margin(
+                    form, form.chart.point(c[:, 1:]))
+                assert np.max(np.abs(margin + sheet * eps)) <= 1e-9
+        # t alpha is dilated by t d_t on t in [0.5, 2]
+        sympl = symplectization(dz_plus(beta))
+        tc = c.copy()
+        tc[:, 0] = rng.uniform(0.5, 2.0, 25)
+        t_dt = lambda x: np.concatenate(
+            [x[..., :1], np.zeros_like(x[..., 1:])], axis=-1)
+        rep = conditions.check_contact_dilation(t_dt, sympl,
+                                                sympl.chart.point(tc))
+        assert rep.passed and rep.margin >= -1e-9
+    _report(12, "connect_sum_local_model")
+
+
+def test_criterion_13_non_stein_sum():
+    # The paper's non-Stein example: a Liouville sum along a piece T of
+    # dimension 2n-1 that both embeddings carry to the same class gains a
+    # degree-2n class, and no claim is made when the classes differ.
+    for n in range(2, 9):
+        rep = not_stein_certificate(2 * n - 1, True)
+        assert rep.conclusive
+        assert rep.degree == 2 * n and rep.rank_increase == 1
+        assert not not_stein_certificate(2 * n - 1, False).conclusive
+    for t_dim in (-1, 0, 1, 2, 4, 6):
+        for equal in (True, False):
+            with pytest.raises(DomainError):
+                not_stein_certificate(t_dim, equal)
+    _report(13, "non_stein_sum")

@@ -3,9 +3,17 @@ import pytest
 
 from contactcalc.charts import (Chart, darboux_chart, cotangent_chart,
                                 prepend_coords, require_same_chart,
-                                sphere_chart, tangent_frame,
-                                unit_norm_constraint, with_constraints)
+                                tangent_frame, unit_norm_constraint,
+                                with_constraints)
 from contactcalc.errors import ChartMismatchError, DomainError
+
+
+def sphere_chart(ambient_dim):
+    """The unit sphere S^{ambient_dim-1} in coordinates x1, x2, ..."""
+    names = tuple(f"x{j}" for j in range(1, ambient_dim + 1))
+    return with_constraints(Chart(f"R{ambient_dim}", names),
+                            [unit_norm_constraint(range(ambient_dim))],
+                            f"S{ambient_dim - 1}")
 
 
 def test_darboux_chart_names_and_orientation():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from contactcalc.cobordism import (Handle, HomologyProfile,
-                                   cabling_genus, euler_characteristic,
+                                   euler_characteristic,
                                    gysin_sphere_bundle_homology,
                                    hopf_invariant_one_exists,
                                    not_stein_certificate,
@@ -112,15 +112,6 @@ def test_hopf_invariant_one_table():
 
 def test_twist_square_smoothly_trivial():
     assert [n for n in range(1, 65) if twist_square_smoothly_trivial(n)] == [2, 6]
-
-
-def test_cabling_genus():
-    assert cabling_genus(1, 5) == (1, 5)
-    assert cabling_genus(3, 2) == (5, 2)
-    with pytest.raises(DomainError):
-        cabling_genus(0, 2)
-    with pytest.raises(DomainError):
-        cabling_genus(2, 0)
 
 
 def test_self_linking():

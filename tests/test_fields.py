@@ -6,10 +6,9 @@ from contactcalc.charts import darboux_chart, with_constraints, \
 from contactcalc.errors import DegenerateSystemError, DomainError, \
     IllConditionedError
 from contactcalc.fields import (hamiltonian_vector_field,
-                                liouville_vector_field, moser_field,
-                                reeb_vector_field)
-from contactcalc.forms import OneFormField, dz_plus, lambda_can, lambda_std, \
-    restrict_form, weinstein, weinstein_hamiltonian
+                                liouville_vector_field, reeb_vector_field)
+from contactcalc.forms import OneFormField, dz_plus, eval_one_form, lambda_can, \
+    lambda_std, restrict_form, weinstein, weinstein_hamiltonian
 
 
 def test_liouville_lambda_std_is_half_radial(rng):
@@ -82,7 +81,7 @@ def test_reeb_on_sphere(rng):
     r = reeb_vector_field(lam, p)
     # 2(x d_y - y d_x) pattern at (1,0,0,0) -> 2 d_{y1}
     assert np.allclose(r, [0.0, 0.0, 2.0, 0.0], atol=1e-7)
-    assert float(lam.at(p) @ r) == pytest.approx(1.0, abs=1e-8)
+    assert float(eval_one_form(lam, p) @ r) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_reeb_refuses_degenerate():
@@ -101,29 +100,3 @@ def test_liouville_refuses_ill_conditioned():
     assert exc.value.condition_number > 1e10 or not np.isfinite(
         exc.value.condition_number)
 
-
-def test_moser_field_zero_for_equal_forms():
-    lam = lambda_std(1)
-    v = moser_field(lam, lam, lam.chart.point([0.7, -0.2]))
-    assert np.array_equal(v, np.zeros(2))
-
-
-def test_moser_field_solves_difference(rng):
-    n = 1
-    lam = lambda_std(n)
-    # x dy has the same exterior derivative as lambda_std
-    other = OneFormField("xdy", lam.chart, lambda c: np.stack(
-        [np.zeros_like(c[..., 0]), c[..., 0]], axis=-1))
-    p = lam.chart.point([0.4, 0.8])
-    v = moser_field(lam, other, p)
-    # d(lam)(V,.) = lam - other = (-y/2, -x/2); with omega = dx^dy,
-    # omega(V,.) = (V_x dy - V_y dx) -> V = (-x/2, y/2)
-    assert np.allclose(v, [-0.2, 0.4], atol=1e-6)
-
-
-def test_moser_field_rejects_mismatched_derivatives():
-    lam = lambda_std(1)
-    other = OneFormField("2xdy", lam.chart, lambda c: np.stack(
-        [np.zeros_like(c[..., 0]), 2.0 * c[..., 0]], axis=-1))
-    with pytest.raises(DegenerateSystemError):
-        moser_field(lam, other, lam.chart.point([0.4, 0.8]))

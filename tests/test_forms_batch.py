@@ -13,14 +13,11 @@ exception was found when the comparison first ran: the oracle Hamiltonian
 is a BLAS ``np.dot``, which may fuse its multiply-adds, so the batched sum
 of products is held to 4 ulps of the values' scale instead of exactly.
 
-The dilation checks and the Moser field are compared with their own
-per-row results (exactly: one row is the same arithmetic in a batch as on
-its own) and with closed forms.  Lie derivatives of 1-forms with linear
-coefficients along linear fields are held to 1e-9 absolute, like ``d``;
-2-form Lie derivatives difference ``d_matrix`` again with the outer step
-``conditions.H`` = 1e-4, so their round-off is divided by 2e-4 once more
-and they are held to ``conditions.DILATION_TOL`` = 1e-6.  These tolerances
-were fixed before the comparison was run.
+The dilation check is compared with its own per-row results (exactly: one
+row is the same arithmetic in a batch as on its own) and with closed forms.
+Lie derivatives of 1-forms with linear coefficients along linear fields are
+held to 1e-9 absolute, like ``d``.  These tolerances were fixed before the
+comparison was run.
 
 ``central_difference`` calls its function once, on all 2k offsets stacked.
 It is compared bit for bit with the stencil that called the function once
@@ -369,7 +366,7 @@ def test_single_point_is_the_one_row_batch(rng, case):
 
 
 # ---------------------------------------------------------------------------
-# Dilation checks and the Moser field on batches
+# The dilation check on batches
 # ---------------------------------------------------------------------------
 
 def _handle_field(x):
@@ -385,18 +382,8 @@ def _t_dt(x):
     return out
 
 
-def _xdy(n):
-    """x dy on R^2n: the same d as lambda_std(n)."""
-    def ev(c):
-        return np.concatenate([np.zeros_like(c[..., :n]), c[..., :n]], axis=-1)
-    return forms.OneFormField("xdy", darboux_chart(n), ev)
-
-
-DILATIONS = [conditions.check_contact_dilation, conditions.check_two_form_dilation]
-
-
-@pytest.mark.parametrize("check", DILATIONS)
-def test_dilation_batch_is_its_rows(rng, check):
+def test_dilation_batch_is_its_rows(rng):
+    check = conditions.check_contact_dilation
     lam = forms.lambda_std(2)
     p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (3, 4)))
     v = lambda x: 0.5 * x
@@ -425,34 +412,16 @@ def test_lie_derivative_batch_is_its_rows(rng):
         assert np.array_equal(row[0], one)
 
 
-def test_moser_field_batch_is_its_rows():
-    lam = forms.lambda_std(1)
-    # The origin row has beta = beta', so V = 0 there without a solve.
-    p = ChartPoint(lam.chart, np.array([[0.4, 0.8], [0.0, 0.0], [-1.5, 0.3]]))
-    whole = fields.moser_field(lam, _xdy(1), p)
-    rows = [fields.moser_field(lam, _xdy(1), ChartPoint(p.chart, x)) for x in p.coords]
-    assert whole.shape == p.coords.shape
-    assert all(np.array_equal(one, w) for one, w in zip(rows, whole))
-    assert np.array_equal(fields.moser_field(lam, _xdy(1),
-                                             ChartPoint(p.chart, p.coords[:1]))[0],
-                          rows[0])
-    # d(lambda)(V, .) = lambda - x dy = (-y/2, -x/2) with d(lambda) = dx^dy
-    # gives V = (-x/2, y/2).
-    want = np.stack([-0.5 * p.coords[:, 0], 0.5 * p.coords[:, 1]], axis=-1)
-    assert float(np.max(np.abs(whole - want))) <= FIELD_TOL
-    assert np.array_equal(fields.moser_field(lam, lam, p), np.zeros((3, 2)))
-
-
 def _off_chart(rng):
     """Two points on cotangent_chart(1): same dimension as lambda_std(1)'s
     chart, but not that chart."""
     return ChartPoint(cotangent_chart(1), rng.uniform(-1.0, 1.0, (2, 2)))
 
 
-def test_two_form_dilation_refuses_points_on_another_chart(rng):
+def test_contact_dilation_refuses_points_on_another_chart(rng):
     with pytest.raises(ChartMismatchError):
-        conditions.check_two_form_dilation(lambda x: 0.5 * x, forms.lambda_std(1),
-                                           _off_chart(rng))
+        conditions.check_contact_dilation(lambda x: 0.5 * x, forms.lambda_std(1),
+                                          _off_chart(rng))
 
 
 def test_lie_derivative_refuses_points_on_another_chart(rng):
@@ -467,19 +436,6 @@ def test_hamiltonian_field_refuses_points_on_another_chart(rng):
                                         forms.lambda_std(1), _off_chart(rng))
 
 
-def test_moser_field_one_mismatched_row_rejects_the_batch():
-    lam = forms.lambda_std(1)
-    # x^3 dy / 3 has d = x^2 dx^dy, equal to d(lambda) only where x^2 = 1.
-    cubic = forms.OneFormField(
-        "x3dy", lam.chart,
-        lambda c: np.stack([np.zeros_like(c[..., 0]), c[..., 0] ** 3 / 3.0], axis=-1))
-    coords = np.array([[1.0, 0.2], [-1.0, 0.5], [1.0, -0.7]])
-    fields.moser_field(lam, cubic, ChartPoint(lam.chart, coords))  # every row is fine
-    coords[1, 0] = 0.5
-    with pytest.raises(DegenerateSystemError):
-        fields.moser_field(lam, cubic, ChartPoint(lam.chart, coords))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("c", [0.5, -1.3, 2.0])
 def test_lie_derivative_of_radial_field_on_lambda_std(rng, n, c):
@@ -488,7 +444,7 @@ def test_lie_derivative_of_radial_field_on_lambda_std(rng, n, c):
     lam = forms.lambda_std(n)
     p = ChartPoint(lam.chart, rng.uniform(-2.0, 2.0, (COUNT, 2 * n)))
     got = conditions.lie_derivative_one_form(lambda x: c * x, lam, p)
-    assert float(np.max(np.abs(got - 2.0 * c * lam.at(p)))) <= LIE_TOL
+    assert float(np.max(np.abs(got - 2.0 * c * forms.eval_one_form(lam, p)))) <= LIE_TOL
 
 
 MODELS = {
@@ -498,29 +454,24 @@ MODELS = {
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-@pytest.mark.parametrize("check", DILATIONS)
-def test_liouville_models_are_dilated(rng, model, check):
+def test_liouville_models_are_dilated(rng, model):
     # The handle form -theta dz - 2z dtheta + lambda_std is dilated by its
     # Liouville field, and t alpha on the symplectization by t d_t.
     form, draw, field = MODELS[model]
     p = ChartPoint(form.chart, draw(rng, form.chart, COUNT))
-    rep = check(field, form, p)
+    rep = conditions.check_contact_dilation(field, form, p)
     assert rep.passed and rep.samples == COUNT
     assert -conditions.DILATION_TOL < rep.margin <= 0.0
 
 
 def test_wrong_field_fails_with_the_closed_form_residual(rng):
-    # L_{0.4 x} lambda_std = 0.8 lambda_std: the 1-form residual is
-    # -0.2 lambda_std, at most 0.1 max |coord|, and the 2-form residual is
-    # -0.2 d(lambda_std), whose entries are 0 and +-0.2.
+    # L_{0.4 x} lambda_std = 0.8 lambda_std: the residual is -0.2 lambda_std,
+    # at most 0.1 max |coord|.
     lam = forms.lambda_std(2)
     p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (COUNT, 4)))
-    v = lambda x: 0.4 * x
-    one = conditions.check_contact_dilation(v, lam, p)
-    two = conditions.check_two_form_dilation(v, lam, p)
-    assert not one.passed and not two.passed
-    assert abs(one.margin + 0.1 * np.max(np.abs(p.coords))) <= LIE_TOL
-    assert abs(two.margin + 0.2) <= conditions.DILATION_TOL
+    rep = conditions.check_contact_dilation(lambda x: 0.4 * x, lam, p)
+    assert not rep.passed
+    assert abs(rep.margin + 0.1 * np.max(np.abs(p.coords))) <= LIE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +657,17 @@ def test_hamiltonian_field_runs_the_hamiltonian_once(rng):
     assert shapes == [(12, COUNT, 6)]
 
 
-def test_two_form_dilation_runs_the_outer_contraction_once(rng):
-    # The field runs once per call of the outer contraction; the form's
-    # evaluator runs once inside it, on the nested stack, and once more for
-    # d(beta) at the points.
+def test_contact_dilation_runs_each_stencil_once(rng):
+    # The field runs at the points for i_v d(alpha) and once on the stack of
+    # alpha(v); the form's evaluator runs once for d(alpha), once for
+    # alpha(v) and once more for alpha at the points.
     field_shapes, form_shapes = [], []
     lam = forms.lambda_std(2)
     form = forms.OneFormField("lambda_std", lam.chart,
                               _recording(lam.evaluator, form_shapes))
     p = ChartPoint(lam.chart, rng.uniform(-1.0, 1.0, (COUNT, 4)))
-    rep = conditions.check_two_form_dilation(_recording(lambda x: 0.5 * x, field_shapes),
-                                             form, p)
+    rep = conditions.check_contact_dilation(_recording(lambda x: 0.5 * x, field_shapes),
+                                            form, p)
     assert rep.passed
-    assert field_shapes == [(8, COUNT, 4)]
-    assert form_shapes == [(8, 8, COUNT, 4), (8, COUNT, 4)]
+    assert field_shapes == [(COUNT, 4), (8, COUNT, 4)]
+    assert form_shapes == [(8, COUNT, 4), (8, COUNT, 4), (COUNT, 4)]

@@ -24,7 +24,7 @@ OUT = st.one_of(*[st.text("abxyz_019", min_size=1, max_size=6)] * 3, st.just("no
 # are always given.
 SUITE = ["--seed", "--tol", "--samples"]
 FLAGS = {"verify": ["--n", *SUITE], "run": SUITE, "kirby": ["--q", "--k", "--base"],
-         "surgery": ["--n", "--sphere", "--param"], "cover": ["--n", "--power"],
+         "surgery": ["--n", "--param"], "cover": ["--n", "--power"],
          "fibered": ["--n", "--phi", "--psi"], "compose": [], "bogus": []}
 REQUIRED = {"surgery": "--k", "cover": "--q"}
 MODES = {"verify": ["forms", "twist", "equal"], "kirby": ["cover", "surgery", "x"]}

@@ -317,6 +317,17 @@ def test_branched_cover_powers_monodromy():
         branched_cover(m, "elsewhere", 2)
 
 
+def test_constructions_format_no_word(monkeypatch):
+    # The history holds the open books themselves; only ``serialize`` formats
+    # them.
+    calls = []
+    monkeypatch.setattr(MonodromyWord, "__str__", lambda w: calls.append(w) or "w")
+    m = catalog_M_nk(1, 1)
+    branched_cover(branched_cover(m, "binding", 3), "binding", 2)
+    liouville_sum_openbooks(m.open_book, m.open_book)
+    assert calls == []
+
+
 def test_fibered_manifold_identity_label():
     page = disk_cotangent_page(1)
     m = fibered_manifold(page, MonodromyWord(), MonodromyWord())
