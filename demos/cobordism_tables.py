@@ -13,7 +13,7 @@ from contactcalc.cobordism import (Handle, euler_characteristic,
                                    self_linking_liouville,
                                    stein_homology_check, sum_cobordism,
                                    twist_square_smoothly_trivial)
-from contactcalc.surgery import PageSpec, disk_cotangent_page, disk_page
+from contactcalc.surgery import PageSpec, disk_cotangent_page
 
 # Each page k-handle becomes an ambient (k+1)-handle of the sum cobordism.
 page = disk_cotangent_page(1)            # D*S^1: one 0- and one 1-handle

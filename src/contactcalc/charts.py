@@ -17,8 +17,7 @@ elementwise products summed over an axis, not BLAS calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ def first_bad(values, ok) -> float:
     return float(np.asarray(values)[~np.asarray(ok)].flat[0])
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """A scalar constraint g(x)=0 with an analytic gradient; both act on
     coords of shape (..., dim) and return shapes (...) and (..., dim)."""
 
@@ -77,8 +75,7 @@ def unit_norm_constraint(indices: Sequence[int]) -> Constraint:
     return Constraint("unit_norm", value, grad)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """A named chart: ambient coordinates plus optional constraints.
 
     ``dim`` is the ambient coordinate count; the intrinsic dimension is
@@ -148,32 +145,35 @@ def prepend_coords(chart: Chart, extra: Sequence[str], name: str | None = None) 
                  chart.orientation)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class _ChartPoint(NamedTuple):
+    chart: Chart
+    coords: np.ndarray
+
+
+class ChartPoint(_ChartPoint):
     """Points of a chart, one per row of ``coords`` (shape (..., dim)); a
     single point has shape (dim,).  Every row is validated: its coords are
     finite and it lies within ``POINT_TOL`` of each constraint locus, and
     one bad row rejects the whole batch."""
 
-    chart: Chart
-    coords: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", c)
-        if c.ndim == 0 or c.shape[-1] != self.chart.dim:
+    def __new__(cls, chart: Chart, coords):
+        c = np.asarray(coords, dtype=float)
+        if c.ndim == 0 or c.shape[-1] != chart.dim:
             raise DomainError(
-                f"point has {c.shape} coords, chart {self.chart.name} "
-                f"expects {self.chart.dim}")
+                f"point has {c.shape} coords, chart {chart.name} "
+                f"expects {chart.dim}")
         if not np.isfinite(c).all():
-            raise DomainError(f"non-finite coords on {self.chart.name}")
-        for g in self.chart.constraints:
+            raise DomainError(f"non-finite coords on {chart.name}")
+        for g in chart.constraints:
             r = np.abs(g.value(c))
             ok = r <= POINT_TOL
             if not ok.all():
                 raise DomainError(
                     f"constraint {g.name} violated by {first_bad(r, ok):.3e} "
-                    f"on {self.chart.name}")
+                    f"on {chart.name}")
+        return super().__new__(cls, chart, c)
 
     def __repr__(self):
         if self.coords.ndim > 1:

@@ -22,10 +22,7 @@ import argparse
 import sys
 
 from .errors import ContactCalcError, DomainError
-from .kirby import serialize_diagram
 from .reports import DEFAULT_SAMPLES, MAX_TWIST_N, render_report, report_failed
-from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
-                       execute, parse_scenario, run_scenario)
 from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
                       surgery_compose, word)
 
@@ -125,6 +122,9 @@ def _dispatch(args) -> int:
         _emit(text, args.out)
         return 0
 
+    # Imported here, not at the top: ``compose`` needs only ``surgery``.
+    from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
+                           execute, parse_scenario, run_scenario)
     if args.command == "run":
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -137,7 +137,7 @@ def _dispatch(args) -> int:
     # Every other subcommand runs one scenario record through the scenario
     # executor; the catalog manifold, page and words it names are implicit
     # declarations.
-    s, env = Scenario(), {}
+    s, env = Scenario({}, {}, {}, []), {}
     if args.command == "verify":
         if args.suite == "forms" and args.n is not None:
             raise DomainError("verify forms takes no --n")
@@ -167,8 +167,11 @@ def _dispatch(args) -> int:
             raise DomainError("kirby surgery takes no --q or --base")
         cmd = Kirby("surgery", k=-1 if args.k is None else args.k)
     res = execute(cmd, s, env)
-    _emit(serialize_diagram(res) if args.command == "kirby" else res.serialize(),
-          args.out)
+    if args.command == "kirby":
+        from .kirby import serialize_diagram
+        _emit(serialize_diagram(res), args.out)
+    else:
+        _emit(res.serialize(), args.out)
     return 0
 
 

@@ -9,43 +9,49 @@ formula.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .reports import ConditionReport
 
 
-@dataclass(frozen=True)
-class Handle:
+class _Handle(NamedTuple):
     ambient_dim: int
     index: int
     provenance: str = ""
 
-    def __post_init__(self):
+
+class Handle(_Handle):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.index <= self.ambient_dim:
             raise DomainError(
                 f"handle index {self.index} out of range 0..{self.ambient_dim}")
+        return self
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class _HomologyProfile(NamedTuple):
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+class HomologyProfile(_HomologyProfile):
     """Graded abelian groups: per degree a free rank and a canonical
     nondecreasing list of cyclic torsion orders."""
 
-    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, groups):
         fixed = []
-        for rank, torsion in self.groups:
+        for rank, torsion in groups:
             if rank < 0:
                 raise DomainError("negative rank")
             tors = tuple(sorted(torsion))
             if any(t < 2 for t in tors):
                 raise DomainError("torsion orders must be >= 2")
             fixed.append((rank, tors))
-        object.__setattr__(self, "groups", tuple(fixed))
+        return super().__new__(cls, tuple(fixed))
 
     @property
     def top_degree(self) -> int:
@@ -58,6 +64,7 @@ class HomologyProfile:
         return self.groups[degree][1] if 0 <= degree <= self.top_degree else ()
 
     def serialize(self) -> str:
+        import json
         payload = {"groups": [{"degree": d, "rank": r, "torsion": list(t)}
                               for d, (r, t) in enumerate(self.groups)]}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -69,8 +76,7 @@ class HomologyProfile:
         return " ".join(f"H{d}={show(r, t)}" for d, (r, t) in enumerate(self.groups))
 
 
-@dataclass(frozen=True)
-class SteinObstructionReport:
+class SteinObstructionReport(NamedTuple):
     conclusive: bool
     degree: Optional[int] = None
     rank_increase: int = 0

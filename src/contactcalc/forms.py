@@ -28,8 +28,7 @@ those leading axes is refused with ``DomainError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,14 +39,13 @@ from .errors import ChartMismatchError, DomainError
 STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class OneFormField:
+class OneFormField(NamedTuple):
     """A 1-form given by an evaluator mapping coords (..., dim) to covector
     components (..., dim), row by row."""
 
     form_id: str
     chart: Chart
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 def eval_one_form(form: OneFormField, p: ChartPoint) -> np.ndarray:

@@ -5,31 +5,16 @@ Diagrams are combinatorial only — no front projections, no crossing data.
 Contact surgery coefficients are carried as annotations without smooth
 framing arithmetic.
 
-Serialization grammar (line-oriented, UTF-8, tab-separated, newline
-terminated; see also docs/kirby_format.md):
-
-    KIRBY 1
-    BASE
-    <free text, one base-manifold surgery description per line>
-    DOTTED
-    <id> TAB <anchor1> TAB <anchor2>
-    2HANDLES
-    <id> TAB <coefficient> TAB <letter> [TAB <letter> ...]
-    NOTES
-    <free text annotation per line>
-
-where a letter is either ``curve:<label>_<copy>:<+|->`` (a core curve in a
-numbered copy, with orientation sign) or ``dotted:<id>`` (a traversal of a
-dotted handle).  Sections with no entries are still emitted.  Handles are
-sorted by id, so serialization is canonical and byte-stable.  A diagram
-refuses text this grammar cannot carry (docs/kirby_format.md lists it), so
-every serialized diagram parses back.
+The serialization is the line-oriented text format of docs/kirby_format.md:
+a ``KIRBY 1`` header, then the BASE, DOTTED, 2HANDLES and NOTES sections,
+each emitted even when empty.  Handles are sorted by id, so serialization is
+canonical and byte-stable.  A diagram refuses text the format cannot carry
+(the document lists it), so every serialized diagram parses back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -57,25 +42,34 @@ def _splits(text: str) -> bool:
     return not text.isprintable() and ("\t" in text or text.splitlines() != [text])
 
 
-@dataclass(frozen=True)
-class DottedHandle:
+class _DottedHandle(NamedTuple):
     id: str
     anchors: tuple[str, str]
 
-    def __post_init__(self):
+
+class DottedHandle(_DottedHandle):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(map(_splits, (self.id, *self.anchors))) or ":" in self.id:
             raise DomainError(f"dotted handle {self.id!r}: tab or line break, or ':' in id")
         if self.anchors[0] == self.anchors[1]:
             raise DomainError(f"dotted handle {self.id} has equal anchors")
+        return self
 
 
-@dataclass(frozen=True)
-class TwoHandle:
+class _TwoHandle(NamedTuple):
     id: str
     attaching_word: tuple[Letter, ...]
     coefficient: str
 
-    def __post_init__(self):
+
+class TwoHandle(_TwoHandle):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if _splits(self.id) or _splits(self.coefficient):
             raise DomainError(f"2-handle {self.id!r}: tab or line break in a field")
         if not self.attaching_word:
@@ -83,16 +77,21 @@ class TwoHandle:
         for letter in self.attaching_word:
             if letter[0] not in ("curve", "dotted"):
                 raise DomainError(f"bad letter {letter!r} in {self.id}")
+        return self
 
 
-@dataclass(frozen=True)
-class KirbyDiagram:
+class _KirbyDiagram(NamedTuple):
     base_components: tuple[str, ...]
     dotted: tuple[DottedHandle, ...]
     two_handles: tuple[TwoHandle, ...]
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class KirbyDiagram(_KirbyDiagram):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ids = [d.id for d in self.dotted]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate dotted-handle ids")
@@ -117,10 +116,8 @@ class KirbyDiagram:
                 raise DomainError(
                     f"base or note line {line!r} is a section header or "
                     f"holds a line break")
-        object.__setattr__(self, "dotted",
-                           tuple(sorted(self.dotted, key=lambda d: d.id)))
-        object.__setattr__(self, "two_handles",
-                           tuple(sorted(self.two_handles, key=lambda h: h.id)))
+        return self._replace(dotted=tuple(sorted(self.dotted, key=lambda d: d.id)),
+                             two_handles=tuple(sorted(self.two_handles, key=lambda h: h.id)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +218,12 @@ def _letter_from_text(tok: str) -> Letter:
 
 
 def serialize_diagram(d: KirbyDiagram) -> str:
-    lines = [MAGIC, "BASE"]
-    for comp in d.base_components:
-        lines.append(comp)
-    lines.append("DOTTED")
-    for dot in d.dotted:
-        lines.append(f"{dot.id}\t{dot.anchors[0]}\t{dot.anchors[1]}")
+    lines = [MAGIC, "BASE", *d.base_components, "DOTTED"]
+    lines += [f"{dot.id}\t{dot.anchors[0]}\t{dot.anchors[1]}" for dot in d.dotted]
     lines.append("2HANDLES")
-    for h in d.two_handles:
-        toks = [h.id, h.coefficient] + [_letter_to_text(l) for l in h.attaching_word]
-        lines.append("\t".join(toks))
-    lines.append("NOTES")
-    for note in d.notes:
-        lines.append(note)
+    lines += ["\t".join([h.id, h.coefficient, *map(_letter_to_text, h.attaching_word)])
+              for h in d.two_handles]
+    lines += ["NOTES", *d.notes]
     return "\n".join(lines) + "\n"
 
 

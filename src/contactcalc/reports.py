@@ -10,7 +10,7 @@ suite's arguments, without loading the numerical kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -26,8 +26,7 @@ MAX_SAMPLES = 10_000
 MAX_TWIST_N = 7
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of a sampled condition check.
 
     ``margin`` is the smallest signed quantity tested (positive is good);
@@ -45,8 +44,7 @@ class ConditionReport:
                 f"samples={self.samples}")
 
 
-@dataclass(frozen=True)
-class ReportLine:
+class ReportLine(NamedTuple):
     metric: str
     value: float
     tolerance: float

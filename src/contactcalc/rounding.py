@@ -10,7 +10,7 @@ exp(-1/x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def _odd_ramp(s: np.ndarray) -> np.ndarray:
     return np.sign(s) * (a + w * (1.0 - a))
 
 
-@dataclass(frozen=True)
-class RoundingCurve:
+class RoundingCurve(NamedTuple):
     epsilon: float
 
     def z_of(self, s) -> np.ndarray:

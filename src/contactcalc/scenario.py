@@ -22,15 +22,11 @@ scenario's pages, words and open books, each name declared once: a
 redeclaration, an open book named like an earlier command's target, or a
 command target named like an open book, is an E_SYNTAX error at the name (a
 command target may be rebound: commands run in statement order).  Each command
-becomes a frozen record (``Sum``, ``Surgery``, ``Cover``, ``Fibered``,
-``Kirby``, ``Verify``).  Argument counts, keys, names, and integer and boolean
-values are all checked at parse time, so a malformed statement is reported
-before any statement runs or writes a file.  ``execute`` runs one record and
-returns its result: a ``ManifoldDescriptor`` (sum, surgery, cover, fibered), a
-``KirbyDiagram``, a bool (verify equal) or report lines (verify forms|twist);
-the CLI's subcommands run their records through it too.  ``run_scenario``
-executes the records in order and renders each result as report lines; each
-``out=`` path is written once, with the text of its last statement.
+becomes an immutable record (``Sum``, ``Surgery``, ``Cover``, ``Fibered``,
+``Kirby``, ``Verify``) whose argument counts, keys, names, and integer and
+boolean values are all checked at parse time, so a malformed statement is
+reported before any statement runs or writes a file.  ``execute`` runs one
+record, for the CLI's subcommands too; ``run_scenario`` runs them in order.
 
 A key=value value may be double-quoted to hold blanks or '#'
 (``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
@@ -46,11 +42,9 @@ known statement).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ContactCalcError
-from .kirby import branched_cover_diagram, serialize_diagram, surgery_cobordism_diagram
 from .reports import DEFAULT_SAMPLES, check_suite_args, report_failed
 from .surgery import (ManifoldDescriptor, MonodromyWord, OpenBook, PageSpec,
                       branched_cover, contact_surgery, fibered_manifold,
@@ -75,71 +69,74 @@ class Token(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class Command:
-    """A parsed command; ``line``/``col`` locate its first token."""
-
-    line: int = field(default=0, kw_only=True)
-    col: int = field(default=0, kw_only=True)
-
-
-@dataclass(frozen=True)
-class Sum(Command):
+# The command records; ``line``/``col`` locate the command's first token.
+class Sum(NamedTuple):
     left: str
     right: str
     target: str
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Surgery(Command):
+class Surgery(NamedTuple):
     manifold: str
     sphere: str
     k: int
     target: str
     param: str = "std"
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Cover(Command):
+class Cover(NamedTuple):
     manifold: str
     q: int
     target: str
     over: str = "binding"
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Fibered(Command):
+class Fibered(NamedTuple):
     page: str
     phi: str
     psi: str
     target: str
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Kirby(Command):
+class Kirby(NamedTuple):
     mode: str                   # "cover" or "surgery"
     page: Optional[str] = None  # cover mode
     q: Optional[int] = None     # cover mode
     k: Optional[int] = None     # surgery mode
     base: Optional[str] = None
     out: Optional[str] = None
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Verify(Command):
+class Verify(NamedTuple):
     mode: str                   # "equal", "forms" or "twist"
     left: Optional[str] = None  # equal mode
     right: Optional[str] = None
     n: int = 2                  # twist mode
     samples: Optional[int] = None
+    line: int = 0
+    col: int = 0
 
 
-@dataclass
-class Scenario:
-    pages: dict[str, PageSpec] = field(default_factory=dict)
-    words: dict[str, MonodromyWord] = field(default_factory=dict)
-    openbooks: dict[str, OpenBook] = field(default_factory=dict)
-    commands: list[Command] = field(default_factory=list)
+Command = Sum | Surgery | Cover | Fibered | Kirby | Verify
+
+
+class Scenario(NamedTuple):
+    """Declarations by name, and the commands in statement order."""
+
+    pages: dict[str, PageSpec]
+    words: dict[str, MonodromyWord]
+    openbooks: dict[str, OpenBook]
+    commands: list[Command]
 
 
 _LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -398,7 +395,7 @@ def _declare_once(name: str, names, what: str, tok: Token) -> None:
 
 
 def parse_scenario(text: str) -> Scenario:
-    s = Scenario()
+    s = Scenario({}, {}, {}, [])
     declared: set[str] = set()   # open books and command targets so far
     letter_tokens: dict[str, dict[str, Token]] = {}  # word -> label -> token
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -446,16 +443,17 @@ def execute(cmd: Command, s: Scenario, env: dict[str, ManifoldDescriptor],
             return branched_cover(env[cmd.manifold], cmd.over, cmd.q)
         case Fibered():
             return fibered_manifold(s.pages[cmd.page], s.words[cmd.phi], s.words[cmd.psi])
-        case Kirby(mode="cover"):
-            base = (cmd.base,) if cmd.base else ()
-            return branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
         case Kirby():
-            return surgery_cobordism_diagram(cmd.k)
+            # Imported where used, like ``verify`` below: only Kirby records
+            # load the Kirby module, and only verify suites load numpy.
+            from . import kirby
+            if cmd.mode == "cover":
+                base = (cmd.base,) if cmd.base else ()
+                return kirby.branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
+            return kirby.surgery_cobordism_diagram(cmd.k)
         case Verify(mode="equal"):
             return env[cmd.left].word_equals(env[cmd.right])
         case Verify():
-            # Imported here, not at the top: the suites are the only records
-            # that need numpy, and the symbolic commands should not load it.
             from . import verify
             count = samples if cmd.samples is None else cmd.samples
             if cmd.mode == "forms":
@@ -476,13 +474,14 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
     or negative ``tol`` raises ``DomainError`` before any statement runs,
     whether or not the scenario runs a suite.  ``out=`` files are written
     once every statement has run (a run that raises leaves none), each path
-    once with its last text, in the order of the paths' last statements, so
-    ``a`` and an alias ``./a`` end alike; all ``out=`` paths are returned.
+    once with the diagram of its last statement, serialized then, in the
+    order of the paths' last statements, so ``a`` and an alias ``./a`` end
+    alike; all ``out=`` paths are returned.
     """
     check_suite_args(seed, samples, tol)
     env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
     lines: list[str] = []
-    files: list[tuple[str, str]] = []  # (path, text), written once all ran
+    files: list[tuple[str, object]] = []  # (path, diagram), written once all ran
     failed = False
 
     def ok(metric: str, value: str):
@@ -500,7 +499,7 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                     if cmd.out is not None:
                         path = cmd.out if out_dir is None \
                             else f"{out_dir.rstrip('/')}/{cmd.out}"
-                        files.append((path, serialize_diagram(res)))
+                        files.append((path, res))
                         ok("kirby:file", path)
                     else:
                         ok("kirby:dotted", str(len(res.dotted)))
@@ -517,8 +516,9 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                                 f"{type(cmd).__name__.lower()} failed: {exc}") from exc
 
     last = {path: i for i, (path, _) in enumerate(files)}  # each path's last write
-    for path, text in (files[i] for i in sorted(last.values())):
+    for path, diagram in (files[i] for i in sorted(last.values())):
+        from .kirby import serialize_diagram
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(serialize_diagram(diagram))
     return ("".join(line + "\n" for line in lines), (1 if failed else 0),
             [path for path, _ in files])

@@ -16,9 +16,7 @@ entry M(n, -1) and the (1/2)-surgery result.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DomainError
 
@@ -29,19 +27,24 @@ TriState = Optional[bool]
 # Monodromy words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonodromyWord:
-    """Freely reduced word in labeled twist generators."""
-
+class _MonodromyWord(NamedTuple):
     letters: tuple[tuple[str, int], ...] = ()
 
-    def __post_init__(self):
+
+class MonodromyWord(_MonodromyWord):
+    """Freely reduced word in labeled twist generators."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for label, exp in self.letters:
             if exp == 0:
                 raise DomainError(f"zero exponent on letter {label!r}")
         for (a, _), (b, _) in zip(self.letters, self.letters[1:]):
             if a == b:
                 raise DomainError("word is not freely reduced; use reduce_word")
+        return self
 
     def __mul__(self, other: "MonodromyWord") -> "MonodromyWord":
         a, b, i, j = self.letters, other.letters, len(self.letters), 0
@@ -81,15 +84,11 @@ class MonodromyWord:
     @staticmethod
     def raw(letters: Iterable[tuple[str, int]]) -> "MonodromyWord":
         """Bypass the reducedness check (internal; reduced or about to be)."""
-        w = object.__new__(MonodromyWord)
-        object.__setattr__(w, "letters", tuple(letters))
-        return w
+        return tuple.__new__(MonodromyWord, (tuple(letters),))
 
     def __str__(self):
-        if not self.letters:
-            return "id"
         return " ".join(f"{lab}^{exp}" if exp != 1 else lab
-                        for lab, exp in self.letters)
+                        for lab, exp in self.letters) or "id"
 
 
 def word(*letters: tuple[str, int]) -> MonodromyWord:
@@ -111,11 +110,7 @@ def reduce_word(w: MonodromyWord) -> MonodromyWord:
 # Pages and open books
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PageSpec:
-    """A Liouville page: dimension 2n, Weinstein handle counts by index,
-    Stein flag, and the labeled spheres usable as twist supports."""
-
+class _PageSpec(NamedTuple):
     name: str
     half_dim: int
     handles: tuple[tuple[int, int], ...]  # (index, count)
@@ -123,7 +118,15 @@ class PageSpec:
     spheres: tuple[str, ...] = ()
     weak_h2_ok: TriState = None  # H^2(page; R) condition for weak sums
 
-    def __post_init__(self):
+
+class PageSpec(_PageSpec):
+    """A Liouville page: dimension 2n, Weinstein handle counts by index,
+    Stein flag, and the labeled spheres usable as twist supports."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.half_dim < 1:
             raise DomainError("page half_dim must be >= 1")
         for k, count in self.handles:
@@ -136,6 +139,7 @@ class PageSpec:
             raise DomainError("page needs at least one 0-handle")
         if self.stein and not self.handles:
             raise DomainError("a Stein page must carry a handle decomposition")
+        return self
 
     def handle_count(self, index: int) -> int:
         return sum(c for k, c in self.handles if k == index)
@@ -160,17 +164,22 @@ def disk_page(n: int) -> PageSpec:
     return PageSpec(f"D{2 * n}", n, ((0, 1),), True, (), weak_h2_ok=True)
 
 
-@dataclass(frozen=True)
-class OpenBook:
+class _OpenBook(NamedTuple):
     page: PageSpec
     word: MonodromyWord
 
-    def __post_init__(self):
+
+class OpenBook(_OpenBook):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         missing = self.word.labels() - set(self.page.spheres)
         if missing:
             raise DomainError(
                 f"word uses labels {sorted(missing)} absent from page "
                 f"{self.page.name} spheres")
+        return self
 
     @property
     def dim(self) -> int:
@@ -184,20 +193,18 @@ class OpenBook:
 # Fillability flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FillabilityFlags:
+class _FillabilityFlags(NamedTuple):
     weakly: TriState = None
     symplectically: TriState = None
     exactly: TriState = None
     stein: TriState = None
 
-    def __post_init__(self):
-        w, s, e, st = _close(self.weakly, self.symplectically,
-                             self.exactly, self.stein)
-        object.__setattr__(self, "weakly", w)
-        object.__setattr__(self, "symplectically", s)
-        object.__setattr__(self, "exactly", e)
-        object.__setattr__(self, "stein", st)
+
+class FillabilityFlags(_FillabilityFlags):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._make(_close(*super().__new__(cls, *args, **kwargs)))
 
     @staticmethod
     def all_true() -> "FillabilityFlags":
@@ -214,10 +221,7 @@ class FillabilityFlags:
     def as_dict(self) -> dict:
         def show(x: TriState) -> str:
             return "unknown" if x is None else ("true" if x else "false")
-        return {"weakly": show(self.weakly),
-                "symplectically": show(self.symplectically),
-                "exactly": show(self.exactly),
-                "stein": show(self.stein)}
+        return {name: show(x) for name, x in self._asdict().items()}
 
 
 def _close(w: TriState, s: TriState, e: TriState, st: TriState):
@@ -259,8 +263,7 @@ def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
 # Manifold descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(NamedTuple):
     """A symbolic contact manifold: an open book or a glued label, fillability
     flags, and an operation history (which holds a catalog manifold's name).
     History entries may hold open books and words; ``serialize`` formats
@@ -290,6 +293,8 @@ class ManifoldDescriptor:
 
     def serialize(self) -> str:
         """Deterministic structured text (sorted-key JSON)."""
+        import json
+
         def enc(obj):
             if isinstance(obj, OpenBook):
                 return {"kind": "open_book",
@@ -434,7 +439,7 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
             f"branched cover supported over open-book pages/bindings only, "
             f"got {hypersurface!r}")
     if q == 1:
-        return replace(m, history=m.history + (
+        return m._replace(history=m.history + (
             ("branched_cover", hypersurface, 1, "identity"),))
     # The last of the q - 1 sums adds one copy to the other q - 1.
     rest = OpenBook(ob.page, ob.word ** (q - 1))

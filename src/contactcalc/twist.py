@@ -33,8 +33,7 @@ Phi_t and Psi_t.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,16 +65,20 @@ class CotangentPoint(ChartPoint):
     ``ChartPoint``s on ``tstar_chart(n)`` whose ``u`` and ``v`` are views
     of the two halves of ``coords``."""
 
-    def __init__(self, u, v):
+    __slots__ = ()
+
+    def __new__(cls, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if u.shape != v.shape or u.ndim == 0:
             raise DomainError("u and v must be arrays of equal shape (..., n+1)")
-        m = u.shape[-1]
-        super().__init__(tstar_chart(m - 1), np.concatenate([u, v], axis=-1))
-        object.__setattr__(self, "n", m - 1)
-        object.__setattr__(self, "u", self.coords[..., :m])
-        object.__setattr__(self, "v", self.coords[..., m:])
+        return super().__new__(cls, tstar_chart(u.shape[-1] - 1),
+                               np.concatenate([u, v], axis=-1))
+
+    n = property(lambda self: self.coords.shape[-1] // 2 - 1)
+    u = property(lambda self: self.coords[..., :self.n + 1])
+    v = property(lambda self: self.coords[..., self.n + 1:])
+    __getnewargs__ = lambda self: (self.u, self.v)  # noqa: E731 (copy and pickle)
 
 
 def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
@@ -209,11 +212,10 @@ def isotopy_psi(t, p: CotangentPoint) -> CotangentPoint:
 # Numerical pullback of -d(lambda_can)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PullbackResult:
-    frame: np.ndarray = field(repr=False)
-    pulled: np.ndarray = field(repr=False)
-    reference: np.ndarray = field(repr=False)
+class PullbackResult(NamedTuple):
+    frame: np.ndarray
+    pulled: np.ndarray
+    reference: np.ndarray
 
     @property
     def deviations(self) -> np.ndarray:
@@ -250,8 +252,7 @@ def pullback_two_form(map_fn: Callable[[CotangentPoint], CotangentPoint],
     return PullbackResult(frame, minus_dlambda(diff), minus_dlambda(frame))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Measured maximum displacement of boundary points under Phi_t."""
 
     max_displacement: float

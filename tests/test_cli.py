@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from contactcalc import cli
+from contactcalc import scenario
 from contactcalc.cli import main
 from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N
 
@@ -265,7 +265,7 @@ def test_out_of_memory_message(monkeypatch, capsys, exc, err):
     def execute(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "execute", execute)
+    monkeypatch.setattr(scenario, "execute", execute)
     assert main(["cover", "--n", "1", "--q", "2"]) == 2
     assert capsys.readouterr() == ("", err)
 

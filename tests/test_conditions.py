@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -105,7 +104,7 @@ def test_orientation_flip_negates_margin(rng):
     alpha = dz_plus(lambda_std(2))
     p = alpha.chart.point(rng.uniform(-1, 1, 5))
     m = contact_margin(alpha, p)
-    flipped = dataclasses.replace(alpha.chart, orientation=-alpha.chart.orientation)
+    flipped = alpha.chart._replace(orientation=-alpha.chart.orientation)
     assert contact_margin(alpha, flipped.point(p.coords)) == pytest.approx(-m)
 
 

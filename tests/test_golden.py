@@ -47,15 +47,35 @@ def test_golden_report(name, capsysbinary):
     assert got == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _unused_modules(argv: list[str]) -> list[str]:
+    """Modules a golden command prints its bytes without: no command needs
+    ``dataclasses``, ``compose`` needs neither the scenario runner nor the
+    Kirby module, and only ``kirby`` and ``run`` need the Kirby module."""
+    blocked = ["dataclasses"]
+    if argv[0] == "compose":
+        blocked.append("contactcalc.scenario")
+    if argv[0] not in ("kirby", "run"):
+        blocked.append("contactcalc.kirby")
+    return blocked
+
+
 @pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
                                         if argv[0] != "verify"))
 def test_symbolic_golden_without_numpy(name, cli_child):
     # The package imports and the symbolic commands print the same bytes
-    # with numpy unimportable.
-    res = cli_child(CASES[name], blocked=["numpy"])
+    # with numpy, and every module the command does not run, unimportable.
+    res = cli_child(CASES[name], blocked=["numpy", *_unused_modules(CASES[name])])
     got = f"exit {res.status}\n{res.stdout}".encode()
     assert got == (GOLDEN / f"{name}.out").read_bytes()
     assert not any(p.startswith("numpy") for p in res.packages)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
+                                        if argv[0] == "verify"))
+def test_verify_golden_without_unused_modules(name, cli_child):
+    res = cli_child(CASES[name], blocked=_unused_modules(CASES[name]))
+    got = f"exit {res.status}\n{res.stdout}".encode()
+    assert got == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def _openblas_dynamic_arch() -> bool:

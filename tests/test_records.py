@@ -1,0 +1,159 @@
+"""The package's records are ``typing.NamedTuple``s: a field cannot be
+assigned, records with equal fields are equal (and hash alike where every
+field hashes), and each record that checks or normalizes its fields does so
+on construction, refusing bad fields with ``DomainError``."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from contactcalc.charts import Chart, ChartPoint, Constraint, unit_norm_constraint
+from contactcalc.cobordism import Handle, HomologyProfile, SteinObstructionReport
+from contactcalc.errors import DomainError
+from contactcalc.forms import OneFormField
+from contactcalc.kirby import DottedHandle, KirbyDiagram, TwoHandle, curve, traversal
+from contactcalc.reports import ConditionReport, ReportLine
+from contactcalc.rounding import RoundingCurve
+from contactcalc.scenario import (Cover, Fibered, Kirby, Scenario, Sum, Surgery,
+                                  Verify)
+from contactcalc.surgery import (FillabilityFlags, ManifoldDescriptor, MonodromyWord,
+                                 OpenBook, PageSpec)
+from contactcalc.twist import CotangentPoint, ProbeReport, PullbackResult
+
+LINE = Chart("line", ("x",))
+CIRCLE = Chart("circle", ("x", "y"), (unit_norm_constraint([0, 1]),))
+PAGE = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+WORD = MonodromyWord((("a", 1), ("b", -2)))
+BOOK = OpenBook(PAGE, WORD)
+K1 = TwoHandle("h1", (curve("K", 1, 1),), "-1")
+COORDS = np.array([0.5])
+ARRAY = np.zeros((2, 2))
+
+
+def _identity(x):
+    return x
+
+
+# Record type -> the field values of one record.  Two records built from the
+# same values (the same array and function objects) have equal fields.
+RECORDS = {
+    Sum: ("a", "b", "t"),
+    Surgery: ("m", "zero_section", 2, "t"),
+    Cover: ("m", 3, "t"),
+    Fibered: ("page", "phi", "psi", "t"),
+    Kirby: ("cover", "genus1", 2),
+    Verify: ("twist", None, None, 6),
+    Scenario: ({}, {}, {}, []),
+    MonodromyWord: ((("a", 1), ("b", -2)),),
+    PageSpec: ("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
+    OpenBook: (PAGE, WORD),
+    FillabilityFlags: (None, None, True, None),
+    ManifoldDescriptor: (3, BOOK, FillabilityFlags(stein=True), (("catalog", "x"),)),
+    DottedHandle: ("d1", ("p_1", "p_2")),
+    TwoHandle: ("h1", (curve("K", 1, 1), traversal("d1")), "1/2"),
+    KirbyDiagram: (("L(2,1)",), (DottedHandle("d1", ("p_1", "p_2")),), (K1,), ("note",)),
+    Handle: (4, 2, "page 1-handle"),
+    HomologyProfile: (((1, ()), (0, (2,)), (1, ())),),
+    SteinObstructionReport: (True, 4, 1, "detail"),
+    Constraint: ("unit_norm", _identity, _identity),
+    Chart: ("line", ("x",), (), -1),
+    ChartPoint: (LINE, COORDS),
+    OneFormField: ("f", LINE, _identity),
+    ConditionReport: (True, 0.5, 1e-8, 3),
+    ReportLine: ("metric", 1e-9, 1e-8, True, False),
+    PullbackResult: (ARRAY, ARRAY, ARRAY),
+    ProbeReport: (0.25, 0.5),
+    RoundingCurve: (0.1,),
+}
+# Records holding a dict, a list or an array do not hash.
+UNHASHABLE = {Scenario, ChartPoint, PullbackResult}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda t: t.__name__)
+def test_field_cannot_be_assigned(record):
+    rec, first = record(*RECORDS[record]), record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, first, RECORDS[record][0])
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda t: t.__name__)
+def test_equal_fields_give_equal_records(record):
+    a, b = record(*RECORDS[record]), record(*RECORDS[record])
+    assert a is not b and a == b and type(a) is record
+    if record not in UNHASHABLE:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("record", [*RECORDS, CotangentPoint], ids=lambda t: t.__name__)
+def test_copy_rebuilds_the_record(record):
+    fields = ([1.0, 0.0, 0.0], [0.0, 0.5, 0.0]) if record is CotangentPoint \
+        else RECORDS[record]
+    rec = record(*fields)
+    twin = copy.copy(rec)
+    assert type(twin) is record
+    if record is CotangentPoint:   # six coords: compare the arrays
+        assert twin.chart == rec.chart and np.array_equal(twin.coords, rec.coords)
+    else:
+        assert twin == rec
+
+
+def test_cotangent_point_halves_are_read_only_views():
+    p = CotangentPoint([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
+    assert p.n == 2 and p.u.base is p.coords and p.v.tolist() == [0.0, 0.5, 0.0]
+    with pytest.raises(AttributeError):
+        p.u = np.zeros(3)
+
+
+# The checks each record makes on construction: the record, its bad fields.
+REFUSED = [
+    (MonodromyWord, ((("a", 0),),)),
+    (MonodromyWord, ((("a", 1), ("a", 2)),)),
+    (PageSpec, ("p", 0, ((0, 1),), True)),
+    (PageSpec, ("p", 1, ((0, 1), (2, 1)), True)),
+    (PageSpec, ("p", 1, ((0, 0),), True)),
+    (PageSpec, ("p", 1, ((1, 1),), False)),
+    (OpenBook, (PAGE, MonodromyWord((("c", 1),)))),
+    (DottedHandle, ("d\t1", ("p", "q"))),
+    (DottedHandle, ("d:1", ("p", "q"))),
+    (DottedHandle, ("d1", ("p", "p"))),
+    (TwoHandle, ("h1", (curve("K", 1),), "-1\n")),
+    (TwoHandle, ("h1", (), "-1")),
+    (TwoHandle, ("h1", (("arc", "K"),), "-1")),
+    (KirbyDiagram, ((), (DottedHandle("d", ("p", "q")),) * 2, ())),
+    (KirbyDiagram, ((), (), (K1, K1))),
+    (KirbyDiagram, ((), (), (TwoHandle("h", (traversal("d9"),), "1"),))),
+    (KirbyDiagram, ((), (), (TwoHandle("h", (curve("a:b", 1),), "1"),))),
+    (KirbyDiagram, (("DOTTED",), (), ())),
+    (KirbyDiagram, ((), (), (), ("two\nlines",))),
+    (Handle, (4, 5)),
+    (HomologyProfile, (((-1, ()),),)),
+    (HomologyProfile, (((1, (1,)),),)),
+    (ChartPoint, (LINE, [0.0, 1.0])),
+    (ChartPoint, (LINE, [np.nan])),
+    (ChartPoint, (CIRCLE, [1.0, 1.0])),
+    (CotangentPoint, ([1.0, 0.0], [0.0, 1.0, 0.0])),
+    (CotangentPoint, ([1.0, 0.0], [1.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("record,fields", REFUSED,
+                         ids=[f"{r.__name__}-{i}" for i, (r, _) in enumerate(REFUSED)])
+def test_construction_refuses_bad_fields(record, fields):
+    with pytest.raises(DomainError):
+        record(*fields)
+
+
+def test_construction_normalizes_fields():
+    # FillabilityFlags closes its flags, HomologyProfile sorts its torsion,
+    # KirbyDiagram sorts its handles by id and ChartPoint holds float arrays.
+    assert FillabilityFlags(stein=True) == (True, True, True, True)
+    assert FillabilityFlags(weakly=False) == (False, False, False, False)
+    assert HomologyProfile(((0, (4, 2)),)).groups == ((0, (2, 4)),)
+    d = KirbyDiagram((), (DottedHandle("d2", ("p", "q")), DottedHandle("d1", ("p", "q"))),
+                     (TwoHandle("h2", (curve("K", 1),), "1"), K1))
+    assert [h.id for h in d.dotted] == ["d1", "d2"]
+    assert [h.id for h in d.two_handles] == ["h1", "h2"]
+    assert ChartPoint(LINE, [1]).coords.dtype == np.float64

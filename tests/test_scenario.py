@@ -1,6 +1,6 @@
 import pytest
 
-from contactcalc import scenario
+from contactcalc import kirby, scenario
 from contactcalc.cli import main
 from contactcalc.kirby import branched_cover_diagram, serialize_diagram
 from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED,
@@ -96,6 +96,27 @@ def test_repeated_out_path_is_opened_once(tmp_path, monkeypatch):
     text = DECLS + "kirby cover genus1 q=2 out=d.kirby\n" * 5
     _, _, files = run_scenario(parse_scenario(text), out_dir=str(tmp_path))
     assert len(files) == 5 and opened == [f"{tmp_path}/d.kirby"]
+
+
+def test_each_out_path_is_serialized_once(tmp_path, monkeypatch):
+    # A kirby out= statement keeps its diagram; each distinct path's last
+    # diagram is serialized once, when its file is written.
+    serialized = []
+
+    def counted(d):
+        serialized.append(d)
+        return serialize_diagram(d)
+
+    monkeypatch.setattr(kirby, "serialize_diagram", counted)
+    text = DECLS + "".join(f"kirby cover genus1 q={q} out={name}.kirby\n"
+                           for q, name in ((2, "a"), (3, "b"), (4, "a"), (5, "b"), (6, "a")))
+    s = parse_scenario(text)
+    _, _, files = run_scenario(s, out_dir=str(tmp_path))
+    assert files == [f"{tmp_path}/{name}.kirby" for name in "ababa"]
+    assert len(serialized) == 2
+    for name, q in (("a", 6), ("b", 5)):
+        want = serialize_diagram(branched_cover_diagram(s.pages["genus1"], (), q))
+        assert (tmp_path / f"{name}.kirby").read_text() == want
 
 
 def test_kirby_cover_rejects_non_surface_page(tmp_path, monkeypatch, capsys):
