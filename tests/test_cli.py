@@ -155,6 +155,20 @@ def test_bad_counts_exit_2(argv, capsys):
     _one_error_line(captured.err)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "forms", "--n", "3"], "verify forms takes no --n"),
+    (["kirby", "cover", "--k", "5"], "kirby cover takes no --k"),
+    (["kirby", "surgery", "--q", "3"], "kirby surgery takes no --q or --base"),
+    (["kirby", "--base", "foo", "surgery"], "kirby surgery takes no --q or --base"),
+])
+def test_other_mode_flags_are_refused(argv, message, capsys):
+    # A flag that only another mode of the statement reads is refused, and
+    # the message names every such flag of the chosen mode.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_run_rejects_nan_tol(tmp_path, capsys):
     scn = tmp_path / "forms.scn"
     scn.write_text("verify forms samples=5\n")

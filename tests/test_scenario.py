@@ -256,21 +256,27 @@ def test_error_missing_arrow():
     assert e.code == E_ARITY
 
 
-@pytest.mark.parametrize("stmt,code,col", [
-    ("sum ob1 ob2 x=1 -> m", E_ARITY, 13),            # sum takes no keys
-    ("verify equal ob1 ob2 -> m", E_ARITY, 1),        # verify makes nothing
-    ("surgery ob1 -> m", E_ARITY, 1),                 # no keys: points at head
-    ("kirby", E_ARITY, 1),
-    ("kirby bogus", E_SYNTAX, 7),
-    ("verify bogus", E_SYNTAX, 8),
-    ("verify forms n=3", E_ARITY, 14),                # forms has no n
-    ("cover ob1 q=2 -> a b", E_SYNTAX, 15),
-    ("cover ob1 q=2 q=3 -> m", E_ARITY, 15),
-    ("fibered genus1 ta ghost -> f", E_UNDECLARED, 19),
+@pytest.mark.parametrize("stmt,code,col,message", [
+    ("sum ob1 ob2 x=1 -> m", E_ARITY, 13,             # sum takes no keys
+     "unknown key 'x' for sum"),
+    ("verify equal ob1 ob2 -> m", E_ARITY, 1,         # verify makes nothing
+     "verify equal takes no '-> <name>'"),
+    ("surgery ob1 -> m", E_ARITY, 1,                  # no keys: points at head
+     "surgery missing keys: k, sphere"),
+    ("kirby", E_ARITY, 1, "kirby needs a mode: cover|surgery"),
+    ("kirby bogus", E_SYNTAX, 7, "unknown kirby mode 'bogus'"),
+    ("verify", E_ARITY, 1, "verify needs a mode: equal|forms|twist"),
+    ("verify bogus", E_SYNTAX, 8, "unknown verify mode 'bogus'"),
+    ("verify forms n=3", E_ARITY, 14,                 # forms has no n
+     "unknown key 'n' for verify forms"),
+    ("cover ob1 q=2 -> a b", E_SYNTAX, 15, "cover: '->' must be followed by one name"),
+    ("cover ob1 q=2 q=3 -> m", E_ARITY, 15, "duplicate key 'q' for cover"),
+    ("fibered genus1 ta ghost -> f", E_UNDECLARED, 19, "word 'ghost' not declared"),
 ])
-def test_command_errors(stmt, code, col):
+def test_command_errors(stmt, code, col, message):
     e = _err(DECLS + stmt + "\n")
     assert (e.code, e.line, e.col) == (code, 8, col)
+    assert str(e) == f"line 8, col {col}: [{code}] {message}"
 
 
 def test_bad_integer_fails_at_parse_before_any_write(tmp_path, monkeypatch, capsys):
