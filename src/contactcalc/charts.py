@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ChartMismatchError, DomainError
+from .errors import ChartMismatchError, Checked, DomainError
 
 POINT_TOL = 1e-8  # how far a point may lie off a constraint locus (and T*S^n)
 
@@ -150,7 +150,7 @@ class _ChartPoint(NamedTuple):
     coords: np.ndarray
 
 
-class ChartPoint(_ChartPoint):
+class ChartPoint(Checked, _ChartPoint):
     """Points of a chart, one per row of ``coords`` (shape (..., dim)); a
     single point has shape (dim,).  Every row is validated: its coords are
     finite and it lies within ``POINT_TOL`` of each constraint locus, and

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 from .reports import ConditionReport
 
 
@@ -21,7 +21,7 @@ class _Handle(NamedTuple):
     provenance: str = ""
 
 
-class Handle(_Handle):
+class Handle(Checked, _Handle):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -36,7 +36,7 @@ class _HomologyProfile(NamedTuple):
     groups: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-class HomologyProfile(_HomologyProfile):
+class HomologyProfile(Checked, _HomologyProfile):
     """Graded abelian groups: per degree a free rank and a canonical
     nondecreasing list of cyclic torsion orders."""
 

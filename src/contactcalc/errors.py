@@ -1,4 +1,16 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of the records that check their fields."""
+
+
+class Checked:
+    """Base of a ``NamedTuple`` subclass whose ``__new__`` checks or
+    normalizes its fields.  ``NamedTuple._replace`` builds through ``_make``,
+    which skips ``__new__``; here it builds the record again from the
+    replaced fields, passed as ``copy`` passes them (``__getnewargs__``)."""
+
+    __slots__ = ()
+
+    def _replace(self, /, **changes):
+        return type(self)(*super()._replace(**changes).__getnewargs__())
 
 
 class ContactCalcError(Exception):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 
 MAGIC = "KIRBY 1"
 SECTIONS = ("BASE", "DOTTED", "2HANDLES", "NOTES")
@@ -47,7 +47,7 @@ class _DottedHandle(NamedTuple):
     anchors: tuple[str, str]
 
 
-class DottedHandle(_DottedHandle):
+class DottedHandle(Checked, _DottedHandle):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -65,7 +65,7 @@ class _TwoHandle(NamedTuple):
     coefficient: str
 
 
-class TwoHandle(_TwoHandle):
+class TwoHandle(Checked, _TwoHandle):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -87,7 +87,7 @@ class _KirbyDiagram(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-class KirbyDiagram(_KirbyDiagram):
+class KirbyDiagram(Checked, _KirbyDiagram):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -116,8 +116,10 @@ class KirbyDiagram(_KirbyDiagram):
                 raise DomainError(
                     f"base or note line {line!r} is a section header or "
                     f"holds a line break")
-        return self._replace(dotted=tuple(sorted(self.dotted, key=lambda d: d.id)),
-                             two_handles=tuple(sorted(self.two_handles, key=lambda h: h.id)))
+        # The unchecked replace: the checked one would build through here again.
+        return _KirbyDiagram._replace(
+            self, dotted=tuple(sorted(self.dotted, key=lambda d: d.id)),
+            two_handles=tuple(sorted(self.two_handles, key=lambda h: h.id)))
 
 
 # ---------------------------------------------------------------------------

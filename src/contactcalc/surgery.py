@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 
 TriState = Optional[bool]
 
@@ -31,7 +31,7 @@ class _MonodromyWord(NamedTuple):
     letters: tuple[tuple[str, int], ...] = ()
 
 
-class MonodromyWord(_MonodromyWord):
+class MonodromyWord(Checked, _MonodromyWord):
     """Freely reduced word in labeled twist generators."""
 
     __slots__ = ()
@@ -119,7 +119,7 @@ class _PageSpec(NamedTuple):
     weak_h2_ok: TriState = None  # H^2(page; R) condition for weak sums
 
 
-class PageSpec(_PageSpec):
+class PageSpec(Checked, _PageSpec):
     """A Liouville page: dimension 2n, Weinstein handle counts by index,
     Stein flag, and the labeled spheres usable as twist supports."""
 
@@ -169,7 +169,7 @@ class _OpenBook(NamedTuple):
     word: MonodromyWord
 
 
-class OpenBook(_OpenBook):
+class OpenBook(Checked, _OpenBook):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -200,7 +200,7 @@ class _FillabilityFlags(NamedTuple):
     stein: TriState = None
 
 
-class FillabilityFlags(_FillabilityFlags):
+class FillabilityFlags(Checked, _FillabilityFlags):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

@@ -43,7 +43,7 @@ RECORDS = {
     Cover: ("m", 3, "t"),
     Fibered: ("page", "phi", "psi", "t"),
     Kirby: ("cover", "genus1", 2),
-    Verify: ("twist", None, None, 6),
+    Verify: ("twist", None, None, (("n", 6),)),
     Scenario: ({}, {}, {}, []),
     MonodromyWord: ((("a", 1), ("b", -2)),),
     PageSpec: ("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
@@ -157,3 +157,41 @@ def test_construction_normalizes_fields():
     assert [h.id for h in d.dotted] == ["d1", "d2"]
     assert [h.id for h in d.two_handles] == ["h1", "h2"]
     assert ChartPoint(LINE, [1]).coords.dtype == np.float64
+
+
+# ``_replace`` builds the record again from the replaced fields, so it refuses
+# what construction refuses.  A CotangentPoint is built from (u, v), so its
+# bad coords stand in for its entry above.
+REPLACED = [(r, dict(zip(r._fields, f))) for r, f in REFUSED if r is not CotangentPoint]
+REPLACED.append((CotangentPoint, {"coords": np.array([1.0, 1.0, 0.0, 0.0, 0.5, 0.0])}))
+
+
+@pytest.mark.parametrize("record,changes", REPLACED,
+                         ids=[f"{r.__name__}-{i}" for i, (r, _) in enumerate(REPLACED)])
+def test_replace_refuses_bad_fields(record, changes):
+    rec = record(*RECORDS.get(record, ([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])))
+    with pytest.raises(DomainError):
+        rec._replace(**changes)
+
+
+@pytest.mark.parametrize("flags,changes", [
+    (FillabilityFlags(stein=True), {"weakly": False}),
+    (FillabilityFlags(stein=True), {"stein": None}),
+    (FillabilityFlags(weakly=False), {"stein": True}),
+    (FillabilityFlags(), {"exactly": True}),
+    (FillabilityFlags(), {"symplectically": False}),
+])
+def test_replace_keeps_flags_closed(flags, changes):
+    replaced = flags._replace(**changes)
+    assert type(replaced) is FillabilityFlags
+    assert replaced == FillabilityFlags(**{**flags._asdict(), **changes})
+
+
+def test_replace_normalizes_fields():
+    assert HomologyProfile(((0, ()),))._replace(groups=((0, (4, 2)),)).groups == ((0, (2, 4)),)
+    d = KirbyDiagram((), (), (K1,))._replace(
+        dotted=(DottedHandle("d2", ("p", "q")), DottedHandle("d1", ("p", "q"))))
+    assert [h.id for h in d.dotted] == ["d1", "d2"]
+    p = CotangentPoint([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])._replace(
+        coords=np.array([0.0, 1.0, 0.0, 0.0, 0.0, 2.0]))
+    assert type(p) is CotangentPoint and p.v.tolist() == [0.0, 0.0, 2.0]
