@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    verify forms | verify twist   numerical verification reports
+    verify <suite>                a verification report (a suite of reports.SUITES)
     compose                       compose twist powers / surgery coefficients
     surgery                       contact (1/k)-surgery on a catalog manifold
     cover                         cyclic branched cover over an open-book binding
@@ -22,14 +22,13 @@ import argparse
 import sys
 
 from .errors import ContactCalcError, DomainError
-from .reports import DEFAULT_SAMPLES, MAX_TWIST_N, render_report, report_failed
+from .reports import DEFAULT_SAMPLES, MAX_TWIST_N, SUITES, render_report, report_failed
 from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
                       surgery_compose, word)
 
 
 def _add_common(p: argparse.ArgumentParser, verifies: bool = False):
-    """--out everywhere; --seed, --tol and --samples only on the subcommands
-    that run verify suites, which are the only ones that read them."""
+    """--out everywhere; --seed, --tol and --samples where verify suites run."""
     if verifies:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--tol", type=float, default=None,
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=["forms", "twist"])
+    pv.add_argument("suite", choices=SUITES)
     pv.add_argument("--n", type=int, default=None,
                     help=f"sphere dimension (twist only, default 2, at most "
                          f"{MAX_TWIST_N}: memory is cubic in n)")
@@ -107,8 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
-              file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 
@@ -124,13 +122,11 @@ def _dispatch(args) -> int:
 
     # Imported here, not at the top: ``compose`` needs only ``surgery``.
     from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
-                           execute, parse_scenario, run_scenario)
+                           execute, parse_scenario, run_scenario, statement_modes)
     if args.command == "run":
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        scenario = parse_scenario(text)
-        report, status, _files = run_scenario(scenario, args.seed, args.tol,
-                                              args.samples)
+            scenario = parse_scenario(fh.read())
+        report, status, _ = run_scenario(scenario, args.seed, args.tol, args.samples)
         _emit(report, args.out)
         return status
 
@@ -138,10 +134,18 @@ def _dispatch(args) -> int:
     # executor; the catalog manifold, page and words it names are implicit
     # declarations.
     s, env = Scenario({}, {}, {}, []), {}
+    if args.command in ("verify", "kirby"):
+        # Refuse flags that another mode reads as statement keys, this one not.
+        mode = args.suite if args.command == "verify" else args.mode
+        modes = statement_modes(args.command)
+        foreign = [k for k in vars(args) if k not in modes[mode][2]
+                   and any(k in schema[2] for schema in modes.values())]
+        if any(getattr(args, k) is not None for k in foreign):
+            raise DomainError(f"{args.command} {mode} takes no "
+                              + " or ".join(f"--{k}" for k in foreign))
     if args.command == "verify":
-        if args.suite == "forms" and args.n is not None:
-            raise DomainError("verify forms takes no --n")
-        cmd = Verify(args.suite) if args.n is None else Verify(args.suite, n=args.n)
+        cmd = Verify(args.suite, keys=tuple((k, v) for k, v in vars(args).items()
+                                            if k in SUITES[args.suite][2] and v is not None))
         rep = execute(cmd, s, env, args.seed, args.tol, args.samples)
         _emit(render_report(rep), args.out)
         return 1 if report_failed(rep) else 0
@@ -158,13 +162,9 @@ def _dispatch(args) -> int:
                        psi=word((ZERO_SECTION, args.psi)))
         cmd = Fibered("page", "phi", "psi", "m")
     elif args.mode == "cover":
-        if args.k is not None:
-            raise DomainError("kirby cover takes no --k")
         s.pages["genus1"] = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
         cmd = Kirby("cover", "genus1", 2 if args.q is None else args.q, base=args.base)
     else:
-        if args.q is not None or args.base is not None:
-            raise DomainError("kirby surgery takes no --q or --base")
         cmd = Kirby("surgery", k=-1 if args.k is None else args.k)
     res = execute(cmd, s, env)
     if args.command == "kirby":

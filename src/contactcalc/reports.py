@@ -2,9 +2,9 @@
 
 ``ConditionReport`` is the outcome of a sampled condition check (numerical in
 ``conditions``, combinatorial in ``cobordism``); ``ReportLine`` is one line of
-a verify suite's report.  This module imports no numpy, so the symbolic
-commands and the scenario runner can render and judge reports, and check a
-suite's arguments, without loading the numerical kernel.
+a verify suite's report, and ``SUITES`` names the suites.  This module imports
+no numpy, so the CLI and the scenario runner can look suites up, check their
+arguments, and render and judge reports without loading the numerical kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ MAX_SAMPLES = 10_000
 # memory grows like samples * (n+1)^3 (about 285 MB at n = 7 and the sample
 # cap), and the paper needs n <= 6.
 MAX_TWIST_N = 7
+# Verify suite -> the module and function that run it as function(seed=, tol=,
+# samples=, **keys), and the int keys it takes besides ``samples``.
+SUITES = {"forms": ("contactcalc.verify", "verify_forms", ()),
+          "twist": ("contactcalc.verify", "verify_twist", ("n",))}
 
 
 class ConditionReport(NamedTuple):

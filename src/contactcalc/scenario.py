@@ -14,8 +14,7 @@ Grammar (one statement per line; '#' starts a comment; blank lines skipped):
     kirby cover <page> q=<int> [base=<text>|base="<text with blanks>"] [out=<path>]
     kirby surgery k=<int> [out=<path>]
     verify equal <manifold> <manifold>
-    verify forms [samples=<int>]
-    verify twist [n=<int>] [samples=<int>]
+    verify <suite> [samples=<int>] [<key>=<int> ...]   (suites: reports.SUITES)
 
 ``parse_scenario`` reads each statement once.  Declarations fill the
 scenario's pages, words and open books, each name declared once: a
@@ -41,11 +40,12 @@ known statement).
 
 from __future__ import annotations
 
+import importlib
 import re
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ContactCalcError
-from .reports import DEFAULT_SAMPLES, check_suite_args, report_failed
+from .reports import DEFAULT_SAMPLES, SUITES, check_suite_args, report_failed
 from .surgery import (ManifoldDescriptor, MonodromyWord, OpenBook, PageSpec,
                       branched_cover, contact_surgery, fibered_manifold,
                       liouville_sum_openbooks, open_book_descriptor, reduce_word)
@@ -58,9 +58,7 @@ E_ARITY = "E_ARITY"
 class ScenarioError(ContactCalcError):
     def __init__(self, code: str, line: int, col: int, message: str):
         super().__init__(f"line {line}, col {col}: [{code}] {message}")
-        self.code = code
-        self.line = line
-        self.col = col
+        self.code, self.line, self.col = code, line, col
 
 
 class Token(NamedTuple):
@@ -118,11 +116,10 @@ class Kirby(NamedTuple):
 
 
 class Verify(NamedTuple):
-    mode: str                   # "equal", "forms" or "twist"
+    mode: str                   # "equal" or a suite of ``SUITES``
     left: Optional[str] = None  # equal mode
     right: Optional[str] = None
-    n: int = 2                  # twist mode
-    samples: Optional[int] = None
+    keys: tuple[tuple[str, int], ...] = ()  # (key, value) a suite statement set
     line: int = 0
     col: int = 0
 
@@ -176,17 +173,10 @@ def _kv(tok: Token) -> Optional[tuple[str, str]]:
     return None
 
 
-# A token and its ``_kv`` split, taken once per token of a statement.
-_Split = tuple[Token, Optional[tuple[str, str]]]
-
-
-# A value converter takes (value text, its token, what it is) and returns the
-# converted value or raises a positioned E_SYNTAX.
-_Converter = Callable[[str, Token, str], object]
-
-
-def _parse_kvs(toks: list[_Split], keys: dict[str, _Converter], required: set[str],
-               stmt: str, head: Token) -> dict[str, object]:
+def _parse_kvs(toks: list[tuple[Token, Optional[tuple[str, str]]]], keys: dict[str, Callable],
+               required: set[str], stmt: str, head: Token) -> dict[str, object]:
+    """The values of ``toks``, each token with its ``_kv`` split; ``keys[key]``
+    converts (value text, its token, the key) or raises a positioned E_SYNTAX."""
     out: dict[str, object] = {}
     for tok, pair in toks:
         if pair is None:
@@ -318,24 +308,35 @@ def _parse_openbook(s: Scenario, toks: list[Token],
     return name, OpenBook(page, w)
 
 
-# (statement, mode) -> record type, the kind of each positional name, the
-# keys with their value converters, the required keys, and whether the
-# statement ends in '-> <name>'.  A "manifold" is an open book or the target
-# of an earlier command.
-_SCHEMAS: dict[tuple[str, Optional[str]], tuple] = {
-    ("sum", None): (Sum, ("open book", "open book"), {}, set(), True),
-    ("surgery", None): (Surgery, ("manifold",),
-                        {"sphere": _str, "k": _int, "param": _str}, {"sphere", "k"}, True),
-    ("cover", None): (Cover, ("manifold",), {"q": _int, "over": _str}, {"q"}, True),
-    ("fibered", None): (Fibered, ("page", "word", "word"), {}, set(), True),
-    ("kirby", "cover"): (Kirby, ("page",),
-                         {"q": _int, "base": _str, "out": _str}, {"q"}, False),
-    ("kirby", "surgery"): (Kirby, (), {"k": _int, "out": _str}, {"k"}, False),
-    ("verify", "equal"): (Verify, ("manifold", "manifold"), {}, set(), False),
-    ("verify", "forms"): (Verify, (), {"samples": _int}, set(), False),
-    ("verify", "twist"): (Verify, (), {"n": _int, "samples": _int}, set(), False),
+# Statement -> mode (None: it has none) -> record type, the kind of each
+# positional name, the keys with their value converters, the required keys,
+# and whether it ends in '-> <name>'.  A "manifold" is an open book or the
+# target of an earlier command; ``statement_modes`` adds verify's suites.
+_SCHEMAS: dict[str, dict[Optional[str], tuple]] = {
+    "sum": {None: (Sum, ("open book", "open book"), {}, set(), True)},
+    "surgery": {None: (Surgery, ("manifold",),
+                       {"sphere": _str, "k": _int, "param": _str}, {"sphere", "k"}, True)},
+    "cover": {None: (Cover, ("manifold",), {"q": _int, "over": _str}, {"q"}, True)},
+    "fibered": {None: (Fibered, ("page", "word", "word"), {}, set(), True)},
+    "kirby": {"cover": (Kirby, ("page",), {"q": _int, "base": _str, "out": _str},
+                        {"q"}, False),
+              "surgery": (Kirby, (), {"k": _int, "out": _str}, {"k"}, False)},
+    "verify": {"equal": (Verify, ("manifold", "manifold"), {}, set(), False)},
 }
-_MODES = {"kirby": "cover|surgery", "verify": "equal|forms|twist"}
+
+
+def _suite(mode: str, line: int, col: int, **keys: int) -> Verify:
+    return Verify(mode, keys=tuple(sorted(keys.items())), line=line, col=col)
+
+
+def statement_modes(statement: str) -> dict[Optional[str], tuple]:
+    """The schema of each mode of a command statement; verify's suites are
+    read from ``SUITES`` here, so that table is their one list."""
+    if statement != "verify":
+        return _SCHEMAS[statement]
+    return {**_SCHEMAS["verify"], **{
+        name: (_suite, (), dict.fromkeys(("samples", *keys), _int), set(), False)
+        for name, (_, _, keys) in SUITES.items()}}
 
 
 def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Command:
@@ -354,18 +355,17 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
             break
     split = [(tok, _kv(tok)) for tok in toks[1:]]
     pos = [t for t, pair in split if pair is None]
-    mode = None
-    if head.text in _MODES:
+    modes, mode = statement_modes(head.text), None
+    if None not in modes:
         if not pos:
             raise ScenarioError(E_ARITY, head.line, head.col,
-                                f"{head.text} needs a mode: {_MODES[head.text]}")
+                                f"{head.text} needs a mode: {'|'.join(modes)}")
         mode_tok = pos.pop(0)
-        mode = mode_tok.text
-        if (head.text, mode) not in _SCHEMAS:
+        if (mode := mode_tok.text) not in modes:
             raise ScenarioError(E_SYNTAX, mode_tok.line, mode_tok.col,
                                 f"unknown {head.text} mode {mode!r}")
     stmt = head.text if mode is None else f"{head.text} {mode}"
-    record, kinds, keys, required, makes = _SCHEMAS[head.text, mode]
+    record, kinds, keys, required, makes = modes[mode]
     if len(pos) != len(kinds):
         raise ScenarioError(E_ARITY, head.line, head.col, f"{stmt} takes "
                             + (" ".join(f"<{k}>" for k in kinds) or "no names"))
@@ -416,7 +416,7 @@ def parse_scenario(text: str) -> Scenario:
             _declare_once(name, declared, "open book or command target", toks[1])
             s.openbooks[name] = ob
             declared.add(name)
-        elif head.text in ("sum", "surgery", "cover", "fibered", "kirby", "verify"):
+        elif head.text in _SCHEMAS:
             s.commands.append(_parse_command(toks, s, declared))
         else:
             raise ScenarioError(E_SYNTAX, head.line, head.col,
@@ -444,8 +444,7 @@ def execute(cmd: Command, s: Scenario, env: dict[str, ManifoldDescriptor],
         case Fibered():
             return fibered_manifold(s.pages[cmd.page], s.words[cmd.phi], s.words[cmd.psi])
         case Kirby():
-            # Imported where used, like ``verify`` below: only Kirby records
-            # load the Kirby module, and only verify suites load numpy.
+            # Imported where used, as suites are: only Kirby records load it.
             from . import kirby
             if cmd.mode == "cover":
                 base = (cmd.base,) if cmd.base else ()
@@ -454,11 +453,9 @@ def execute(cmd: Command, s: Scenario, env: dict[str, ManifoldDescriptor],
         case Verify(mode="equal"):
             return env[cmd.left].word_equals(env[cmd.right])
         case Verify():
-            from . import verify
-            count = samples if cmd.samples is None else cmd.samples
-            if cmd.mode == "forms":
-                return verify.verify_forms(seed, tol, count)
-            return verify.verify_twist(cmd.n, seed, tol, count)
+            module, function, _ = SUITES[cmd.mode]
+            suite = getattr(importlib.import_module(module), function)
+            return suite(seed=seed, tol=tol, **{"samples": samples, **dict(cmd.keys)})
     raise AssertionError(f"unhandled record {cmd!r}")
 
 

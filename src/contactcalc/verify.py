@@ -90,8 +90,7 @@ def verify_twist(n: int = 2, seed: int = 0, tol: float | None = None,
     them through the twist maps as one batch.  ``tol=None`` means 1e-5."""
     check_suite_args(seed, samples, tol)
     if not 1 <= n <= MAX_TWIST_N:
-        raise DomainError(
-            f"twist sphere dimension n must be in 1..{MAX_TWIST_N}, got {n}")
+        raise DomainError(f"twist sphere dimension n must be in 1..{MAX_TWIST_N}, got {n}")
     if tol is None:
         tol = 1e-5
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ import pytest
 
 from contactcalc import scenario
 from contactcalc.cli import main
-from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N
+from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N, SUITES, ReportLine
 
 DEMO = pathlib.Path(__file__).parent.parent / "demos" / "branched_cover_l21.scn"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -167,6 +167,29 @@ def test_other_mode_flags_are_refused(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def stub_report(seed, tol, samples, m=4):
+    """A suite with one key of its own, ``m``, that echoes its arguments."""
+    return [ReportLine(f"stub_m{m}_samples{samples}", float(seed), 1.0, tol is None)]
+
+
+def test_a_suite_is_one_table_entry(monkeypatch, capsys):
+    # The table entry alone makes the suite a CLI choice, a scenario
+    # statement with its own keys, and a mode whose foreign flags are refused.
+    monkeypatch.setitem(SUITES, "stub", (__name__, "stub_report", ("m",)))
+    assert main(["verify", "stub", "--samples", "3", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == "stub_m4_samples3\t2.000000e+00\t1.0e+00\tPASS\n"
+    report, status, _ = scenario.run_scenario(
+        scenario.parse_scenario("verify stub m=7\nverify stub samples=2\n"), samples=5)
+    assert (report, status) == ("stub_m7_samples5\t0.000000e+00\t1.0e+00\tPASS\n"
+                                "stub_m4_samples2\t0.000000e+00\t1.0e+00\tPASS\n", 0)
+    with pytest.raises(scenario.ScenarioError) as exc:
+        scenario.parse_scenario("verify stub n=3\n")
+    assert (exc.value.code, str(exc.value)) == (
+        scenario.E_ARITY, "line 1, col 13: [E_ARITY] unknown key 'n' for verify stub")
+    assert main(["verify", "stub", "--n", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: verify stub takes no --n\n")
 
 
 def test_run_rejects_nan_tol(tmp_path, capsys):

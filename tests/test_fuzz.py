@@ -9,6 +9,7 @@ import pathlib
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from contactcalc.cli import main
+from contactcalc.reports import SUITES
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -27,7 +28,8 @@ FLAGS = {"verify": ["--n", *SUITE], "run": SUITE, "kirby": ["--q", "--k", "--bas
          "surgery": ["--n", "--param"], "cover": ["--n", "--power"],
          "fibered": ["--n", "--phi", "--psi"], "compose": [], "bogus": []}
 REQUIRED = {"surgery": "--k", "cover": "--q"}
-MODES = {"verify": ["forms", "twist", "equal"], "kirby": ["cover", "surgery", "x"]}
+# Every suite of the table is fuzzed, with each key it takes.
+MODES = {"verify": [*SUITES, "equal"], "kirby": ["cover", "surgery", "x"]}
 
 DECLS = ("page pg dim=2 handles=[0:1,1:2] stein=true spheres=[a,b]\n"
          "word w = a b^-2\n"
@@ -37,8 +39,9 @@ TARGET = st.sampled_from(["m", "t", "u"])
 GOOD = ["sum ob ob -> {t}", "surgery {m} sphere={s} k={i} -> {t}",
         "cover {m} q={i} over=binding -> {t}", "fibered pg w w -> {t}",
         "kirby cover pg q={i} out={o}", "kirby surgery k={i}",
-        "verify equal {m} {m2}", "verify forms samples={i}",
-        "verify twist n={i} samples={i}"]
+        "verify equal {m} {m2}",
+        *(f"verify {name} " + "".join(f"{key}={{i}} " for key in keys) + "samples={i}"
+          for name, (_, _, keys) in SUITES.items())]
 JUNK = st.one_of(MANIFOLD, VALUE, st.sampled_from(
     ["->", "=", "(pg,", "w)", "pg", "w", "sum", "cover", "kirby", "verify", "page",
      "word", "openbook", "k=abc", "q=2", "n=1", "samples=1", "sphere=a", "out=nodir/x"]))
