@@ -119,7 +119,7 @@ class Verify(NamedTuple):
     mode: str                   # "equal" or a suite of ``SUITES``
     left: Optional[str] = None  # equal mode
     right: Optional[str] = None
-    keys: tuple[tuple[str, int], ...] = ()  # (key, value) a suite statement set
+    keys: tuple[tuple[str, int], ...] = ()  # (key, value) pairs its statement set
     line: int = 0
     col: int = 0
 

@@ -256,7 +256,7 @@ def test_error_missing_arrow():
     assert e.code == E_ARITY
 
 
-@pytest.mark.parametrize("stmt,code,col,message", [
+COMMAND_ERRORS = [
     ("sum ob1 ob2 x=1 -> m", E_ARITY, 13,             # sum takes no keys
      "unknown key 'x' for sum"),
     ("verify equal ob1 ob2 -> m", E_ARITY, 1,         # verify makes nothing
@@ -272,7 +272,11 @@ def test_error_missing_arrow():
     ("cover ob1 q=2 -> a b", E_SYNTAX, 15, "cover: '->' must be followed by one name"),
     ("cover ob1 q=2 q=3 -> m", E_ARITY, 15, "duplicate key 'q' for cover"),
     ("fibered genus1 ta ghost -> f", E_UNDECLARED, 19, "word 'ghost' not declared"),
-])
+]
+
+
+@pytest.mark.parametrize("stmt,code,col,message", COMMAND_ERRORS,
+                         ids=[f"{stmt}-{code}-{col}" for stmt, code, col, _ in COMMAND_ERRORS])
 def test_command_errors(stmt, code, col, message):
     e = _err(DECLS + stmt + "\n")
     assert (e.code, e.line, e.col) == (code, 8, col)
