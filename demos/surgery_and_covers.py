@@ -24,7 +24,8 @@ after = contact_surgery(std, ZERO_SECTION, -1)
 print("\n(1/-1)-surgery on M(2,1):", after.word,
       "== M(2,2)?", after.word_equals(catalog_M_nk(2, 2)))
 
-# (1/2)-surgery destroys fillability outright.
+# (1/2)-surgery on M(2,1) lands on tau^-1, the catalog's non-fillable M(2,-1):
+# flags follow the resulting open book, not the surgery coefficient.
 bad = contact_surgery(std, ZERO_SECTION, 2)
 print("(1/2)-surgery flags:", bad.flags.as_dict())
 

@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from .errors import ContactCalcError, DomainError
-from .reports import DEFAULT_SAMPLES, MAX_TWIST_N, SUITES, render_report, report_failed
+from .reports import DEFAULT_SAMPLES, SUITES, render_report, report_failed
 from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
                       surgery_compose, word)
 
@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
+    takers = ", ".join(s for s, (_, _, keys) in SUITES.items() if "n" in keys)
     pv.add_argument("--n", type=int, default=None,
-                    help=f"sphere dimension (twist only, default 2, at most "
-                         f"{MAX_TWIST_N}: memory is cubic in n)")
+                    help=f"sphere dimension (default: the suite's own), for {takers}")
     _add_common(pv, verifies=True)
 
     pc = sub.add_parser("compose", help="compose surgery coefficients / twist powers")

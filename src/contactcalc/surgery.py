@@ -6,16 +6,17 @@ free reduction is imposed (no braid or chain relations), so word equality is
 a sufficient — not necessary — criterion for equality of open books.  Every
 ``MonodromyWord`` is freely reduced; products cancel only where two words meet.
 
-Fillability flags are tri-state (True / False / None=unknown).  The
-propagation rules are one-directional: fillable + fillable stays fillable
-(with the Stein case additionally requiring a Stein page, and the weak case
-requiring dimension 3 or a cohomological H^2 condition on the page); absence
-of a theorem never produces False.  False appears only for the catalog
-entry M(n, -1) and the (1/2)-surgery result.
+Fillability flags are tri-state (True / False / None=unknown) facts about a
+manifold.  One rule, ``default_open_book_flags``, reads them off each
+construction's resulting open book (False only for (D*S^n, tau^-1) = M(n, -1))
+and otherwise keeps what propagates: fillable + fillable stays fillable (Stein
+only on a Stein page, weak in dimension 3 or under an H^2 condition on the
+page), and absence of a theorem never produces False.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import Checked, DomainError
@@ -137,8 +138,6 @@ class PageSpec(Checked, _PageSpec):
                 raise DomainError("handle count must be positive")
         if not any(k == 0 for k, _ in self.handles):
             raise DomainError("page needs at least one 0-handle")
-        if self.stein and not self.handles:
-            raise DomainError("a Stein page must carry a handle decomposition")
         return self
 
     def handle_count(self, index: int) -> int:
@@ -203,8 +202,8 @@ class _FillabilityFlags(NamedTuple):
 class FillabilityFlags(Checked, _FillabilityFlags):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        return cls._make(_close(*super().__new__(cls, *args, **kwargs)))
+    def __new__(cls, weakly=None, symplectically=None, exactly=None, stein=None):
+        return tuple.__new__(cls, _close(weakly, symplectically, exactly, stein))
 
     @staticmethod
     def all_true() -> "FillabilityFlags":
@@ -213,10 +212,6 @@ class FillabilityFlags(Checked, _FillabilityFlags):
     @staticmethod
     def all_false() -> "FillabilityFlags":
         return FillabilityFlags(False, False, False, False)
-
-    @staticmethod
-    def unknown() -> "FillabilityFlags":
-        return FillabilityFlags()
 
     def as_dict(self) -> dict:
         def show(x: TriState) -> str:
@@ -242,21 +237,15 @@ def _close(w: TriState, s: TriState, e: TriState, st: TriState):
     return w, s, e, st
 
 
-def _both(a: TriState, b: TriState) -> TriState:
-    """True only when both inputs are known True; otherwise unknown."""
-    return True if (a is True and b is True) else None
-
-
 def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
                           page_stein: bool, dim: int,
                           weak_h2_ok: TriState) -> FillabilityFlags:
-    """Flags of a Liouville sum along a page shared by two manifolds."""
-    exactly = _both(f1.exactly, f2.exactly)
-    symplectically = _both(f1.symplectically, f2.symplectically)
-    stein = _both(f1.stein, f2.stein) if page_stein else None
-    weak_ok = (dim == 3) or (weak_h2_ok is True)
-    weakly = _both(f1.weakly, f2.weakly) if weak_ok else None
-    return FillabilityFlags(weakly, symplectically, exactly, stein)
+    """Flags of a Liouville sum along a page shared by two manifolds: True in
+    each sense both are known fillable in and a sum keeps (weakly in dim 3 or
+    under the H^2 condition, Stein on a Stein page); otherwise unknown."""
+    kept = (dim == 3 or weak_h2_ok is True, True, True, page_stein)
+    return FillabilityFlags(*(True if a is True and b is True and ok else None
+                              for a, b, ok in zip(f1, f2, kept)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +308,19 @@ class ManifoldDescriptor(NamedTuple):
         return f"M(dim={self.dim}, {pres}, flags={self.flags.as_dict()})"
 
 
-def default_open_book_flags(ob: OpenBook) -> FillabilityFlags:
-    """Flags known for an open book on sight: a Stein page with a word of
-    nonnegative twist powers bounds a Weinstein/Stein domain (page filtration
-    plus one critical handle per positive twist); anything else is unknown."""
+def default_open_book_flags(ob: OpenBook,
+                            propagated=FillabilityFlags()) -> FillabilityFlags:
+    """The one flag rule, on the open book a construction results in: a Stein
+    page with a positive word bounds a Stein domain (page filtration plus one
+    critical handle per twist); (D*S^n, tau^-1) = M(n, -1), a negative
+    stabilization of the standard sphere, has vanishing contact homology
+    (Bourgeois & van Koert, Commun. Contemp. Math. 12 (2010)), so it is not
+    fillable; anything else keeps the ``propagated`` flags."""
     if ob.page.stein and ob.word.is_positive():
         return FillabilityFlags(stein=True)
-    return FillabilityFlags.unknown()
+    if ob == _catalog_book(ob.page.half_dim, -1):
+        return FillabilityFlags.all_false()
+    return propagated
 
 
 def open_book_descriptor(ob: OpenBook) -> ManifoldDescriptor:
@@ -339,13 +334,9 @@ def open_book_descriptor(ob: OpenBook) -> ManifoldDescriptor:
 def _sum_flags(f1: FillabilityFlags, f2: FillabilityFlags,
                result: OpenBook) -> FillabilityFlags:
     """Flags of a Liouville sum of manifolds flagged f1 and f2 that gives the
-    open book ``result``: propagated along its page, unless its word already
-    certifies more on sight."""
-    certified = default_open_book_flags(result)
-    if certified.stein is True:
-        return certified
-    return fillability_propagate(f1, f2, result.page.stein, result.dim,
-                                 result.page.weak_h2_ok)
+    open book ``result``: the rule on ``result``, given what propagates."""
+    return default_open_book_flags(result, fillability_propagate(
+        f1, f2, result.page.stein, result.dim, result.page.weak_h2_ok))
 
 
 def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
@@ -360,27 +351,29 @@ def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
                               (("liouville_sum", ob1, ob2),))
 
 
+@functools.lru_cache(maxsize=256)
+def _catalog_book(n: int, k: int) -> OpenBook:
+    """(D*S^n, tau^k), built once per (n, k) and without ``reduce_word``, so a
+    cache hit and a miss make the same calls."""
+    return OpenBook(disk_cotangent_page(n),
+                    MonodromyWord(((ZERO_SECTION, k),) if k else ()))
+
+
 def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
     """The catalog family: open book (D*S^n, tau^k) on the zero section.
 
     k=1 is the standard contact sphere, k=0 the boundary of D^2 x D*S^n,
     k=2 the canonical unit cotangent bundle S*S^{n+1}, k=-1 the standard
-    smooth sphere with a non-fillable contact structure.  Only k=-1 has
-    catalog flags; the others' flags are what the word certifies on sight.
+    smooth sphere with a non-fillable contact structure.  The flags are the
+    rule's: Stein for k >= 0, all False at k = -1, unknown below.
     """
     if n < 1:
         raise DomainError("catalog needs n >= 1")
-    ob = OpenBook(disk_cotangent_page(n), word((ZERO_SECTION, k)))
+    ob = _catalog_book(n, k)
     names = {1: f"S^{2*n+1}_std", 0: f"bd(D2xD*S{n})", 2: f"S*S{n+1}_can",
              -1: f"S^{2*n+1}_nonfillable"}
-    return ManifoldDescriptor(ob.dim, ob, _catalog_flags(k),
+    return ManifoldDescriptor(ob.dim, ob, default_open_book_flags(ob),
                               (("catalog", names.get(k, f"M({n},{k})"), n, k),))
-
-
-def _catalog_flags(k: int) -> FillabilityFlags:
-    """Flags of M(n, k): all false at k = -1, Stein for k >= 0, else unknown."""
-    return (FillabilityFlags.all_false() if k == -1
-            else FillabilityFlags(stein=True if k >= 0 else None))
 
 
 def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
@@ -400,7 +393,7 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
     if n < 1:
         raise DomainError("catalog needs n >= 1")
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
-    summand = _catalog_flags(-k)
+    summand = default_open_book_flags(_catalog_book(n, -k))
     if ob is not None and sphere in ob.page.spheres:
         presentation = OpenBook(ob.page, ob.word * word((sphere, -k)))
         flags = _sum_flags(m.flags, summand, presentation)
@@ -409,10 +402,6 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
         flags = fillability_propagate(m.flags, summand, False, m.dim, None)
     else:
         raise DomainError(f"unknown sphere label {sphere!r}")
-    if k == 2:
-        # (1/2)-surgery: algebraically overtwisted, hence not fillable in
-        # any of the four senses.
-        flags = FillabilityFlags.all_false()
     return ManifoldDescriptor(m.dim, presentation, flags, m.history + (event,))
 
 
@@ -459,8 +448,9 @@ def fibered_manifold(page: PageSpec, phi: MonodromyWord,
     one Liouville sum performed on the open book (page, phi o psi), using
     only what the word itself certifies about the base open book."""
     base = OpenBook(page, phi * psi)
-    flags = _sum_flags(default_open_book_flags(base),
-                       FillabilityFlags.all_true(), base)
+    flags = fillability_propagate(default_open_book_flags(base),
+                                  FillabilityFlags.all_true(), page.stein,
+                                  base.dim, page.weak_h2_ok)
     if phi.is_identity() and psi.is_identity():
         label = f"bd({page.name} x D*S1)"
     else:

@@ -80,6 +80,15 @@ class CotangentPoint(ChartPoint):
     v = property(lambda self: self.coords[..., self.n + 1:])
     __getnewargs__ = lambda self: (self.u, self.v)  # noqa: E731 (copy and pickle)
 
+    def _replace(self, /, **changes):
+        # Through __new__ from the checked coords' halves; T*S^n has one chart.
+        p = ChartPoint(**{**self._asdict(), **changes})
+        h = p.coords.shape[-1] // 2
+        q = CotangentPoint(p.coords[..., :h], p.coords[..., h:])
+        if q.chart != p.chart:
+            raise DomainError(f"a point of {q.chart.name} is not on {p.chart.name}")
+        return q
+
 
 def retract(u: np.ndarray, v: np.ndarray) -> CotangentPoint:
     """Project nearby ambient data back onto T*S^n, row by row."""

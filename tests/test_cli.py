@@ -174,10 +174,22 @@ def stub_report(seed, tol, samples, m=4):
     return [ReportLine(f"stub_m{m}_samples{samples}", float(seed), 1.0, tol is None)]
 
 
+def stub_n_report(seed, tol, samples, n=5):
+    """A suite that takes ``n``, as ``twist`` does."""
+    return [ReportLine(f"stub_n{n}", float(seed), 1.0, True)]
+
+
 def test_a_suite_is_one_table_entry(monkeypatch, capsys):
     # The table entry alone makes the suite a CLI choice, a scenario
     # statement with its own keys, and a mode whose foreign flags are refused.
     monkeypatch.setitem(SUITES, "stub", (__name__, "stub_report", ("m",)))
+    monkeypatch.setitem(SUITES, "stub_n", (__name__, "stub_n_report", ("n",)))
+    assert main(["verify", "stub_n", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "stub_n3\t0.000000e+00\t1.0e+00\tPASS\n"
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert ("--n N sphere dimension (default: the suite's own), for twist, stub_n "
+            in " ".join(capsys.readouterr().out.split()))
     assert main(["verify", "stub", "--samples", "3", "--seed", "2"]) == 0
     assert capsys.readouterr().out == "stub_m4_samples3\t2.000000e+00\t1.0e+00\tPASS\n"
     report, status, _ = scenario.run_scenario(

@@ -19,7 +19,7 @@ from contactcalc.scenario import (Cover, Fibered, Kirby, Scenario, Sum, Surgery,
                                   Verify)
 from contactcalc.surgery import (FillabilityFlags, ManifoldDescriptor, MonodromyWord,
                                  OpenBook, PageSpec)
-from contactcalc.twist import CotangentPoint, ProbeReport, PullbackResult
+from contactcalc.twist import CotangentPoint, ProbeReport, PullbackResult, tstar_chart
 
 LINE = Chart("line", ("x",))
 CIRCLE = Chart("circle", ("x", "y"), (unit_norm_constraint([0, 1]),))
@@ -164,6 +164,9 @@ def test_construction_normalizes_fields():
 # bad coords stand in for its entry above.
 REPLACED = [(r, dict(zip(r._fields, f))) for r, f in REFUSED if r is not CotangentPoint]
 REPLACED.append((CotangentPoint, {"coords": np.array([1.0, 1.0, 0.0, 0.0, 0.5, 0.0])}))
+# The chart of a CotangentPoint follows from its coords.
+REPLACED += [(CotangentPoint, {"chart": tstar_chart(5)}),
+             (CotangentPoint, {"chart": Chart("free", tuple("abcdef"))})]
 
 
 @pytest.mark.parametrize("record,changes", REPLACED,
@@ -195,3 +198,6 @@ def test_replace_normalizes_fields():
     p = CotangentPoint([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])._replace(
         coords=np.array([0.0, 1.0, 0.0, 0.0, 0.0, 2.0]))
     assert type(p) is CotangentPoint and p.v.tolist() == [0.0, 0.0, 2.0]
+    p = CotangentPoint([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])._replace(coords=[0, 1, 0, 0, 0, 2])
+    assert type(p) is CotangentPoint and p.u.tolist() == [0.0, 1.0, 0.0]
+    assert p.chart is tstar_chart(2)

@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contactcalc import surgery
 from contactcalc.errors import DomainError
@@ -204,9 +205,9 @@ def test_flags_closure_invariant(w, s, e, t):
 
 def test_propagate_never_produces_false():
     for f1 in (FillabilityFlags.all_true(), FillabilityFlags.all_false(),
-               FillabilityFlags.unknown()):
+               FillabilityFlags()):
         for f2 in (FillabilityFlags.all_true(), FillabilityFlags.all_false(),
-                   FillabilityFlags.unknown()):
+                   FillabilityFlags()):
             out = fillability_propagate(f1, f2, True, 3, True)
             for v in (out.weakly, out.symplectically, out.exactly, out.stein):
                 assert v is not False
@@ -237,13 +238,17 @@ def test_catalog_special_values():
     assert catalog_M_nk(2, 0).word.is_identity()
     assert catalog_M_nk(2, 2).flags.stein is True
     assert catalog_M_nk(2, 3).flags.stein is True
-    assert catalog_M_nk(2, -3).flags == FillabilityFlags.unknown()
+    assert catalog_M_nk(2, -3).flags == FillabilityFlags()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_catalog_flags_rule_matches_the_catalog(n):
+    # The rule on (D*S^n, tau^k): Stein for k >= 0, all False at k = -1,
+    # unknown below.
     for k in range(-4, 5):
-        assert surgery._catalog_flags(k) == catalog_M_nk(n, k).flags
+        want = (FillabilityFlags.all_false() if k == -1
+                else FillabilityFlags(stein=True if k >= 0 else None))
+        assert catalog_M_nk(n, k).flags == want
 
 
 def test_surgery_builds_no_catalog_manifold(monkeypatch):
@@ -258,7 +263,7 @@ def test_surgery_builds_no_catalog_manifold(monkeypatch):
 
 
 def test_surgery_keeps_the_catalog_refusal():
-    glued = ManifoldDescriptor(1, ("glued", "x"), FillabilityFlags.unknown())
+    glued = ManifoldDescriptor(1, ("glued", "x"), FillabilityFlags())
     with pytest.raises(DomainError, match="catalog needs n >= 1"):
         contact_surgery(glued, "s", 1)
 
@@ -342,7 +347,29 @@ def test_default_flags_from_words():
     assert default_open_book_flags(
         OpenBook(page, word((ZERO_SECTION, 3)))).stein is True
     assert default_open_book_flags(
-        OpenBook(page, word((ZERO_SECTION, -1)))) == FillabilityFlags.unknown()
+        OpenBook(page, word((ZERO_SECTION, -1)))) == FillabilityFlags.all_false()
+
+
+def test_flag_rule_keeps_propagated_flags_elsewhere():
+    page, known = disk_cotangent_page(1), FillabilityFlags(exactly=True)
+    tau = lambda k: OpenBook(page, word((ZERO_SECTION, k)))  # noqa: E731
+    assert default_open_book_flags(tau(-2), known) == known
+    assert default_open_book_flags(tau(-2)) == FillabilityFlags()
+    assert default_open_book_flags(tau(-1), known) == FillabilityFlags.all_false()
+    assert default_open_book_flags(tau(0), known) == FillabilityFlags.all_true()
+    # The False is keyed on the catalog's page, not on its name.
+    named = PageSpec("D*S1", 1, ((0, 1), (1, 1)), False, (ZERO_SECTION,))
+    assert default_open_book_flags(
+        OpenBook(named, word((ZERO_SECTION, -1)))) == FillabilityFlags()
+
+
+def test_surgery_flags_follow_the_resulting_word():
+    # (1/2)-surgery on M(2, 3) gives (D*S2, tau), the standard sphere, and on
+    # M(2, 2) the identity word of M(2, 0): both Stein, like the catalog.
+    for k0, k in ((3, 1), (2, 0)):
+        out = contact_surgery(catalog_M_nk(2, k0), ZERO_SECTION, 2)
+        assert out.word_equals(catalog_M_nk(2, k))
+        assert out.flags == catalog_M_nk(2, k).flags == FillabilityFlags.all_true()
 
 
 def test_descriptor_serialize_stable():
@@ -354,5 +381,135 @@ def test_descriptor_serialize_stable():
 def test_word_equals_requires_open_books():
     page = disk_cotangent_page(1)
     m = open_book_descriptor(OpenBook(page, word((ZERO_SECTION, 1))))
-    glued = ManifoldDescriptor(3, ("glued", "x"), FillabilityFlags.unknown())
+    glued = ManifoldDescriptor(3, ("glued", "x"), FillabilityFlags())
     assert not m.word_equals(glued)
+
+
+# ---------------------------------------------------------------------------
+# Flags across constructions
+# ---------------------------------------------------------------------------
+
+FLAG_PAGES = (disk_cotangent_page(1), disk_cotangent_page(2), disk_page(1),
+              PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
+              PageSpec("genus1_ns", 1, ((0, 1), (1, 2)), False, ("a", "b")),
+              PageSpec("P4_ns", 2, ((0, 1), (1, 1), (2, 1)), False, ("s",),
+                       weak_h2_ok=True))
+KS = (-3, -2, -1, 1, 2, 3)
+
+
+def _page_word(draw, page):
+    if not page.spheres:
+        return word()
+    letters = st.tuples(st.sampled_from(page.spheres), st.sampled_from(KS))
+    return word(*draw(st.lists(letters, max_size=3)))
+
+
+def _build(draw, page, depth, built, sums):
+    """A descriptor on ``page`` from a random construction with inputs built
+    the same way ``depth`` levels down.  Appends every descriptor built to
+    ``built``, and each sum performed to ``sums`` as (summand flags, summand
+    flags, result, the page's Stein flag, dim, weak_h2_ok)."""
+    kinds = ["book"] + (["catalog"] if page.name.startswith("D*S") else [])
+    kind = draw(st.sampled_from(kinds + ["sum", "surgery", "cover", "fibered"]
+                                if depth else kinds))
+    n, dim = page.half_dim, 2 * page.half_dim + 1
+    if kind == "catalog":
+        out = catalog_M_nk(n, draw(st.sampled_from((0,) + KS)))
+    elif kind == "book":
+        out = open_book_descriptor(OpenBook(page, _page_word(draw, page)))
+    elif kind == "fibered":
+        phi, psi = _page_word(draw, page), _page_word(draw, page)
+        out = fibered_manifold(page, phi, psi)
+        base = open_book_descriptor(OpenBook(page, phi * psi))
+        sums.append((base.flags, FillabilityFlags.all_true(), out, page.stein,
+                     dim, page.weak_h2_ok))
+    else:
+        m = _build(draw, page, depth - 1, built, sums)
+        ob = m.open_book
+        if kind == "sum":
+            if ob is None:
+                return m
+            other = _build(draw, page, depth - 1, built, sums).open_book or ob
+            out = liouville_sum_openbooks(ob, other)
+            summands = (open_book_descriptor(ob), open_book_descriptor(other))
+        elif kind == "surgery":
+            k = draw(st.sampled_from(KS))
+            sphere = draw(st.sampled_from(page.spheres or ("s",)))
+            if ob is not None and sphere not in ob.page.spheres:
+                return m
+            out = contact_surgery(m, sphere, k, draw(st.sampled_from(("std", "twisted"))))
+            summands = (m, catalog_M_nk(n, -k))
+        else:
+            q = draw(st.integers(1, 4))
+            if ob is None or q == 1:
+                return m
+            over = draw(st.sampled_from(("binding", "page")))
+            out = branched_cover(m, over, q)
+            summands = (branched_cover(m, over, q - 1), m)
+        sums.append((summands[0].flags, summands[1].flags, out,
+                     page.stein and ob is not None, dim,
+                     page.weak_h2_ok if ob is not None else None))
+    built.append(out)
+    return out
+
+
+@st.composite
+def _constructions(draw):
+    """Descriptors built on one page by every construction, with each sum
+    performed on the way (see ``_build``)."""
+    page, built, sums = draw(st.sampled_from(FLAG_PAGES)), [], []
+    for _ in range(draw(st.integers(1, 3))):
+        _build(draw, page, 2, built, sums)
+    return built, sums
+
+
+def _clash(a: FillabilityFlags, b: FillabilityFlags) -> list[str]:
+    return [name for name, x, y in zip(a._fields, a, b) if {x, y} == {True, False}]
+
+
+def _same_open_book(m):
+    """Descriptors of m's open book built by other constructions: the open
+    book itself, its sum with the identity, each (1/k)-surgery that undoes a
+    twist s^k, and for tau^j on D*S^n the catalog's M(n, j)."""
+    ob = m.open_book
+    out = [open_book_descriptor(ob),
+           liouville_sum_openbooks(ob, OpenBook(ob.page, word()))]
+    for s in ob.page.spheres:
+        out += [contact_surgery(open_book_descriptor(
+            OpenBook(ob.page, ob.word * word((s, k)))), s, k) for k in KS]
+    j = dict(ob.word.letters).get(ZERO_SECTION, 0)
+    if (ob.page == disk_cotangent_page(ob.page.half_dim)
+            and ob.word == word((ZERO_SECTION, j))):
+        out.append(catalog_M_nk(ob.page.half_dim, j))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_constructions())
+def test_equal_words_never_contradict_flags(case):
+    # Flags are facts about the manifold: descriptors whose words are equal
+    # (``word_equals``: the same page name and word) may not call it fillable
+    # and not fillable.
+    built, _ = case
+    by_book = {}
+    for m in built + [d for m in built if m.open_book for d in _same_open_book(m)]:
+        if m.open_book is not None:
+            by_book.setdefault((m.open_book.page.name, m.word), []).append(m)
+    for group in by_book.values():
+        for a, b in combinations(group, 2):
+            assert a.word_equals(b) and not _clash(a.flags, b.flags), (str(a), str(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_constructions())
+def test_fillable_sums_stay_fillable(case):
+    # The paper's monoid: when both summands are known X-fillable, so is the
+    # sum, for X exactly or symplectically fillable, Stein on a Stein page,
+    # and weakly fillable in dimension 3 or when the page's H^2 condition holds.
+    _, sums = case
+    for f1, f2, out, page_stein, dim, weak_h2_ok in sums:
+        kinds = ["exactly", "symplectically"]
+        kinds += ["stein"] * page_stein + ["weakly"] * (dim == 3 or weak_h2_ok is True)
+        for x in kinds:
+            if getattr(f1, x) is True and getattr(f2, x) is True:
+                assert getattr(out.flags, x) is True, (x, str(out))

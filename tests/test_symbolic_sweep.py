@@ -14,7 +14,7 @@ say why.  Regenerate with ``PYTHONPATH=src python tests/test_symbolic_sweep.py``
 
 import json
 import pathlib
-from itertools import product
+from itertools import combinations, product
 
 from contactcalc.errors import DomainError
 from contactcalc.surgery import (OpenBook, PageSpec, ZERO_SECTION,
@@ -131,6 +131,24 @@ def sweep_text() -> str:
 
 def test_symbolic_sweep_golden():
     assert sweep_text() == GOLDEN.read_text()
+
+
+def test_golden_flags_agree_on_equal_open_books():
+    # Lines with the same open-book presentation describe one manifold, so no
+    # flag may be "true" in one and "false" in the other.
+    by_book = {}
+    for line in GOLDEN.read_text().splitlines():
+        label, text = line.split("\t", 1)
+        if text.startswith("error\t"):
+            continue
+        m = json.loads(text)
+        if isinstance(m["presentation"], dict):
+            key = json.dumps(m["presentation"], sort_keys=True)
+            by_book.setdefault(key, []).append((label, m["flags"]))
+    for (a, fa), (b, fb) in (pair for group in by_book.values()
+                             for pair in combinations(group, 2)):
+        clash = sorted(k for k in fa if {fa[k], fb[k]} == {"true", "false"})
+        assert not clash, f"{a!r} and {b!r} disagree on {clash}"
 
 
 if __name__ == "__main__":
