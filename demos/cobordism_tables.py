@@ -13,14 +13,14 @@ from contactcalc.cobordism import (Handle, euler_characteristic,
                                    self_linking_liouville,
                                    stein_homology_check, sum_cobordism,
                                    twist_square_smoothly_trivial)
-from contactcalc.surgery import PageSpec, disk_cotangent_page
+from contactcalc.surgery import disk_cotangent_page, genus_one_page
 
 # Each page k-handle becomes an ambient (k+1)-handle of the sum cobordism.
 page = disk_cotangent_page(1)            # D*S^1: one 0- and one 1-handle
 handles = sum_cobordism(page)
 print("D*S^1 page ->", [(h.ambient_dim, h.index) for h in handles])
 
-genus1 = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+genus1 = genus_one_page()
 h1 = sum_cobordism(genus1)
 print("genus-1 page ->", sorted(h.index for h in h1),
       "| chi contribution:", euler_characteristic(0, h1))

@@ -23,8 +23,8 @@ import sys
 
 from .errors import ContactCalcError, DomainError
 from .reports import DEFAULT_SAMPLES, SUITES, render_report, report_failed
-from .surgery import (PageSpec, ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
-                      surgery_compose, word)
+from .surgery import (ZERO_SECTION, catalog_M_nk, disk_cotangent_page,
+                      genus_one_page, surgery_compose, word)
 
 
 def _add_common(p: argparse.ArgumentParser, verifies: bool = False):
@@ -162,7 +162,7 @@ def _dispatch(args) -> int:
                        psi=word((ZERO_SECTION, args.psi)))
         cmd = Fibered("page", "phi", "psi", "m")
     elif args.mode == "cover":
-        s.pages["genus1"] = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+        s.pages["genus1"] = genus_one_page()
         cmd = Kirby("cover", "genus1", 2 if args.q is None else args.q, base=args.base)
     else:
         cmd = Kirby("surgery", k=-1 if args.k is None else args.k)

@@ -181,13 +181,13 @@ def twist_square_smoothly_trivial(n: int) -> bool:
 
     Cross-checked against the homotopy-classification criterion: for odd n
     the Z/2 in H_n(S*S^{n+1}) obstructs it, and for even n it holds iff
-    S*S^{n+1} is homotopy equivalent to S^n x S^{n+1}, which happens iff
-    n+1 is in {1, 3, 7}.
+    S*S^{n+1} is homotopy equivalent to S^n x S^{n+1}, that is iff S^{n+1}
+    is parallelizable, which by Adams happens iff n + 2 is in {1, 2, 4, 8}.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     direct = n in (2, 6)
-    cross = (n % 2 == 0) and ((n + 1) in (1, 3, 7))
+    cross = n % 2 == 0 and hopf_invariant_one_exists(n + 2)
     if direct != cross:
         raise DomainError(f"classification tables disagree at n={n}")
     return direct

@@ -490,8 +490,9 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
             match cmd:
                 case Sum() | Surgery() | Cover() | Fibered():
                     env[cmd.target] = res
-                    shown = res.presentation if isinstance(cmd, Fibered) else res.word
-                    ok(f"{type(cmd).__name__.lower()}:{cmd.target}", str(shown))
+                    shown = res.word
+                    ok(f"{type(cmd).__name__.lower()}:{cmd.target}",
+                       str(res.presentation if shown is None else shown))
                 case Kirby():
                     if cmd.out is not None:
                         path = cmd.out if out_dir is None \

@@ -1,6 +1,9 @@
 """Symbolic calculus of open books, Liouville sums, contact (1/k)-surgery,
 branched covers, fibered manifolds, and fillability flags.
 
+Every manifold descriptor holds its page, as an open book or as a manifold
+``Glued`` along it, and reads its dimension and surgery spheres off it.
+
 Monodromy words are formal products of labeled Dehn-twist generators; only
 free reduction is imposed (no braid or chain relations), so word equality is
 a sufficient — not necessary — criterion for equality of open books.  Every
@@ -163,6 +166,12 @@ def disk_page(n: int) -> PageSpec:
     return PageSpec(f"D{2 * n}", n, ((0, 1),), True, (), weak_h2_ok=True)
 
 
+def genus_one_page() -> PageSpec:
+    """The genus-1 page: one 0-handle, two 1-handles, and as twist supports
+    their core curves a and b, which meet once."""
+    return PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+
+
 class _OpenBook(NamedTuple):
     page: PageSpec
     word: MonodromyWord
@@ -252,16 +261,29 @@ def fillability_propagate(f1: FillabilityFlags, f2: FillabilityFlags,
 # Manifold descriptors
 # ---------------------------------------------------------------------------
 
-class ManifoldDescriptor(NamedTuple):
-    """A symbolic contact manifold: an open book or a glued label, fillability
-    flags, and an operation history (which holds a catalog manifold's name).
-    History entries may hold open books and words; ``serialize`` formats
-    them, so a construction that is never serialized never formats them."""
+class Glued(NamedTuple):
+    """A manifold glued along ``page``, with no open book, named ``label``."""
 
-    dim: int
-    presentation: object  # OpenBook | ("glued", label)
+    page: PageSpec
+    label: str
+
+    def __str__(self):
+        return str(("glued", self.label))
+
+
+class ManifoldDescriptor(NamedTuple):
+    """A symbolic contact manifold: an open book or a manifold glued along a
+    page (of dimension 2 half_dim + 1), fillability flags, and an operation
+    history (which holds a catalog manifold's name).  History entries may hold
+    open books and words; only ``serialize`` formats them."""
+
+    presentation: OpenBook | Glued
     flags: FillabilityFlags
     history: tuple[tuple, ...] = ()
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.presentation.page.half_dim + 1
 
     @property
     def open_book(self) -> Optional[OpenBook]:
@@ -269,16 +291,13 @@ class ManifoldDescriptor(NamedTuple):
 
     @property
     def word(self) -> Optional[MonodromyWord]:
-        ob = self.open_book
-        return ob.word if ob is not None else None
+        return ob.word if (ob := self.open_book) is not None else None
 
     def word_equals(self, other: "ManifoldDescriptor") -> bool:
-        """Equality of freely reduced monodromy words over the same page.
-        Sufficient for equality of the manifolds; never necessary."""
-        a, b = self.open_book, other.open_book
-        if a is None or b is None:
-            return False
-        return a.page.name == b.page.name and a.word == b.word
+        """Equality of open books: pages equal in every field and equal freely
+        reduced words; a glued manifold equals nothing.  Never necessary for
+        equality of the manifolds."""
+        return (ob := self.open_book) is not None and ob == other.open_book
 
     def serialize(self) -> str:
         """Deterministic structured text (sorted-key JSON)."""
@@ -293,7 +312,7 @@ class ManifoldDescriptor(NamedTuple):
                                  "stein": obj.page.stein,
                                  "spheres": list(obj.page.spheres)},
                         "word": [list(l) for l in obj.word.letters]}
-            return list(obj)
+            return ["glued", obj.label]
 
         payload = {
             "dim": self.dim,
@@ -324,7 +343,7 @@ def default_open_book_flags(ob: OpenBook,
 
 
 def open_book_descriptor(ob: OpenBook) -> ManifoldDescriptor:
-    return ManifoldDescriptor(ob.dim, ob, default_open_book_flags(ob))
+    return ManifoldDescriptor(ob, default_open_book_flags(ob))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +366,7 @@ def liouville_sum_openbooks(ob1: OpenBook, ob2: OpenBook) -> ManifoldDescriptor:
     composed = OpenBook(ob1.page, ob1.word * ob2.word)
     flags = _sum_flags(default_open_book_flags(ob1),
                        default_open_book_flags(ob2), composed)
-    return ManifoldDescriptor(composed.dim, composed, flags,
-                              (("liouville_sum", ob1, ob2),))
+    return ManifoldDescriptor(composed, flags, (("liouville_sum", ob1, ob2),))
 
 
 @functools.lru_cache(maxsize=256)
@@ -372,7 +390,7 @@ def catalog_M_nk(n: int, k: int) -> ManifoldDescriptor:
     ob = _catalog_book(n, k)
     names = {1: f"S^{2*n+1}_std", 0: f"bd(D2xD*S{n})", 2: f"S*S{n+1}_can",
              -1: f"S^{2*n+1}_nonfillable"}
-    return ManifoldDescriptor(ob.dim, ob, default_open_book_flags(ob),
+    return ManifoldDescriptor(ob, default_open_book_flags(ob),
                               (("catalog", names.get(k, f"M({n},{k})"), n, k),))
 
 
@@ -380,29 +398,26 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
                     parameter: str = "std") -> ManifoldDescriptor:
     """Contact (1/k)-surgery on a labeled Legendrian sphere.
 
-    Recorded as the Liouville sum with the catalog manifold M(n, -k); when
-    ``m`` is an open book and ``sphere`` is its page's zero-section label,
-    the monodromy picks up tau^{-k}.  The parametrization id is kept
-    verbatim in the history; descriptors with different parameters are never
-    identified.
+    Recorded as the Liouville sum with M(n, -k) along ``sphere``, one of the
+    page's spheres: an open book's monodromy picks up sphere^{-k}, a glued
+    manifold stays glued.  The parametrization id is kept verbatim in the
+    history only, so ``word_equals`` identifies results differing in it alone.
     """
     if k == 0:
         raise DomainError("surgery coefficient k must be nonzero")
-    ob = m.open_book
-    n = (m.dim - 1) // 2
-    if n < 1:
-        raise DomainError("catalog needs n >= 1")
+    page, ob = m.presentation.page, m.open_book
+    if sphere not in page.spheres:
+        raise DomainError(f"unknown sphere label {sphere!r}")
+    n = page.half_dim
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
     summand = default_open_book_flags(_catalog_book(n, -k))
-    if ob is not None and sphere in ob.page.spheres:
-        presentation = OpenBook(ob.page, ob.word * word((sphere, -k)))
+    if ob is not None:
+        presentation = OpenBook(page, ob.word * word((sphere, -k)))
         flags = _sum_flags(m.flags, summand, presentation)
-    elif ob is None:
-        presentation = ("glued", f"surgery({sphere},{k})")
-        flags = fillability_propagate(m.flags, summand, False, m.dim, None)
     else:
-        raise DomainError(f"unknown sphere label {sphere!r}")
-    return ManifoldDescriptor(m.dim, presentation, flags, m.history + (event,))
+        presentation = Glued(page, f"surgery({sphere},{k})")
+        flags = fillability_propagate(m.flags, summand, False, m.dim, None)
+    return ManifoldDescriptor(presentation, flags, m.history + (event,))
 
 
 def surgery_compose(ks: list[int]) -> Optional[int]:
@@ -438,8 +453,7 @@ def branched_cover(m: ManifoldDescriptor, hypersurface: str, q: int) -> Manifold
         ("branched_cover", hypersurface, q, f"{q - 1} liouville sums"),
         ("cobordism", "exact" if m.flags.exactly else "recorded",
          f"disjoint union of {q} copies to cover"))
-    return ManifoldDescriptor(composed.dim, composed,
-                              _sum_flags(m.flags, m.flags, composed), history)
+    return ManifoldDescriptor(composed, _sum_flags(m.flags, m.flags, composed), history)
 
 
 def fibered_manifold(page: PageSpec, phi: MonodromyWord,
@@ -455,6 +469,6 @@ def fibered_manifold(page: PageSpec, phi: MonodromyWord,
         label = f"bd({page.name} x D*S1)"
     else:
         label = f"fibered({page.name},{phi},{psi})"
-    return ManifoldDescriptor(base.dim, ("glued", label), flags, (
+    return ManifoldDescriptor(Glued(page, label), flags, (
         ("fibered", page.name, phi, psi),
         ("liouville_sum_on", base)))

@@ -114,6 +114,14 @@ def test_twist_square_smoothly_trivial():
     assert [n for n in range(1, 65) if twist_square_smoothly_trivial(n)] == [2, 6]
 
 
+def test_twist_square_cross_check_reads_the_hopf_table():
+    # By Adams, S^(n+1) is parallelizable exactly when n + 2 is a Hopf
+    # invariant one dimension, i.e. when n + 1 is 1, 3 or 7.
+    for n in range(1, 201):
+        assert ((n + 1) in (1, 3, 7)) == hopf_invariant_one_exists(n + 2)
+    assert [n for n in range(1, 201) if twist_square_smoothly_trivial(n)] == [2, 6]
+
+
 def test_self_linking():
     assert self_linking_liouville(-1) == 1
     assert self_linking_liouville(1) == -1

@@ -7,13 +7,9 @@ from contactcalc.kirby import (DottedHandle, KirbyDiagram, TwoHandle,
                                branched_cover_diagram, curve, parse_diagram,
                                serialize_diagram, surgery_cobordism_diagram,
                                traversal)
-from contactcalc.surgery import PageSpec
+from contactcalc.surgery import PageSpec, genus_one_page
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def _genus_one_page():
-    return PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
 
 
 def test_dotted_handle_validation():
@@ -49,7 +45,7 @@ def test_diagram_sorts_by_id():
 
 
 def test_branched_cover_q2_counts():
-    d = branched_cover_diagram(_genus_one_page(), (), 2)
+    d = branched_cover_diagram(genus_one_page(), (), 2)
     assert len(d.dotted) == 1
     assert len(d.two_handles) == 2
     words = {h.id: h.attaching_word for h in d.two_handles}
@@ -58,13 +54,13 @@ def test_branched_cover_q2_counts():
 
 
 def test_branched_cover_q3_counts():
-    d = branched_cover_diagram(_genus_one_page(), (), 3)
+    d = branched_cover_diagram(genus_one_page(), (), 3)
     assert len(d.dotted) == 2
     assert len(d.two_handles) == 4
 
 
 def test_branched_cover_label_arity():
-    fewer_spheres = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a",))
+    fewer_spheres = genus_one_page()._replace(spheres=("a",))
     with pytest.raises(DomainError, match="2 1-handles but 1 core-curve"):
         branched_cover_diagram(fewer_spheres, (), 2)
     two_zero_handles = PageSpec("two0", 1, ((0, 2), (1, 2)), True, ("a", "b"))
@@ -102,7 +98,7 @@ def test_surgery_diagram_k2_trefoil_note():
 
 
 def test_round_trip_byte_exact():
-    for d in (branched_cover_diagram(_genus_one_page(), ("base line",), 3),
+    for d in (branched_cover_diagram(genus_one_page(), ("base line",), 3),
               surgery_cobordism_diagram(2),
               surgery_cobordism_diagram(-1)):
         text = serialize_diagram(d)
@@ -114,7 +110,7 @@ def test_round_trip_byte_exact():
 def test_diagram_refuses_base_and_note_lines_that_do_not_parse_back(line):
     # Each would be read back as a section header or as two lines.
     with pytest.raises(DomainError, match="line"):
-        branched_cover_diagram(_genus_one_page(), (line,), 2)
+        branched_cover_diagram(genus_one_page(), (line,), 2)
     with pytest.raises(DomainError, match="line"):
         KirbyDiagram((), (), (), notes=(line,))
 
@@ -151,7 +147,7 @@ def test_carried_text_parses_back():
 
 
 def test_golden_file_stable():
-    d = branched_cover_diagram(_genus_one_page(),
+    d = branched_cover_diagram(genus_one_page(),
                                ("L(2,1) as -2 surgery on unknot",), 2)
     golden = (DATA / "branched_cover_q2.kirby").read_text()
     assert serialize_diagram(d) == golden

@@ -17,13 +17,13 @@ from contactcalc.reports import ConditionReport, ReportLine
 from contactcalc.rounding import RoundingCurve
 from contactcalc.scenario import (Cover, Fibered, Kirby, Scenario, Sum, Surgery,
                                   Verify)
-from contactcalc.surgery import (FillabilityFlags, ManifoldDescriptor, MonodromyWord,
-                                 OpenBook, PageSpec)
+from contactcalc.surgery import (FillabilityFlags, Glued, ManifoldDescriptor,
+                                 MonodromyWord, OpenBook, PageSpec, genus_one_page)
 from contactcalc.twist import CotangentPoint, ProbeReport, PullbackResult, tstar_chart
 
 LINE = Chart("line", ("x",))
 CIRCLE = Chart("circle", ("x", "y"), (unit_norm_constraint([0, 1]),))
-PAGE = PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b"))
+PAGE = genus_one_page()
 WORD = MonodromyWord((("a", 1), ("b", -2)))
 BOOK = OpenBook(PAGE, WORD)
 K1 = TwoHandle("h1", (curve("K", 1, 1),), "-1")
@@ -46,10 +46,11 @@ RECORDS = {
     Verify: ("twist", None, None, (("n", 6),)),
     Scenario: ({}, {}, {}, []),
     MonodromyWord: ((("a", 1), ("b", -2)),),
-    PageSpec: ("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
+    PageSpec: tuple(genus_one_page()),
     OpenBook: (PAGE, WORD),
     FillabilityFlags: (None, None, True, None),
-    ManifoldDescriptor: (3, BOOK, FillabilityFlags(stein=True), (("catalog", "x"),)),
+    Glued: (PAGE, "bd(genus1 x D*S1)"),
+    ManifoldDescriptor: (BOOK, FillabilityFlags(stein=True), (("catalog", "x"),)),
     DottedHandle: ("d1", ("p_1", "p_2")),
     TwoHandle: ("h1", (curve("K", 1, 1), traversal("d1")), "1/2"),
     KirbyDiagram: (("L(2,1)",), (DottedHandle("d1", ("p_1", "p_2")),), (K1,), ("note",)),

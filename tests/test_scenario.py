@@ -194,6 +194,31 @@ def test_fibered_command():
     assert "fibered:f" in report
 
 
+GLUED = """page p dim=2 handles=[0:1,1:1] stein=true spheres=[s]
+word w = s
+fibered p w w -> f
+surgery f sphere={sphere} k=1 -> g
+"""
+
+
+def test_surgery_on_a_glued_manifold_reports_its_presentation():
+    report, status, _ = run_scenario(parse_scenario(GLUED.format(sphere="s")))
+    assert status == 0
+    assert report == ("fibered:f\t('glued', 'fibered(p,s,s)')\t-\tOK\n"
+                      "surgery:g\t('glued', 'surgery(s,1)')\t-\tOK\n")
+
+
+def test_surgery_on_a_glued_manifold_refuses_a_sphere_not_on_its_page(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.scn").write_text(GLUED.format(sphere="zz")
+                                    + "kirby cover p q=2 out=k.kirby\n")
+    assert main(["run", "g.scn"]) == 2
+    assert ("line 4, col 1: [E_SYNTAX] surgery failed: unknown sphere label 'zz'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "k.kirby").exists()
+
+
 def _err(text):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from contactcalc import surgery
 from contactcalc.errors import DomainError
-from contactcalc.surgery import (FillabilityFlags, ManifoldDescriptor,
+from contactcalc.surgery import (FillabilityFlags, Glued, ManifoldDescriptor,
                                  MonodromyWord, OpenBook, PageSpec,
                                  ZERO_SECTION, branched_cover, catalog_M_nk,
                                  contact_surgery, default_open_book_flags,
                                  disk_cotangent_page, disk_page,
                                  fibered_manifold, fillability_propagate,
-                                 liouville_sum_openbooks, open_book_descriptor,
-                                 reduce_word, surgery_compose, word)
+                                 genus_one_page, liouville_sum_openbooks,
+                                 open_book_descriptor, reduce_word,
+                                 surgery_compose, word)
 
 TRI = (True, False, None)
 
@@ -258,14 +259,19 @@ def test_surgery_builds_no_catalog_manifold(monkeypatch):
     monkeypatch.setattr(surgery, "catalog_M_nk", refuse)
     for k in (-3, -2, -1, 1, 2, 3):
         contact_surgery(catalog_M_nk(2, 1), ZERO_SECTION, k)
-        contact_surgery(fibered_manifold(disk_page(1), MonodromyWord(), MonodromyWord()),
-                        "s", k)
+        contact_surgery(fibered_manifold(genus_one_page(), MonodromyWord(),
+                                         MonodromyWord()), "a", k)
 
 
-def test_surgery_keeps_the_catalog_refusal():
-    glued = ManifoldDescriptor(1, ("glued", "x"), FillabilityFlags())
-    with pytest.raises(DomainError, match="catalog needs n >= 1"):
+def test_surgery_on_a_glued_manifold_needs_a_sphere_of_its_page():
+    # The disk page D2 has no spheres, so no surgery sphere lies in it.
+    glued = fibered_manifold(disk_page(1), MonodromyWord(), MonodromyWord())
+    with pytest.raises(DomainError, match="unknown sphere label 's'"):
         contact_surgery(glued, "s", 1)
+    out = contact_surgery(fibered_manifold(genus_one_page(), MonodromyWord(),
+                                           MonodromyWord()), "b", 2)
+    assert out.presentation == Glued(genus_one_page(), "surgery(b,2)")
+    assert out.dim == 3 and str(out.presentation) == "('glued', 'surgery(b,2)')"
 
 
 def test_liouville_sum_composes_words():
@@ -336,10 +342,10 @@ def test_constructions_format_no_word(monkeypatch):
 def test_fibered_manifold_identity_label():
     page = disk_cotangent_page(1)
     m = fibered_manifold(page, MonodromyWord(), MonodromyWord())
-    assert m.presentation == ("glued", "bd(D*S1 x D*S1)")
-    assert m.dim == 3
+    assert m.presentation.label == "bd(D*S1 x D*S1)"
+    assert m.presentation.page == page and m.dim == 3
     m2 = fibered_manifold(page, word((ZERO_SECTION, 1)), MonodromyWord())
-    assert "fibered" in m2.presentation[1]
+    assert "fibered" in m2.presentation.label and m2.presentation.page == page
 
 
 def test_default_flags_from_words():
@@ -381,8 +387,18 @@ def test_descriptor_serialize_stable():
 def test_word_equals_requires_open_books():
     page = disk_cotangent_page(1)
     m = open_book_descriptor(OpenBook(page, word((ZERO_SECTION, 1))))
-    glued = ManifoldDescriptor(3, ("glued", "x"), FillabilityFlags())
-    assert not m.word_equals(glued)
+    glued = ManifoldDescriptor(Glued(page, "x"), FillabilityFlags())
+    assert not m.word_equals(glued) and not glued.word_equals(glued)
+
+
+def test_word_equals_compares_whole_pages():
+    # A page named like D*S1 that is not the catalog's: the same name and
+    # word, but another open book, and the flag rule keeps them apart too.
+    named = PageSpec("D*S1", 1, ((0, 1), (1, 1)), False, (ZERO_SECTION,))
+    m = open_book_descriptor(OpenBook(named, word((ZERO_SECTION, -1))))
+    assert not m.word_equals(catalog_M_nk(1, -1))
+    assert not catalog_M_nk(1, -1).word_equals(m)
+    assert m.word_equals(open_book_descriptor(m.open_book))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +406,8 @@ def test_word_equals_requires_open_books():
 # ---------------------------------------------------------------------------
 
 FLAG_PAGES = (disk_cotangent_page(1), disk_cotangent_page(2), disk_page(1),
-              PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
-              PageSpec("genus1_ns", 1, ((0, 1), (1, 2)), False, ("a", "b")),
+              genus_one_page(),
+              genus_one_page()._replace(name="genus1_ns", stein=False),
               PageSpec("P4_ns", 2, ((0, 1), (1, 1), (2, 1)), False, ("s",),
                        weak_h2_ok=True))
 KS = (-3, -2, -1, 1, 2, 3)
@@ -435,7 +451,7 @@ def _build(draw, page, depth, built, sums):
         elif kind == "surgery":
             k = draw(st.sampled_from(KS))
             sphere = draw(st.sampled_from(page.spheres or ("s",)))
-            if ob is not None and sphere not in ob.page.spheres:
+            if sphere not in m.presentation.page.spheres:
                 return m
             out = contact_surgery(m, sphere, k, draw(st.sampled_from(("std", "twisted"))))
             summands = (m, catalog_M_nk(n, -k))
@@ -487,14 +503,14 @@ def _same_open_book(m):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_constructions())
 def test_equal_words_never_contradict_flags(case):
-    # Flags are facts about the manifold: descriptors whose words are equal
-    # (``word_equals``: the same page name and word) may not call it fillable
-    # and not fillable.
+    # Flags are facts about the manifold: descriptors with one open book
+    # (``word_equals``: pages equal in every field and equal words), grouped
+    # here by ``m.open_book``, may not call it fillable and not fillable.
     built, _ = case
     by_book = {}
     for m in built + [d for m in built if m.open_book for d in _same_open_book(m)]:
         if m.open_book is not None:
-            by_book.setdefault((m.open_book.page.name, m.word), []).append(m)
+            by_book.setdefault(m.open_book, []).append(m)
     for group in by_book.values():
         for a, b in combinations(group, 2):
             assert a.word_equals(b) and not _clash(a.flags, b.flags), (str(a), str(b))

@@ -20,8 +20,9 @@ from contactcalc.errors import DomainError
 from contactcalc.surgery import (OpenBook, PageSpec, ZERO_SECTION,
                                  branched_cover, catalog_M_nk, contact_surgery,
                                  disk_cotangent_page, disk_page,
-                                 fibered_manifold, liouville_sum_openbooks,
-                                 open_book_descriptor, word)
+                                 fibered_manifold, genus_one_page,
+                                 liouville_sum_openbooks, open_book_descriptor,
+                                 word)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "symbolic_sweep.out"
 
@@ -30,8 +31,8 @@ PAGES = [
     disk_cotangent_page(2),  # weak_h2_ok is None
     disk_cotangent_page(3),
     disk_page(2),
-    PageSpec("genus1", 1, ((0, 1), (1, 2)), True, ("a", "b")),
-    PageSpec("genus1_ns", 1, ((0, 1), (1, 2)), False, ("a", "b")),
+    genus_one_page(),
+    genus_one_page()._replace(name="genus1_ns", stein=False),
     PageSpec("P4_ns", 2, ((0, 1), (1, 1), (2, 1)), False, ("s",),
              weak_h2_ok=True),
 ]
