@@ -3,14 +3,16 @@
 
 class Checked:
     """Base of a ``NamedTuple`` subclass whose ``__new__`` checks or
-    normalizes its fields.  ``NamedTuple._replace`` builds through ``_make``,
-    which skips ``__new__``; here it builds the record again from the
-    replaced fields, passed as ``copy`` passes them (``__getnewargs__``)."""
+    normalizes its fields.  ``NamedTuple._make``, which ``_replace`` builds
+    through, skips ``__new__``; this one builds the record again from its
+    fields as ``copy`` passes them (``__getnewargs__``).  ``MonodromyWord.raw``
+    is the one deliberate unchecked path."""
 
     __slots__ = ()
 
-    def _replace(self, /, **changes):
-        return type(self)(*super()._replace(**changes).__getnewargs__())
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable).__getnewargs__())
 
 
 class ContactCalcError(Exception):

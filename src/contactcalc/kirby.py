@@ -90,8 +90,10 @@ class _KirbyDiagram(NamedTuple):
 class KirbyDiagram(Checked, _KirbyDiagram):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, base_components, dotted, two_handles, notes=()):
+        self = super().__new__(cls, base_components,
+                               tuple(sorted(dotted, key=lambda d: d.id)),
+                               tuple(sorted(two_handles, key=lambda h: h.id)), notes)
         ids = [d.id for d in self.dotted]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate dotted-handle ids")
@@ -116,10 +118,7 @@ class KirbyDiagram(Checked, _KirbyDiagram):
                 raise DomainError(
                     f"base or note line {line!r} is a section header or "
                     f"holds a line break")
-        # The unchecked replace: the checked one would build through here again.
-        return _KirbyDiagram._replace(
-            self, dotted=tuple(sorted(self.dotted, key=lambda d: d.id)),
-            two_handles=tuple(sorted(self.two_handles, key=lambda h: h.id)))
+        return self
 
 
 # ---------------------------------------------------------------------------

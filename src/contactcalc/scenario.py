@@ -24,8 +24,9 @@ command target may be rebound: commands run in statement order).  Each command
 becomes an immutable record (``Sum``, ``Surgery``, ``Cover``, ``Fibered``,
 ``Kirby``, ``Verify``) whose argument counts, keys, names, and integer and
 boolean values are all checked at parse time, so a malformed statement is
-reported before any statement runs or writes a file.  ``execute`` runs one
-record, for the CLI's subcommands too; ``run_scenario`` runs them in order.
+reported before any statement runs or writes a file.  ``Scenario.commands``
+pairs each record, which holds no position, with its statement's first token;
+``execute`` runs one record, for the CLI too, and ``run_scenario`` all of them.
 
 A key=value value may be double-quoted to hold blanks or '#'
 (``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
@@ -67,13 +68,11 @@ class Token(NamedTuple):
     col: int
 
 
-# The command records; ``line``/``col`` locate the command's first token.
+# The command records: plain values, equal wherever their statement stands.
 class Sum(NamedTuple):
     left: str
     right: str
     target: str
-    line: int = 0
-    col: int = 0
 
 
 class Surgery(NamedTuple):
@@ -82,8 +81,6 @@ class Surgery(NamedTuple):
     k: int
     target: str
     param: str = "std"
-    line: int = 0
-    col: int = 0
 
 
 class Cover(NamedTuple):
@@ -91,8 +88,6 @@ class Cover(NamedTuple):
     q: int
     target: str
     over: str = "binding"
-    line: int = 0
-    col: int = 0
 
 
 class Fibered(NamedTuple):
@@ -100,8 +95,6 @@ class Fibered(NamedTuple):
     phi: str
     psi: str
     target: str
-    line: int = 0
-    col: int = 0
 
 
 class Kirby(NamedTuple):
@@ -111,8 +104,6 @@ class Kirby(NamedTuple):
     k: Optional[int] = None     # surgery mode
     base: Optional[str] = None
     out: Optional[str] = None
-    line: int = 0
-    col: int = 0
 
 
 class Verify(NamedTuple):
@@ -120,20 +111,18 @@ class Verify(NamedTuple):
     left: Optional[str] = None  # equal mode
     right: Optional[str] = None
     keys: tuple[tuple[str, int], ...] = ()  # (key, value) pairs its statement set
-    line: int = 0
-    col: int = 0
 
 
 Command = Sum | Surgery | Cover | Fibered | Kirby | Verify
 
 
 class Scenario(NamedTuple):
-    """Declarations by name, and the commands in statement order."""
+    """Declarations by name; the commands as (first token, record), in order."""
 
     pages: dict[str, PageSpec]
     words: dict[str, MonodromyWord]
     openbooks: dict[str, OpenBook]
-    commands: list[Command]
+    commands: list[tuple[Token, Command]]
 
 
 _LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -325,8 +314,8 @@ _SCHEMAS: dict[str, dict[Optional[str], tuple]] = {
 }
 
 
-def _suite(mode: str, line: int, col: int, **keys: int) -> Verify:
-    return Verify(mode, keys=tuple(sorted(keys.items())), line=line, col=col)
+def _suite(mode: str, **keys: int) -> Verify:
+    return Verify(mode, keys=tuple(sorted(keys.items())))
 
 
 def statement_modes(statement: str) -> dict[Optional[str], tuple]:
@@ -383,7 +372,7 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
         kvs["target"] = target.text
         declared.add(target.text)
     args = [t.text for t in pos] if mode is None else [mode] + [t.text for t in pos]
-    return record(*args, **kvs, line=head.line, col=head.col)
+    return record(*args, **kvs)
 
 
 def _declare_once(name: str, names, what: str, tok: Token) -> None:
@@ -417,7 +406,7 @@ def parse_scenario(text: str) -> Scenario:
             s.openbooks[name] = ob
             declared.add(name)
         elif head.text in _SCHEMAS:
-            s.commands.append(_parse_command(toks, s, declared))
+            s.commands.append((head, _parse_command(toks, s, declared)))
         else:
             raise ScenarioError(E_SYNTAX, head.line, head.col,
                                 f"unknown statement {head.text!r}")
@@ -478,26 +467,29 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
     check_suite_args(seed, samples, tol)
     env = {name: open_book_descriptor(ob) for name, ob in s.openbooks.items()}
     lines: list[str] = []
-    files: list[tuple[str, object]] = []  # (path, diagram), written once all ran
+    diagrams: dict[str, object] = {}  # path -> last diagram, by last write
+    paths: list[str] = []
     failed = False
 
     def ok(metric: str, value: str):
         lines.append(f"{metric}\t{value}\t-\tOK")
 
-    for cmd in s.commands:
+    for head, cmd in s.commands:
         try:
             res = execute(cmd, s, env, seed, tol, samples)
             match cmd:
                 case Sum() | Surgery() | Cover() | Fibered():
                     env[cmd.target] = res
                     shown = res.word
-                    ok(f"{type(cmd).__name__.lower()}:{cmd.target}",
+                    ok(f"{head.text}:{cmd.target}",
                        str(res.presentation if shown is None else shown))
                 case Kirby():
                     if cmd.out is not None:
                         path = cmd.out if out_dir is None \
                             else f"{out_dir.rstrip('/')}/{cmd.out}"
-                        files.append((path, res))
+                        diagrams.pop(path, None)
+                        diagrams[path] = res
+                        paths.append(path)
                         ok("kirby:file", path)
                     else:
                         ok("kirby:dotted", str(len(res.dotted)))
@@ -510,13 +502,11 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
                     failed = failed or report_failed(res)
                     lines.extend(line.render() for line in res)
         except ContactCalcError as exc:
-            raise ScenarioError(E_SYNTAX, cmd.line, cmd.col,
-                                f"{type(cmd).__name__.lower()} failed: {exc}") from exc
+            raise ScenarioError(E_SYNTAX, head.line, head.col,
+                                f"{head.text} failed: {exc}") from exc
 
-    last = {path: i for i, (path, _) in enumerate(files)}  # each path's last write
-    for path, diagram in (files[i] for i in sorted(last.values())):
+    for path, diagram in diagrams.items():
         from .kirby import serialize_diagram
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_diagram(diagram))
-    return ("".join(line + "\n" for line in lines), (1 if failed else 0),
-            [path for path, _ in files])
+    return "".join(line + "\n" for line in lines), (1 if failed else 0), paths

@@ -294,10 +294,12 @@ class ManifoldDescriptor(NamedTuple):
         return ob.word if (ob := self.open_book) is not None else None
 
     def word_equals(self, other: "ManifoldDescriptor") -> bool:
-        """Equality of open books: pages equal in every field and equal freely
-        reduced words; a glued manifold equals nothing.  Never necessary for
-        equality of the manifolds."""
-        return (ob := self.open_book) is not None and ob == other.open_book
+        """Sufficient, never necessary, for equality of the manifolds: equal open
+        books (pages equal in every field, equal reduced words), neither glued
+        nor, for half_dim >= 2, with a non-``std`` surgery in its history."""
+        return ((ob := self.open_book) is not None and ob == other.open_book and (
+            ob.page.half_dim == 1 or all(ev[0] != "surgery" or ev[3] == "std"
+                                         for ev in self.history + other.history)))
 
     def serialize(self) -> str:
         """Deterministic structured text (sorted-key JSON)."""
@@ -400,8 +402,8 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
 
     Recorded as the Liouville sum with M(n, -k) along ``sphere``, one of the
     page's spheres: an open book's monodromy picks up sphere^{-k}, a glued
-    manifold stays glued.  The parametrization id is kept verbatim in the
-    history only, so ``word_equals`` identifies results differing in it alone.
+    manifold stays glued.  The parametrization id is kept in the history; for
+    n >= 2 any but ``std`` leaves the result equal to nothing by ``word_equals``.
     """
     if k == 0:
         raise DomainError("surgery coefficient k must be nonzero")

@@ -80,9 +80,10 @@ class CotangentPoint(ChartPoint):
     v = property(lambda self: self.coords[..., self.n + 1:])
     __getnewargs__ = lambda self: (self.u, self.v)  # noqa: E731 (copy and pickle)
 
-    def _replace(self, /, **changes):
+    @classmethod
+    def _make(cls, iterable):
         # Through __new__ from the checked coords' halves; T*S^n has one chart.
-        p = ChartPoint(**{**self._asdict(), **changes})
+        p = ChartPoint._make(iterable)
         h = p.coords.shape[-1] // 2
         q = CotangentPoint(p.coords[..., :h], p.coords[..., h:])
         if q.chart != p.chart:

@@ -4,13 +4,16 @@ field hashes), and each record that checks or normalizes its fields does so
 on construction, refusing bad fields with ``DomainError``."""
 
 import copy
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import contactcalc
 from contactcalc.charts import Chart, ChartPoint, Constraint, unit_norm_constraint
 from contactcalc.cobordism import Handle, HomologyProfile, SteinObstructionReport
-from contactcalc.errors import DomainError
+from contactcalc.errors import Checked, DomainError
 from contactcalc.forms import OneFormField
 from contactcalc.kirby import DottedHandle, KirbyDiagram, TwoHandle, curve, traversal
 from contactcalc.reports import ConditionReport, ReportLine
@@ -158,6 +161,45 @@ def test_construction_normalizes_fields():
     assert [h.id for h in d.dotted] == ["d1", "d2"]
     assert [h.id for h in d.two_handles] == ["h1", "h2"]
     assert ChartPoint(LINE, [1]).coords.dtype == np.float64
+
+
+# ``_make`` (which ``_replace`` builds through) builds the record through its
+# constructor, so it refuses what construction refuses.  Each case has every
+# field, the missing ones from ``_field_defaults``; a CotangentPoint is made
+# from (chart, coords), so its cases are spelled that way.
+MADE = [(r, (*f, *(r._field_defaults[k] for k in r._fields[len(f):])))
+        for r, f in REFUSED if r is not CotangentPoint]
+MADE += [(CotangentPoint, (tstar_chart(2), [5.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
+         (CotangentPoint, (tstar_chart(5), [1.0, 0.0, 0.0, 0.0, 0.5, 0.0])),
+         (CotangentPoint, (Chart("free", tuple("abcdef")), [1.0, 0.0, 0.0, 0.0, 0.5, 0.0]))]
+
+
+@pytest.mark.parametrize("record,fields", MADE,
+                         ids=[f"{r.__name__}-{i}" for i, (r, _) in enumerate(MADE)])
+def test_make_refuses_bad_fields(record, fields):
+    with pytest.raises(DomainError):
+        record._make(fields)
+
+
+def test_make_normalizes_fields():
+    made = FillabilityFlags._make([None, None, None, True])
+    assert type(made) is FillabilityFlags and made == FillabilityFlags.all_true()
+    p = CotangentPoint._make((tstar_chart(2), [1.0, 0.0, 0.0, 0.0, 0.5, 0.0]))
+    assert type(p) is CotangentPoint and p.v.tolist() == [0.0, 0.5, 0.0]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_checked_record_has_a_refused_case():
+    # FillabilityFlags only normalizes: every tuple of four tri-states closes.
+    for mod in pkgutil.iter_modules(contactcalc.__path__):
+        importlib.import_module(f"contactcalc.{mod.name}")
+    checked = {c for c in _subclasses(Checked) if c.__module__.startswith("contactcalc.")}
+    assert checked - {r for r, _ in REFUSED} == {FillabilityFlags}
 
 
 # ``_replace`` builds the record again from the replaced fields, so it refuses

@@ -4,7 +4,8 @@ from contactcalc import kirby, scenario
 from contactcalc.cli import main
 from contactcalc.kirby import branched_cover_diagram, serialize_diagram
 from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED,
-                                  ScenarioError, parse_scenario, run_scenario)
+                                  ScenarioError, Surgery, Token, parse_scenario,
+                                  run_scenario)
 
 DECLS = """
 page genus1 dim=2 handles=[0:1,1:2] stein=true spheres=[a,b]
@@ -217,6 +218,53 @@ def test_surgery_on_a_glued_manifold_refuses_a_sphere_not_on_its_page(
     assert ("line 4, col 1: [E_SYNTAX] surgery failed: unknown sphere label 'zz'"
             in capsys.readouterr().err)
     assert not (tmp_path / "k.kirby").exists()
+
+
+EXOTIC = """page p dim=4 handles=[0:1,2:1] stein=true spheres=[s]
+word w = s
+openbook ob = (p, w)
+surgery ob sphere=s k=2 -> a
+surgery ob sphere=s k=2 param=twisted -> b
+verify equal a b
+"""
+
+
+def test_verify_equal_refuses_an_exotic_surgery(tmp_path, monkeypatch, capsys):
+    # Both surgeries give the open book (p, s^-1), but for n >= 2 the
+    # twisted parametrization may change the manifold: nothing certifies a = b.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.scn").write_text(EXOTIC)
+    assert main(["run", "e.scn"]) == 1
+    assert capsys.readouterr().out == ("surgery:a\ts^-1\t-\tOK\n"
+                                       "surgery:b\ts^-1\t-\tOK\n"
+                                       "verify:equal:a:b\tdistinct\t-\tFAIL\n")
+
+
+@pytest.mark.parametrize("decls,stmt", [
+    ("", "kirby surgery k=-1 out=d.kirby"),
+    ("page g dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n",
+     "kirby cover g q=2 base=L out=d.kirby"),
+])
+def test_a_command_parses_to_one_record_wherever_it_stands(decls, stmt):
+    at_1, at_6 = (parse_scenario(decls + "\n" * blank + stmt + "\n").commands
+                  for blank in (0, 5 - decls.count("\n")))
+    assert (at_1[0][0].line, at_6[0][0].line) == (1 + decls.count("\n"), 6)
+    assert at_1[0][1] == at_6[0][1]
+
+
+def test_commands_pair_each_record_with_its_first_token():
+    text = DECLS + "sum ob1 ob2 -> m\n  verify equal m ob1\n"
+    s = parse_scenario(text)
+    lineno = DECLS.count("\n") + 1
+    assert [head for head, _ in s.commands] == [Token("sum", lineno, 1),
+                                               Token("verify", lineno + 1, 3)]
+    assert all(type(head) is Token for head, _ in s.commands)
+
+
+def test_a_parsed_surgery_equals_the_record_built_directly():
+    s = parse_scenario(DECLS + "surgery ob1 sphere=a k=-2 param=twisted -> m1\n")
+    assert s.commands[0][1] == Surgery("ob1", "a", -2, "m1", param="twisted")
+    assert Surgery._fields == ("manifold", "sphere", "k", "target", "param")
 
 
 def _err(text):
