@@ -121,8 +121,8 @@ def _dispatch(args) -> int:
         return 0
 
     # Imported here, not at the top: ``compose`` needs only ``surgery``.
-    from .scenario import (Cover, Fibered, Kirby, Scenario, Surgery, Verify,
-                           execute, parse_scenario, run_scenario, statement_modes)
+    from .scenario import (Cover, Fibered, Kirby, Surgery, Verify, execute,
+                           parse_scenario, run_scenario, statement_modes)
     if args.command == "run":
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
@@ -131,9 +131,8 @@ def _dispatch(args) -> int:
         return status
 
     # Every other subcommand runs one scenario record through the scenario
-    # executor; the catalog manifold, page and words it names are implicit
-    # declarations.
-    s, env = Scenario({}, {}, {}, []), {}
+    # executor; the catalog manifold it names is an implicit declaration.
+    env = {}
     if args.command in ("verify", "kirby"):
         # Refuse flags that another mode reads as statement keys, this one not.
         mode = args.suite if args.command == "verify" else args.mode
@@ -146,7 +145,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         cmd = Verify(args.suite, keys=tuple((k, v) for k, v in vars(args).items()
                                             if k in SUITES[args.suite][2] and v is not None))
-        rep = execute(cmd, s, env, args.seed, args.tol, args.samples)
+        rep = execute(cmd, env, args.seed, args.tol, args.samples)
         _emit(render_report(rep), args.out)
         return 1 if report_failed(rep) else 0
 
@@ -157,16 +156,13 @@ def _dispatch(args) -> int:
         env["m"] = catalog_M_nk(args.n, args.power)
         cmd = Cover("m", args.q, "m")
     elif args.command == "fibered":
-        s.pages["page"] = disk_cotangent_page(args.n)
-        s.words.update(phi=word((ZERO_SECTION, args.phi)),
-                       psi=word((ZERO_SECTION, args.psi)))
-        cmd = Fibered("page", "phi", "psi", "m")
+        cmd = Fibered(disk_cotangent_page(args.n), word((ZERO_SECTION, args.phi)),
+                      word((ZERO_SECTION, args.psi)), "m")
     elif args.mode == "cover":
-        s.pages["genus1"] = genus_one_page()
-        cmd = Kirby("cover", "genus1", 2 if args.q is None else args.q, base=args.base)
+        cmd = Kirby("cover", genus_one_page(), 2 if args.q is None else args.q, base=args.base)
     else:
         cmd = Kirby("surgery", k=-1 if args.k is None else args.k)
-    res = execute(cmd, s, env)
+    res = execute(cmd, env)
     if args.command == "kirby":
         from .kirby import serialize_diagram
         _emit(serialize_diagram(res), args.out)

@@ -63,12 +63,6 @@ class HomologyProfile(Checked, _HomologyProfile):
     def torsion(self, degree: int) -> tuple[int, ...]:
         return self.groups[degree][1] if 0 <= degree <= self.top_degree else ()
 
-    def serialize(self) -> str:
-        import json
-        payload = {"groups": [{"degree": d, "rank": r, "torsion": list(t)}
-                              for d, (r, t) in enumerate(self.groups)]}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
     def __str__(self):
         def show(r, t):
             parts = ["Z"] * r + [f"Z/{o}" for o in t]

@@ -24,9 +24,10 @@ command target may be rebound: commands run in statement order).  Each command
 becomes an immutable record (``Sum``, ``Surgery``, ``Cover``, ``Fibered``,
 ``Kirby``, ``Verify``) whose argument counts, keys, names, and integer and
 boolean values are all checked at parse time, so a malformed statement is
-reported before any statement runs or writes a file.  ``Scenario.commands``
-pairs each record, which holds no position, with its statement's first token;
-``execute`` runs one record, for the CLI too, and ``run_scenario`` all of them.
+reported before any statement runs or writes a file.  A record holds the
+pages, words and open books it names, but manifold names, as commands rebind
+them.  ``Scenario.commands`` pairs each record, which holds no position, with
+its first token; ``execute`` runs one record, for the CLI too.
 
 A key=value value may be double-quoted to hold blanks or '#'
 (``base="L(2,1) as -2 surgery on unknot"``); the quotes are stripped before
@@ -70,8 +71,8 @@ class Token(NamedTuple):
 
 # The command records: plain values, equal wherever their statement stands.
 class Sum(NamedTuple):
-    left: str
-    right: str
+    left: OpenBook
+    right: OpenBook
     target: str
 
 
@@ -91,17 +92,17 @@ class Cover(NamedTuple):
 
 
 class Fibered(NamedTuple):
-    page: str
-    phi: str
-    psi: str
+    page: PageSpec
+    phi: MonodromyWord
+    psi: MonodromyWord
     target: str
 
 
 class Kirby(NamedTuple):
-    mode: str                   # "cover" or "surgery"
-    page: Optional[str] = None  # cover mode
-    q: Optional[int] = None     # cover mode
-    k: Optional[int] = None     # surgery mode
+    mode: str                        # "cover" or "surgery"
+    page: Optional[PageSpec] = None  # cover mode
+    q: Optional[int] = None          # cover mode
+    k: Optional[int] = None          # surgery mode
     base: Optional[str] = None
     out: Optional[str] = None
 
@@ -290,7 +291,7 @@ def _parse_openbook(s: Scenario, toks: list[Token],
                 pos -= len(tok.text) + 1
     page, w = s.pages[page_name], s.words[word_name]
     for label, _ in w.letters:
-        if label not in page.spheres:
+        if not page.carries(label):
             tok = letter_tokens[word_name][label]
             raise ScenarioError(E_UNDECLARED, tok.line, tok.col,
                                 f"sphere label {label!r} not on page {page_name!r}")
@@ -329,8 +330,9 @@ def statement_modes(statement: str) -> dict[Optional[str], tuple]:
 
 
 def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Command:
-    """The record for one command statement.  ``declared`` holds the open
-    books and command targets so far; this command's target joins it."""
+    """The record for one command statement, holding the declared value of
+    each name but a manifold's.  ``declared`` holds the open books and command
+    targets so far; this command's target joins it."""
     names = {"open book": s.openbooks, "manifold": declared,
              "page": s.pages, "word": s.words}
     head = toks[0]
@@ -371,8 +373,8 @@ def _parse_command(toks: list[Token], s: Scenario, declared: set[str]) -> Comman
         _declare_once(target.text, s.openbooks, "open book", target)
         kvs["target"] = target.text
         declared.add(target.text)
-    args = [t.text for t in pos] if mode is None else [mode] + [t.text for t in pos]
-    return record(*args, **kvs)
+    args = [t.text if k == "manifold" else names[k][t.text] for t, k in zip(pos, kinds)]
+    return record(*args, **kvs) if mode is None else record(mode, *args, **kvs)
 
 
 def _declare_once(name: str, names, what: str, tok: Token) -> None:
@@ -417,27 +419,26 @@ def parse_scenario(text: str) -> Scenario:
 # Execution
 # ---------------------------------------------------------------------------
 
-def execute(cmd: Command, s: Scenario, env: dict[str, ManifoldDescriptor],
-            seed: int = 0, tol: Optional[float] = None,
-            samples: int = DEFAULT_SAMPLES):
-    """The result of one record, whose pages, words and open books are in
-    ``s`` and manifolds in ``env``.  ``samples`` applies when a verify record
-    sets none; ``tol=None`` keeps the suite's own.  Library errors propagate."""
+def execute(cmd: Command, env: dict[str, ManifoldDescriptor], seed: int = 0,
+            tol: Optional[float] = None, samples: int = DEFAULT_SAMPLES):
+    """The result of one record, the manifolds it names read from ``env``.
+    ``samples`` applies when a verify record sets none; ``tol=None`` keeps
+    the suite's own.  Library errors propagate."""
     match cmd:
         case Sum():
-            return liouville_sum_openbooks(s.openbooks[cmd.left], s.openbooks[cmd.right])
+            return liouville_sum_openbooks(cmd.left, cmd.right)
         case Surgery():
             return contact_surgery(env[cmd.manifold], cmd.sphere, cmd.k, cmd.param)
         case Cover():
             return branched_cover(env[cmd.manifold], cmd.over, cmd.q)
         case Fibered():
-            return fibered_manifold(s.pages[cmd.page], s.words[cmd.phi], s.words[cmd.psi])
+            return fibered_manifold(cmd.page, cmd.phi, cmd.psi)
         case Kirby():
             # Imported where used, as suites are: only Kirby records load it.
             from . import kirby
             if cmd.mode == "cover":
                 base = (cmd.base,) if cmd.base else ()
-                return kirby.branched_cover_diagram(s.pages[cmd.page], base, cmd.q)
+                return kirby.branched_cover_diagram(cmd.page, base, cmd.q)
             return kirby.surgery_cobordism_diagram(cmd.k)
         case Verify(mode="equal"):
             return env[cmd.left].word_equals(env[cmd.right])
@@ -476,7 +477,7 @@ def run_scenario(s: Scenario, seed: int = 0, tol: Optional[float] = None,
 
     for head, cmd in s.commands:
         try:
-            res = execute(cmd, s, env, seed, tol, samples)
+            res = execute(cmd, env, seed, tol, samples)
             match cmd:
                 case Sum() | Surgery() | Cover() | Fibered():
                     env[cmd.target] = res

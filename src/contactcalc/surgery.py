@@ -8,6 +8,8 @@ Monodromy words are formal products of labeled Dehn-twist generators; only
 free reduction is imposed (no braid or chain relations), so word equality is
 a sufficient — not necessary — criterion for equality of open books.  Every
 ``MonodromyWord`` is freely reduced; products cancel only where two words meet.
+A letter ``s@p``, the twist along sphere ``s`` parametrized by ``p``, is a
+generator of its own: above dimension 3 the twist depends on ``p``.
 
 Fillability flags are tri-state (True / False / None=unknown) facts about a
 manifold.  One rule, ``default_open_book_flags``, reads them off each
@@ -76,9 +78,6 @@ class MonodromyWord(Checked, _MonodromyWord):
     def inverse(self) -> "MonodromyWord":
         return MonodromyWord.raw((lab, -exp) for lab, exp in reversed(self.letters))
 
-    def labels(self) -> set[str]:
-        return {lab for lab, _ in self.letters}
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -146,6 +145,10 @@ class PageSpec(Checked, _PageSpec):
     def handle_count(self, index: int) -> int:
         return sum(c for k, c in self.handles if k == index)
 
+    def carries(self, label: str) -> bool:
+        """Whether letter ``label``'s sphere, its part before '@', is on the page."""
+        return label.partition("@")[0] in self.spheres
+
 
 ZERO_SECTION = "zero_section"
 
@@ -182,7 +185,8 @@ class OpenBook(Checked, _OpenBook):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        missing = self.word.labels() - set(self.page.spheres)
+        missing = [lab for lab in {lab for lab, _ in self.word.letters} - set(self.page.spheres)
+                   if not self.page.carries(lab)]
         if missing:
             raise DomainError(
                 f"word uses labels {sorted(missing)} absent from page "
@@ -274,8 +278,8 @@ class Glued(NamedTuple):
 class ManifoldDescriptor(NamedTuple):
     """A symbolic contact manifold: an open book or a manifold glued along a
     page (of dimension 2 half_dim + 1), fillability flags, and an operation
-    history (which holds a catalog manifold's name).  History entries may hold
-    open books and words; only ``serialize`` formats them."""
+    history (which holds a catalog manifold's name), which is provenance only:
+    constructions extend it, ``serialize`` formats it, and nothing decides on it."""
 
     presentation: OpenBook | Glued
     flags: FillabilityFlags
@@ -295,11 +299,8 @@ class ManifoldDescriptor(NamedTuple):
 
     def word_equals(self, other: "ManifoldDescriptor") -> bool:
         """Sufficient, never necessary, for equality of the manifolds: equal open
-        books (pages equal in every field, equal reduced words), neither glued
-        nor, for half_dim >= 2, with a non-``std`` surgery in its history."""
-        return ((ob := self.open_book) is not None and ob == other.open_book and (
-            ob.page.half_dim == 1 or all(ev[0] != "surgery" or ev[3] == "std"
-                                         for ev in self.history + other.history)))
+        books (pages equal in every field, equal reduced words), neither glued."""
+        return (ob := self.open_book) is not None and ob == other.open_book
 
     def serialize(self) -> str:
         """Deterministic structured text (sorted-key JSON)."""
@@ -333,10 +334,12 @@ def default_open_book_flags(ob: OpenBook,
                             propagated=FillabilityFlags()) -> FillabilityFlags:
     """The one flag rule, on the open book a construction results in: a Stein
     page with a positive word bounds a Stein domain (page filtration plus one
-    critical handle per twist); (D*S^n, tau^-1) = M(n, -1), a negative
-    stabilization of the standard sphere, has vanishing contact homology
-    (Bourgeois & van Koert, Commun. Contemp. Math. 12 (2010)), so it is not
-    fillable; anything else keeps the ``propagated`` flags."""
+    Weinstein handle per letter, along its sphere parametrized as the letter
+    says: the paper's connect sum generalizes handle attachment); (D*S^n,
+    tau^-1) = M(n, -1) in the ``std`` letter, a negative stabilization of the
+    standard sphere, has vanishing contact homology (Bourgeois & van Koert,
+    Commun. Contemp. Math. 12 (2010)), so it is not fillable; anything else,
+    an ``s@p`` letter too, keeps the ``propagated`` flags."""
     if ob.page.stein and ob.word.is_positive():
         return FillabilityFlags(stein=True)
     if ob == _catalog_book(ob.page.half_dim, -1):
@@ -402,11 +405,14 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
 
     Recorded as the Liouville sum with M(n, -k) along ``sphere``, one of the
     page's spheres: an open book's monodromy picks up sphere^{-k}, a glued
-    manifold stays glued.  The parametrization id is kept in the history; for
-    n >= 2 any but ``std`` leaves the result equal to nothing by ``word_equals``.
+    manifold stays glued.  For n >= 2 a ``parameter`` other than ``std`` (the
+    sphere's parametrization: no blanks, '@' or '^') makes the letter
+    ``sphere@parameter``; for n = 1 it is ignored, as Diff(S^1) ~ O(2).
     """
     if k == 0:
         raise DomainError("surgery coefficient k must be nonzero")
+    if parameter.split() != [parameter] or "@" in parameter or "^" in parameter:
+        raise DomainError(f"surgery parameter {parameter!r} is empty or holds a blank, @ or ^")
     page, ob = m.presentation.page, m.open_book
     if sphere not in page.spheres:
         raise DomainError(f"unknown sphere label {sphere!r}")
@@ -414,7 +420,8 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
     summand = default_open_book_flags(_catalog_book(n, -k))
     if ob is not None:
-        presentation = OpenBook(page, ob.word * word((sphere, -k)))
+        letter = sphere if n == 1 or parameter == "std" else f"{sphere}@{parameter}"
+        presentation = OpenBook(page, ob.word * word((letter, -k)))
         flags = _sum_flags(m.flags, summand, presentation)
     else:
         presentation = Glued(page, f"surgery({sphere},{k})")

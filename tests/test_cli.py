@@ -8,6 +8,7 @@ import pytest
 
 from contactcalc import scenario
 from contactcalc.cli import main
+from contactcalc.kirby import serialize_diagram
 from contactcalc.reports import MAX_SAMPLES, MAX_TWIST_N, SUITES, ReportLine
 
 DEMO = pathlib.Path(__file__).parent.parent / "demos" / "branched_cover_l21.scn"
@@ -147,6 +148,12 @@ def test_tol_reaches_verify_forms(argv, tmp_path, capsys):
     # a base text the Kirby format cannot carry
     ["kirby", "cover", "--base", "DOTTED"],
     ["kirby", "cover", "--base", "two\nlines"],
+    # a surgery parameter that is empty or holds a blank, '@' or '^'
+    ["surgery", "--n", "2", "--k", "1", "--param", ""],
+    ["surgery", "--n", "1", "--k", "1", "--param", ""],
+    ["surgery", "--n", "2", "--k", "1", "--param", "a b"],
+    ["surgery", "--n", "2", "--k", "1", "--param", "x@y"],
+    ["surgery", "--n", "2", "--k", "1", "--param", "x^2"],
 ])
 def test_bad_counts_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -317,6 +324,33 @@ def test_out_of_memory_message(monkeypatch, capsys, exc, err):
     monkeypatch.setattr(scenario, "execute", execute)
     assert main(["cover", "--n", "1", "--q", "2"]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["fibered", "--n", "2", "--phi", "1", "--psi", "-2"],
+     "page D*S2 dim=4 handles=[0:1,2:1] stein=true spheres=[zero_section]\n"
+     "word phi = zero_section\nword psi = zero_section^-2\nfibered D*S2 phi psi -> m\n"),
+    (["kirby", "cover", "--q", "3", "--base", "L"],
+     "page genus1 dim=2 handles=[0:1,1:2] stein=true spheres=[a,b]\n"
+     "kirby cover genus1 q=3 base=L\n"),
+    (["kirby", "surgery"], "kirby surgery k=-1\n"),
+], ids=["fibered", "kirby_cover", "kirby_surgery"])
+def test_the_cli_runs_the_record_a_scenario_parses(monkeypatch, capsys, argv, text):
+    # The record the CLI hands to ``execute`` equals the parsed record of
+    # the equivalent statement, and the two print the same result.
+    seen, real = [], scenario.execute
+
+    def execute(cmd, env, *args):
+        seen.append(cmd)
+        return real(cmd, env, *args)
+
+    monkeypatch.setattr(scenario, "execute", execute)
+    assert main(argv) == 0
+    cli_out = capsys.readouterr().out
+    [(_, parsed)] = scenario.parse_scenario(text).commands
+    assert seen == [parsed]
+    res = real(parsed, {})
+    assert cli_out == (res.serialize() if argv[0] == "fibered" else serialize_diagram(res))
 
 
 def test_huge_cover_degree_fits_in_256_mib():

@@ -66,7 +66,9 @@ DELETED = {
     "octonion": ["octonion_multiply", "cross7",
                  # one ``cross_matrix`` serves R^3 and R^7
                  "cross7_matrix"],
-    "surgery": ["fillability_inherit"],
+    "surgery": ["fillability_inherit",
+                # OpenBook reads the letters' spheres with PageSpec.carries
+                "MonodromyWord.labels"],
     # Folded into ``scenario.execute``, the one executor of the CLI and of
     # scenarios; ``Scenario.words`` holds the words themselves.
     "scenario": ["run_suite", "WordDecl"],
@@ -89,7 +91,9 @@ DELETED = {
     # ambient-dimension check and the index bound of ``stein_homology_check``.
     "cobordism": ["CobordismSpec",
                   # a genus formula no report line, demo or benchmark used
-                  "cabling_genus"],
+                  "cabling_genus",
+                  # no report, command or demo printed a profile as JSON
+                  "HomologyProfile.serialize"],
 }
 
 
@@ -134,6 +138,17 @@ def test_cli_binds_no_construction():
     constructions = ["contact_surgery", "branched_cover", "fibered_manifold",
                      "branched_cover_diagram", "surgery_cobordism_diagram"]
     assert [name for name in constructions if hasattr(cli, name)] == []
+
+
+def test_cli_binds_no_scenario():
+    # A record holds the pages, words and open books it names, so the CLI
+    # builds no scenario to declare them in.
+    from contactcalc import cli
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "Scenario" not in names
 
 
 def _unread_parameters(fn) -> list[str]:

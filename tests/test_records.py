@@ -41,11 +41,11 @@ def _identity(x):
 # Record type -> the field values of one record.  Two records built from the
 # same values (the same array and function objects) have equal fields.
 RECORDS = {
-    Sum: ("a", "b", "t"),
+    Sum: (BOOK, BOOK, "t"),
     Surgery: ("m", "zero_section", 2, "t"),
     Cover: ("m", 3, "t"),
-    Fibered: ("page", "phi", "psi", "t"),
-    Kirby: ("cover", "genus1", 2),
+    Fibered: (PAGE, WORD, WORD, "t"),
+    Kirby: ("cover", PAGE, 2),
     Verify: ("twist", None, None, (("n", 6),)),
     Scenario: ({}, {}, {}, []),
     MonodromyWord: ((("a", 1), ("b", -2)),),

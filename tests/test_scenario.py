@@ -3,9 +3,10 @@ import pytest
 from contactcalc import kirby, scenario
 from contactcalc.cli import main
 from contactcalc.kirby import branched_cover_diagram, serialize_diagram
-from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED,
-                                  ScenarioError, Surgery, Token, parse_scenario,
+from contactcalc.scenario import (E_ARITY, E_SYNTAX, E_UNDECLARED, Fibered, Kirby,
+                                  ScenarioError, Sum, Surgery, Token, parse_scenario,
                                   run_scenario)
+from contactcalc.surgery import OpenBook, genus_one_page, word
 
 DECLS = """
 page genus1 dim=2 handles=[0:1,1:2] stein=true spheres=[a,b]
@@ -230,13 +231,13 @@ verify equal a b
 
 
 def test_verify_equal_refuses_an_exotic_surgery(tmp_path, monkeypatch, capsys):
-    # Both surgeries give the open book (p, s^-1), but for n >= 2 the
-    # twisted parametrization may change the manifold: nothing certifies a = b.
+    # For n >= 2 the twisted parametrization may change the manifold, so the
+    # surgery adds its own letter s@twisted: nothing certifies a = b.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "e.scn").write_text(EXOTIC)
     assert main(["run", "e.scn"]) == 1
     assert capsys.readouterr().out == ("surgery:a\ts^-1\t-\tOK\n"
-                                       "surgery:b\ts^-1\t-\tOK\n"
+                                       "surgery:b\ts s@twisted^-2\t-\tOK\n"
                                        "verify:equal:a:b\tdistinct\t-\tFAIL\n")
 
 
@@ -265,6 +266,35 @@ def test_a_parsed_surgery_equals_the_record_built_directly():
     s = parse_scenario(DECLS + "surgery ob1 sphere=a k=-2 param=twisted -> m1\n")
     assert s.commands[0][1] == Surgery("ob1", "a", -2, "m1", param="twisted")
     assert Surgery._fields == ("manifold", "sphere", "k", "target", "param")
+
+
+def test_records_hold_the_declared_values():
+    # A record holds the pages, words and open books its statement names,
+    # and only the names of manifolds, which commands rebind.
+    page = genus_one_page()
+    ob1, ob2 = OpenBook(page, word(("a", 1))), OpenBook(page, word(("b", 2)))
+    s = parse_scenario(DECLS + "sum ob1 ob2 -> m\n"
+                       "fibered genus1 ta tb2 -> f\n"
+                       "kirby cover genus1 q=3 base=L\n"
+                       "verify equal m f\n")
+    assert [cmd for _, cmd in s.commands] == [
+        Sum(ob1, ob2, "m"),
+        Fibered(page, word(("a", 1)), word(("b", 2)), "f"),
+        Kirby("cover", page, 3, base="L"),
+        scenario.Verify("equal", "m", "f")]
+    assert s.commands[0][1].left is s.openbooks["ob1"]
+    assert s.commands[1][1].page is s.pages["genus1"]
+    assert s.commands[1][1].psi is s.words["tb2"]
+
+
+def test_a_record_holds_no_word_or_open_book_name():
+    # Renaming the words and open books leaves every record equal.
+    renamed = (DECLS.replace("ta", "x").replace("tb2", "y")
+               .replace("ob1", "o1").replace("ob2", "o2"))
+    a = parse_scenario(DECLS + "sum ob1 ob2 -> m\nfibered genus1 ta tb2 -> f\n")
+    b = parse_scenario(renamed + "sum o1 o2 -> m\nfibered genus1 x y -> f\n")
+    assert set(b.words) == {"x", "y", "wid"} and set(b.openbooks) == {"o1", "o2"}
+    assert [cmd for _, cmd in a.commands] == [cmd for _, cmd in b.commands]
 
 
 def _err(text):
@@ -371,6 +401,9 @@ def test_bad_integer_fails_at_parse_before_any_write(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("stmt", [
     "surgery ob1 sphere=a k=0 -> m", "cover ob1 q=0 over=binding -> c",
     "cover ob1 q=2 over=bogus -> c", "verify twist n=0", "verify forms samples=0",
+    # a surgery parameter that is empty or holds a blank, '@' or '^'
+    "surgery ob1 sphere=a k=1 param= -> m", 'surgery ob1 sphere=a k=1 param="a b" -> m',
+    "surgery ob1 sphere=a k=1 param=x@y -> m", "surgery ob1 sphere=a k=1 param=x^2 -> m",
 ])
 def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, stmt):
     text = DECLS + "kirby cover genus1 q=2 out=w.kirby\n" + stmt + "\n"

@@ -393,18 +393,61 @@ def test_word_equals_requires_open_books():
 
 def test_word_equals_refuses_exotic_surgery_above_dimension_3():
     # For n >= 2 an exotic parametrization of the surgery sphere may change
-    # the result, which the open book does not record; in dimension 3 the
+    # the result, so the surgery adds its own letter; in dimension 3 the
     # parameter is ignored.
     for n in (1, 2, 3):
         m = catalog_M_nk(n, 1)
         a = contact_surgery(m, ZERO_SECTION, 2)
         b = contact_surgery(m, ZERO_SECTION, 2, "twisted")
-        assert a.open_book == b.open_book and a.word_equals(a)
         certified = n == 1
-        assert a.word_equals(b) is b.word_equals(a) is b.word_equals(b) is certified
-        # A cover keeps the history, and with it the surgery's parameter.
+        assert (a.open_book == b.open_book) is certified
+        assert a.word_equals(a) and b.word_equals(b)
+        assert a.word_equals(b) is b.word_equals(a) is certified
         assert branched_cover(a, "binding", 2).word_equals(
             branched_cover(b, "binding", 2)) is certified
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_exotic_surgery_flags_nothing(k):
+    # With the standard parametrization, surgery by 2 on M(2, 1) gives M(2, -1),
+    # which is not fillable, and on M(2, 3) gives the Stein M(2, 1).  A twisted
+    # parametrization gives another open book, of which nothing is known, and
+    # so of its 2-fold cover.
+    r = contact_surgery(catalog_M_nk(2, k), ZERO_SECTION, 2, "twisted")
+    assert r.word == word((ZERO_SECTION, k), ("zero_section@twisted", -2))
+    assert r.word_equals(r)
+    assert r.flags == FillabilityFlags()
+    cover = branched_cover(r, "binding", 2)
+    assert cover.flags == FillabilityFlags()
+    assert cover.word == r.word ** 2
+    assert "zero_section@twisted" in {lab for lab, _ in cover.word.letters}
+
+
+def test_an_exotic_letter_never_cancels_the_standard_one():
+    w = word(("s", 1)) * word(("s@p", -1))
+    assert w.letters == (("s", 1), ("s@p", -1))
+    assert word(("s@p", 1), ("s@q", -1)).letters == (("s@p", 1), ("s@q", -1))
+    assert (word(("s@p", 2)) * word(("s@p", -2))).is_identity()
+
+
+def test_an_open_book_takes_the_letters_of_its_spheres():
+    page = PageSpec("P", 2, ((0, 1), (2, 1)), True, ("s",))
+    assert OpenBook(page, word(("s@p", 1), ("s", -1))).word.letters == (
+        ("s@p", 1), ("s", -1))
+    for label in ("t@p", "p@s", "s_p"):
+        with pytest.raises(DomainError, match="absent from page"):
+            OpenBook(page, word((label, 1)))
+
+
+@pytest.mark.parametrize("parameter", ["", " ", "a b", "tw\tisted", "x@y", "x^2", "@"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_surgery_refuses_a_malformed_parameter(n, parameter):
+    # Checked on every page, glued ones too, even where the parameter is ignored.
+    m = catalog_M_nk(n, 1)
+    glued = fibered_manifold(disk_cotangent_page(n), word(), word())
+    for target in (m, glued):
+        with pytest.raises(DomainError, match="surgery parameter"):
+            contact_surgery(target, ZERO_SECTION, 1, parameter)
 
 
 def test_word_equals_compares_whole_pages():
@@ -519,11 +562,9 @@ def _same_open_book(m):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_constructions())
 def test_equal_words_never_contradict_flags(case):
-    # Flags are facts about the manifold, read off its open book: descriptors
-    # with one open book (pages equal in every field and equal words), grouped
+    # Flags are facts about the manifold: descriptors with one open book
+    # (``word_equals``: pages equal in every field and equal words), grouped
     # here by ``m.open_book``, may not call it fillable and not fillable.
-    # ``word_equals`` holds between them unless one had a surgery of a
-    # parameter other than std on a page of dimension 4 or more.
     built, _ = case
     by_book = {}
     for m in built + [d for m in built if m.open_book for d in _same_open_book(m)]:
@@ -531,13 +572,7 @@ def test_equal_words_never_contradict_flags(case):
             by_book.setdefault(m.open_book, []).append(m)
     for group in by_book.values():
         for a, b in combinations(group, 2):
-            certified = not (_exotic(a) or _exotic(b))
-            assert a.word_equals(b) == certified, (str(a), str(b))
-            assert not _clash(a.flags, b.flags), (str(a), str(b))
-
-
-def _exotic(m):
-    return m.dim > 3 and any(ev[0] == "surgery" and ev[3] != "std" for ev in m.history)
+            assert a.word_equals(b) and not _clash(a.flags, b.flags), (str(a), str(b))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
