@@ -4,7 +4,7 @@ commands dispatching into the surgery/cobordism/kirby/verification modules.
 Grammar (one statement per line; '#' starts a comment; blank lines skipped):
 
     page <name> dim=<2n> handles=[k:count,...] stein=<bool> spheres=[a,b,...]
-    word <name> = <label>[^<exp>] ...
+    word <name> = <label>[@<param>][^<exp>] ...
     openbook <name> = (<page>, <word>)
 
     sum <openbook> <openbook> -> <name>
@@ -126,7 +126,7 @@ class Scenario(NamedTuple):
     commands: list[tuple[Token, Command]]
 
 
-_LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_LETTER = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*(?:@[^\s@^]+)?)(?:\^(-?\d+))?$")
 
 
 # A token is a run of non-blank characters in which a double-quoted part

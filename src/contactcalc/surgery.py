@@ -9,7 +9,8 @@ free reduction is imposed (no braid or chain relations), so word equality is
 a sufficient — not necessary — criterion for equality of open books.  Every
 ``MonodromyWord`` is freely reduced; products cancel only where two words meet.
 A letter ``s@p``, the twist along sphere ``s`` parametrized by ``p``, is a
-generator of its own: above dimension 3 the twist depends on ``p``.
+generator of its own: above dimension 3 the twist depends on ``p``.  No
+sphere label holds an '@', so no plain letter reads like such a letter.
 
 Fillability flags are tri-state (True / False / None=unknown) facts about a
 manifold.  One rule, ``default_open_book_flags``, reads them off each
@@ -140,14 +141,21 @@ class PageSpec(Checked, _PageSpec):
                 raise DomainError("handle count must be positive")
         if not any(k == 0 for k, _ in self.handles):
             raise DomainError("page needs at least one 0-handle")
+        for label in self.spheres:
+            if "@" in label:   # '@' starts a letter's parameter
+                raise DomainError(f"sphere label {label!r} holds an '@'")
         return self
 
     def handle_count(self, index: int) -> int:
         return sum(c for k, c in self.handles if k == index)
 
     def carries(self, label: str) -> bool:
-        """Whether letter ``label``'s sphere, its part before '@', is on the page."""
-        return label.partition("@")[0] in self.spheres
+        """Whether ``label`` is a letter on this page: one of its spheres, or
+        ``sphere@p`` for one of them and a parametrization ``p`` that is
+        nonempty and holds no blank, '@' or '^'."""
+        sphere, at, p = label.partition("@")
+        return sphere in self.spheres and (
+            not at or p.split() == [p] and "@" not in p and "^" not in p)
 
 
 ZERO_SECTION = "zero_section"
@@ -411,11 +419,11 @@ def contact_surgery(m: ManifoldDescriptor, sphere: str, k: int,
     """
     if k == 0:
         raise DomainError("surgery coefficient k must be nonzero")
-    if parameter.split() != [parameter] or "@" in parameter or "^" in parameter:
-        raise DomainError(f"surgery parameter {parameter!r} is empty or holds a blank, @ or ^")
     page, ob = m.presentation.page, m.open_book
     if sphere not in page.spheres:
         raise DomainError(f"unknown sphere label {sphere!r}")
+    if not page.carries(f"{sphere}@{parameter}"):
+        raise DomainError(f"surgery parameter {parameter!r} is empty or holds a blank, @ or ^")
     n = page.half_dim
     event = ("surgery", sphere, k, parameter, f"liouville_sum M({n},{-k})")
     summand = default_open_book_flags(_catalog_book(n, -k))

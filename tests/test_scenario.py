@@ -241,6 +241,40 @@ def test_verify_equal_refuses_an_exotic_surgery(tmp_path, monkeypatch, capsys):
                                        "verify:equal:a:b\tdistinct\t-\tFAIL\n")
 
 
+def test_verify_equal_certifies_a_declared_exotic_word(tmp_path, monkeypatch, capsys):
+    # A word may name the letter an exotic surgery adds, so the surgery's
+    # result equals the open book declared with it, and not ob itself.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.scn").write_text(
+        "page p dim=4 handles=[0:1,2:1] stein=true spheres=[s]\n"
+        "word w = s\nword v = s s@twisted^-2\n"
+        "openbook ob = (p, w)\nopenbook c = (p, v)\n"
+        "surgery ob sphere=s k=2 param=twisted -> b\n"
+        "verify equal b c\nverify equal b ob\n")
+    assert main(["run", "e.scn"]) == 1
+    assert capsys.readouterr().out == ("surgery:b\ts s@twisted^-2\t-\tOK\n"
+                                       "verify:equal:b:c\tequal\t-\tPASS\n"
+                                       "verify:equal:b:ob\tdistinct\t-\tFAIL\n")
+
+
+def test_a_sphere_label_holds_no_at():
+    # Else the exotic twist s@p along s and the plain twist along a sphere
+    # named s@p would be one letter, and verify equal would identify them.
+    e = _err("page p dim=4 handles=[0:1,2:1] stein=true spheres=[s,s@p]\n"
+             "word w = s\nopenbook ob = (p, w)\n"
+             "surgery ob sphere=s k=1 param=p -> a\n")
+    assert (e.code, e.line, e.col) == (E_SYNTAX, 1, 1)
+    assert "sphere label 's@p' holds an '@'" in str(e)
+
+
+@pytest.mark.parametrize("letter", ["s@", "s@a@b", "s@^2", "s@@p"])
+def test_error_malformed_parametrized_letter(letter):
+    e = _err("page p dim=4 handles=[0:1,2:1] stein=true spheres=[s]\n"
+             f"word w = s {letter}\n")
+    assert (e.code, e.line, e.col) == (E_SYNTAX, 2, 12)
+    assert "bad word letter" in str(e)
+
+
 @pytest.mark.parametrize("decls,stmt", [
     ("", "kirby surgery k=-1 out=d.kirby"),
     ("page g dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n",
@@ -330,7 +364,8 @@ def test_error_undeclared_openbook_parts_at_the_name(stmt, col, what):
     ("a c^2", 12),       # the letter c^2
     ("a b b^-1 c", 19),  # c, not the cancelled b at col 12
     ("a a^-1 c", 17),    # c, the only letter left after reduction
-], ids=["unreduced", "cancelled_pair_before", "only_c_left"])
+    ("a c@p", 12),       # a parametrized letter of a sphere not on the page
+], ids=["unreduced", "cancelled_pair_before", "only_c_left", "parametrized"])
 def test_error_undeclared_sphere_label_at_letter(letters, col):
     e = _err("page p dim=2 handles=[0:1,1:1] stein=true spheres=[a]\n"
              f"word w = {letters}\n"

@@ -434,9 +434,20 @@ def test_an_open_book_takes_the_letters_of_its_spheres():
     page = PageSpec("P", 2, ((0, 1), (2, 1)), True, ("s",))
     assert OpenBook(page, word(("s@p", 1), ("s", -1))).word.letters == (
         ("s@p", 1), ("s", -1))
-    for label in ("t@p", "p@s", "s_p"):
+    for label in ("t@p", "p@s", "s_p", "s@", "s@a@b", "s@x^2", "s@a b"):
+        assert not page.carries(label)
         with pytest.raises(DomainError, match="absent from page"):
             OpenBook(page, word((label, 1)))
+
+
+def test_a_page_refuses_a_sphere_label_with_an_at():
+    # Else its plain twist would be the letter of the exotic twist along s.
+    page = PageSpec("P", 2, ((0, 1), (2, 1)), True, ("s",))
+    for make in (lambda: PageSpec(*page[:4], ("s", "s@p")),
+                 lambda: PageSpec._make((*page[:4], ("s", "s@p"), None)),
+                 lambda: page._replace(spheres=("s", "s@p"))):
+        with pytest.raises(DomainError, match="holds an '@'"):
+            make()
 
 
 @pytest.mark.parametrize("parameter", ["", " ", "a b", "tw\tisted", "x@y", "x^2", "@"])
