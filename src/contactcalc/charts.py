@@ -220,26 +220,15 @@ def orthonormal_complement(rows: np.ndarray) -> np.ndarray:
     return vt[..., rank.flat[0]:, :].swapaxes(-1, -2)
 
 
-def tangent_frame(p: ChartPoint, oriented: bool = False) -> np.ndarray:
+def tangent_frame(p: ChartPoint) -> np.ndarray:
     """Orthonormal bases (columns) of the tangent spaces at the rows of p,
-    shape (..., dim, intrinsic_dim).
+    shape (..., dim, intrinsic_dim), in no particular orientation.
 
     For unconstrained charts this is the identity (a read-only broadcast for
-    a batch).  With ``oriented=True`` (single-constraint charts only) each
-    frame is chosen so that (outward normal, frame) is positively oriented
-    in the ambient coordinate order — the boundary-orientation convention.
+    a batch).
     """
     m = p.chart.dim
     G = constraint_gradients(p)
     if G.shape[-1] == 0:
         return np.broadcast_to(np.eye(m), p.coords.shape[:-1] + (m, m))
-    frame = orthonormal_complement(G.swapaxes(-1, -2))
-    if oriented:
-        if G.shape[-1] != 1:
-            raise DomainError("oriented frame needs exactly one constraint")
-        normal = G / np.linalg.norm(G, axis=-2, keepdims=True)
-        flip = np.linalg.det(np.concatenate([normal, frame], axis=-1)) < 0
-        frame = frame.copy()
-        frame[..., :, 0] = np.where(flip[..., None], -frame[..., :, 0],
-                                    frame[..., :, 0])
-    return frame
+    return orthonormal_complement(G.swapaxes(-1, -2))

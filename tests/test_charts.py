@@ -57,21 +57,17 @@ def test_tangent_frame_sphere_orthogonal_to_normal(rng):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
         p = sph.point(x)
-        frame = tangent_frame(p, oriented=True)
+        frame = tangent_frame(p)
         assert frame.shape == (4, 3)
         assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-12)
         assert np.allclose(frame.T @ x, 0.0, atol=1e-12)
-        # outward-normal-first positive orientation
-        assert np.linalg.det(np.column_stack([x, frame])) > 0
 
 
-def test_oriented_frame_needs_single_constraint():
+def test_tangent_frame_two_constraints():
     ch = Chart("torus", ("u1", "u2", "v1", "v2"),
                (unit_norm_constraint((0, 1)), unit_norm_constraint((2, 3))))
     p = ch.point([1.0, 0.0, 0.0, 1.0])
     assert tangent_frame(p).shape == (4, 2)
-    with pytest.raises(DomainError):
-        tangent_frame(p, oriented=True)
 
 
 def test_prepend_coords_shifts_constraints_and_orientation():

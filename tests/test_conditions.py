@@ -16,6 +16,7 @@ from contactcalc.errors import DomainError
 from contactcalc.forms import OneFormField, dz_plus, lambda_std, restrict_form, \
     weinstein
 from contactcalc.rounding import rounding_curve
+from contactcalc.twist import tstar_chart
 
 
 def test_top_form_coefficient_darboux():
@@ -106,6 +107,25 @@ def test_orientation_flip_negates_margin(rng):
     m = contact_margin(alpha, p)
     flipped = alpha.chart._replace(orientation=-alpha.chart.orientation)
     assert contact_margin(alpha, flipped.point(p.coords)) == pytest.approx(-m)
+
+
+def test_contact_margin_refuses_an_even_hypersurface():
+    # S^4 in R^5 has even dimension, so it carries no contact form.
+    alpha = dz_plus(lambda_std(2))
+    sph = with_constraints(alpha.chart, [unit_norm_constraint(range(5))], "S4")
+    p = sph.point(np.eye(5)[1])
+    with pytest.raises(DomainError, match="top form needs odd dimension, got 4"):
+        contact_margin(restrict_form(alpha, sph), p)
+
+
+def test_contact_margin_refuses_two_constraints():
+    # T*S^2 is cut out of R^6 by two constraints.
+    chart = tstar_chart(2)
+    alpha = OneFormField("v du", chart, lambda c: np.concatenate(
+        [c[..., 3:], np.zeros_like(c[..., 3:])], axis=-1))
+    p = chart.point([1.0, 0.0, 0.0, 0.0, 0.5, 0.0])
+    with pytest.raises(DomainError):
+        contact_margin(alpha, p)
 
 
 def test_contact_condition_empty_samples():

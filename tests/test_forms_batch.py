@@ -27,7 +27,7 @@ per offset, and every differencing caller is held to one call.
 import numpy as np
 import pytest
 
-from contactcalc import conditions, fields, forms, twist, verify
+from contactcalc import charts, conditions, fields, forms, twist, verify
 from contactcalc.charts import (Chart, ChartPoint, cotangent_chart, darboux_chart,
                                 unit_norm_constraint, with_constraints)
 from contactcalc.errors import (ChartMismatchError, DegenerateSystemError,
@@ -184,6 +184,14 @@ def _sphere(rng, chart, count):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def _cylinder(rng, chart, count):
+    """Points of the cylinder S^(dim-2) x R: unit in all coordinates but the
+    last, which is free."""
+    x = rng.normal(size=(count, chart.dim))
+    x[:, :-1] /= np.linalg.norm(x[:, :-1], axis=-1, keepdims=True)
+    return x
+
+
 def _sphere_form(n):
     """lambda_std restricted to the unit sphere S^(2n-1) in R^(2n)."""
     sph = with_constraints(darboux_chart(n), [unit_norm_constraint(range(2 * n))],
@@ -204,6 +212,11 @@ CONTACT = {
 } | {
     "theta7": (forms.theta_invariant(forms.lambda_std(3), 0.25, -1),
                o_theta(o_lambda_std(3), 0.25, -1), _box(3.0)),
+    # lambda_std on the cylinder S^6 x R in R^8: the Liouville field r/2 is
+    # transverse to it, and its normal is not the position vector.
+    "cyl7": (forms.restrict_form(forms.lambda_std(4), with_constraints(
+                 darboux_chart(4), [unit_norm_constraint(range(7))], "S6xR_xy")),
+             o_lambda_std(4), _cylinder),
 }
 
 # Exact 1-forms with a nondegenerate d (Liouville forms), even dimensions.
@@ -312,7 +325,7 @@ def test_contact_margin_matches_oracle(rng, case):
                for j, kp in enumerate(pivots))
 
 
-@pytest.mark.parametrize("m", [4, 6, 8, 10])
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
 def test_pfaffian_stack_matches_oracle(rng, m):
     b = rng.uniform(-1.0, 1.0, (COUNT, m, m))
     a = b - b.swapaxes(-1, -2)
@@ -329,6 +342,22 @@ def test_pfaffian_stack_matches_oracle(rng, m):
     assert len({pivots for _, pivots in oracle}) > 1
     assert got[3] == got[5] == 0.0 != want[7]
     assert float(np.max(np.abs(got - want))) <= PF_TOL * m
+
+
+@pytest.mark.parametrize("case", ["S7", "S9"])
+def test_contact_margin_builds_no_frame(rng, monkeypatch, case):
+    form, p = _points(rng, case)
+    ev = ALL[case][1]
+    want = min(o_contact_margin(ev, x, _normal(p, i), p.chart.orientation)[0]
+               for i, x in enumerate(p.coords))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contact_margin built a tangent frame")
+
+    monkeypatch.setattr(charts, "tangent_frame", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    margin = conditions.check_contact_condition(form, p).margin
+    assert abs(margin - want) <= PF_TOL * max(1.0, abs(want))
 
 
 def test_check_contact_condition_stacks_a_point_list(rng):
